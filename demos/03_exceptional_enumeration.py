@@ -32,6 +32,10 @@ for x in enumerate_exceptional(ruled):
     print("  ", print_class(x))
 
 # Beyond n=8 the sets are infinite; enumeration needs an explicit
-# degree bound and says so in the result.
-es = enumerate_exceptional(LatticeModel.rational(10), degree_bound=3)
+# degree bound and says so in the result.  Not every class of square -1
+# and canonical pairing -1 is exceptional there (K_0 itself at n=10), so
+# the listing keeps only the classes that reduce to some E_i.
+model10 = LatticeModel.rational(10)
+es = enumerate_exceptional(model10, degree_bound=3)
 print(f"n=10, degree <= 3: {len(es)} classes, complete={es.complete}")
+print("K_0 listed:", model10.k0() in es)

@@ -23,12 +23,20 @@ model3 = LatticeModel.rational(3)
 res = in_cone(parse_form("3H-E1-E2-2E3", model3))
 print("boundary form:", res.verdict, "witness:", print_class(res.witness))
 
-# For n >= 9 the exceptional set is infinite, so the verdict is only
-# valid up to the degree bound used for the scan.
+# The test reduces the form itself by Cremona moves, so it is exact for
+# every n, although the exceptional set is infinite from n=9 on.
 model9 = LatticeModel.rational(9)
 tau9 = parse_form("4H-E1-E2-E3-E4-E5-E6-E7-E8-E9", model9)
-res = in_cone(tau9, degree_bound=2)
-print("n=9 bounded check:", res.verdict, "bound:", res.degree_bound)
+print("n=9 reduced form:", in_cone(tau9).verdict)
+
+# Ten equal balls of capacity 3/10 < 1/sqrt(10) embed in the unit ball.
+model10 = LatticeModel.rational(10)
+tau10 = parse_form("10H-" + "-".join(f"3E{i}" for i in range(1, 11)), model10)
+print("n=10, ten balls of capacity 3/10:", in_cone(tau10).verdict)
+
+# A No beyond n=8 still names an exceptional class of nonpositive area.
+res = in_cone(parse_form("7H-3E1-2E2-3E3-3E4-3E5-E6-E7-E8-E9", model9))
+print("n=9 failing form:", res.verdict, "witness:", print_class(res.witness))
 
 # Ruled verdicts carry a caveat: the conditions checked are the
 # stated per-model ones.

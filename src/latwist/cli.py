@@ -18,13 +18,7 @@ from .classexpr import (
     parse_form,
     print_class,
 )
-from .cone import (
-    CONE_NO,
-    CONE_YES_UP_TO_BOUND,
-    enumerate_exceptional,
-    in_cone,
-    is_lagrangian_spherical,
-)
+from .cone import CONE_NO, enumerate_exceptional, in_cone, is_lagrangian_spherical
 from .decompose import (
     DecompositionError,
     IsometryMatrix,
@@ -103,12 +97,7 @@ def cmd_lagrangian(args) -> tuple:
     model = args.model
     x = parse_class(args.cls, model)
     tau = parse_form(args.form, model)
-    res = is_lagrangian_spherical(
-        x,
-        tau,
-        degree_bound=args.degree_bound,
-        allow_bounded_cone=args.degree_bound is not None,
-    )
+    res = is_lagrangian_spherical(x, tau)
     payload = {
         "yes": res.yes,
         "area": str(res.area),
@@ -208,7 +197,7 @@ def cmd_enumerate(args) -> tuple:
 def cmd_cone(args) -> tuple:
     model = args.model
     tau = parse_form(args.form, model)
-    res = in_cone(tau, degree_bound=args.degree_bound)
+    res = in_cone(tau)
     payload = {"verdict": res.verdict}
     if res.note:
         payload["note"] = res.note
@@ -220,11 +209,7 @@ def cmd_cone(args) -> tuple:
         if res.note:
             lines.append(f"note: {res.note}")
         return 1, payload, lines
-    if res.verdict == CONE_YES_UP_TO_BOUND:
-        payload["degree_bound"] = res.degree_bound
-        lines = [f"Yes (up to degree bound {res.degree_bound})"]
-    else:
-        lines = ["Yes"]
+    lines = ["Yes"]
     if res.note:
         lines.append(f"note: {res.note}")
     return 0, payload, lines
@@ -265,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", type=parse_model_spec, required=True,
                         help='lattice model, "rational:6" or "ruled:h=2,n=3"')
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--degree-bound", type=_positive, default=None,
-                        help="cap for bounded exceptional enumeration")
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized subsampling, echoed in output")
 
@@ -304,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square", type=int, default=None)
     p.add_argument("--k-pairing", type=int, default=None)
     p.add_argument("--bound", type=_positive, default=None)
+    p.add_argument("--degree-bound", type=_positive, default=None,
+                   help="cap on the H-coefficient for exceptional sets with n >= 9")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(handler=cmd_enumerate)
 

@@ -1,15 +1,13 @@
 """Exceptional classes, the symplectic cone, and Lagrangian sphere classes.
 
-Rational exceptional classes are enumerated by solving the coupled
-Diophantine constraints
-
-    sum b_i = 3a - 1,    sum b_i^2 = a^2 + 1
-
-for xi = aH - sum b_i E_i.  For n <= 8 the Cauchy-Schwarz estimate
-(3a-1)^2 <= n(a^2+1) confines a to a finite window and the enumeration
-is complete.  For n >= 9 the set is infinite and a caller-supplied
-degree bound caps |a|; results are then flagged as bounded.  Ruled
-models have the closed-form set {E_i, F - E_i}.
+Cone membership is decided for every n by Cremona reduction of the form
+(the reduced-class criterion of Li-Li and Karshon-Kessler); a No names an
+exceptional class of nonpositive area.  Rational exceptional classes are
+enumerated by solving sum b_i = 3a - 1, sum b_i^2 = a^2 + 1 for
+xi = aH - sum b_i E_i: completely for n <= 8, where Cauchy-Schwarz confines
+a to a finite window, and for n >= 9 up to a caller-supplied bound on |a|,
+keeping the solutions that is_exceptional confirms.  Ruled models have the
+closed-form exceptional set {E_i, F - E_i}.
 """
 
 from __future__ import annotations
@@ -31,25 +29,26 @@ from .lattice import (
     form_pairing,
     is_characteristic,
     pairing,
+    reflect,
 )
 from .reduction import (
     ReflectionWord,
     _conjugate_to_k0,
     _k_delta_signs,
     cremona_reduce,
+    is_exceptional,
     is_K_null_spherical,
 )
 
 CONE_YES = "yes"
 CONE_NO = "no"
-CONE_YES_UP_TO_BOUND = "yes_up_to_bound"
 
 _RULED_CONE_NOTE = "positive square and exceptional areas only"
 
 
 @dataclass(frozen=True)
 class ExceptionalSet:
-    """The classes of square -1 and K-pairing -1, canonically sorted.
+    """The exceptional classes for K, canonically sorted.
 
     ``complete`` is true exactly when the listing is provably exhaustive:
     rational models with n <= 8 and every ruled model.  Otherwise
@@ -108,48 +107,43 @@ def _rational_a_window(n):
     return lo, hi
 
 
-@lru_cache(maxsize=None)
+def _ruled_exceptional(model):
+    F = model.unit(1)
+    return [E for i in range(1, model.n + 1) for E in (model.E(i), F - model.E(i))]
+
+
+# bounded: listings for many K_delta variants or degree bounds would pile up
+@lru_cache(maxsize=64)
 def _enumerate_cached(model, K, degree_bound):
+    n = model.n
     if model.kind == RULED:
         if K != model.k0_form():
             raise ValueError("conjugate to K_0 first")
-        classes = []
-        F = model.unit(1)
-        for i in range(1, model.n + 1):
-            classes.append(model.E(i))
-            classes.append(F - model.E(i))
-        return ExceptionalSet(
-            model=model,
-            K=K,
-            classes=tuple(sorted(classes, key=lambda x: x.coeffs)),
-            complete=True,
-        )
-
-    # rational: solve in the standard frame, then undo the sign change
-    # that carries a K_delta variant back to K_0
-    signs = None
-    if K != model.k0_form():
-        signs = _k_delta_signs(model, K)
-        if signs is None:
-            raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
-    n = model.n
-    if n <= 8:
-        a_lo, a_hi = _rational_a_window(n)
-        complete = True
+        classes, complete = _ruled_exceptional(model), True
     else:
-        if degree_bound is None:
+        # solve in the standard frame, then undo the sign change that
+        # carries a K_delta variant back to K_0
+        if _k_delta_signs(model, K) is None:
+            raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
+        complete = n <= 8
+        if complete:
+            a_lo, a_hi = _rational_a_window(n)
+        elif degree_bound is None:
             raise ValueError("degree_bound required for rational models with n >= 9")
-        a_lo, a_hi = -degree_bound, degree_bound
-        complete = False
-    classes = []
-    for a in range(a_lo, a_hi + 1):
-        if (3 * a - 1) ** 2 > n * (a * a + 1):
-            continue
-        for b in _b_vectors(n, 3 * a - 1, a * a + 1):
-            coeffs = (a,) + tuple(-v for v in b)
-            if signs is not None:
-                coeffs = (a,) + tuple(s * c for s, c in zip(signs, coeffs[1:]))
-            classes.append(HomClass(model, coeffs))
+        else:
+            a_lo, a_hi = -degree_bound, degree_bound
+        classes = []
+        for a in range(a_lo, a_hi + 1):
+            if (3 * a - 1) ** 2 > n * (a * a + 1):
+                continue
+            for b in _b_vectors(n, 3 * a - 1, a * a + 1):
+                xi = HomClass(model, (a,) + tuple(-v for v in b))
+                # from n = 9 on not every solution is exceptional (K_0 at n = 10)
+                if complete or is_exceptional(xi, model.k0_form()):
+                    classes.append(_conjugate_to_k0(xi, K))
+    for xi in classes:
+        if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
+            raise ArithmeticError(f"enumerated class {xi.coeffs} fails square or K-pairing")
     return ExceptionalSet(
         model=model,
         K=K,
@@ -162,8 +156,8 @@ def _enumerate_cached(model, K, degree_bound):
 def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
     """The set of exceptional classes for K (default K_0).
 
-    Rational models with n >= 9 require ``degree_bound``; the returned
-    set then carries complete=False and the bound used.
+    Rational models with n >= 9 require ``degree_bound``; the set then
+    holds the exceptional classes with |a| <= degree_bound only.
     """
     if K is None:
         K = model.k0_form()
@@ -171,10 +165,7 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
         raise ValueError("incompatible lattice models")
     if model.kind == RATIONAL and model.n <= 8:
         degree_bound = None
-    out = _enumerate_cached(model, K, degree_bound)
-    for xi in out.classes:
-        assert pairing(xi, xi) == -1 and form_pairing(K, xi) == -1
-    return out
+    return _enumerate_cached(model, K, degree_bound)
 
 
 class ConeResult(NamedTuple):
@@ -182,41 +173,82 @@ class ConeResult(NamedTuple):
 
     verdict: str
     witness: Optional[HomClass]
-    degree_bound: Optional[int]
     note: Optional[str]
 
     def __bool__(self):
         return self.verdict != CONE_NO
 
 
-def _default_degree_bound(tau):
-    peak = max(abs(c) for c in tau.coeffs)
-    return max(1, math.ceil(3 * peak * tau.model.rank))
+def _cone_decide(model, coeffs, K, closed) -> ConeResult:
+    """Whether the integer or rational form ``coeffs`` has positive square
+    and positive (``closed``: nonnegative) area on every exceptional class.
+    A No of positive square has a witness unless rational n <= 1 and a <= 0.
+    """
+    if _gram_product(model, coeffs, coeffs) <= 0:
+        return ConeResult(CONE_NO, None, "nonpositive square")
+
+    def violates(area):
+        return area < 0 or (area == 0 and not closed)
+
+    if model.kind == RULED:
+        if K != model.k0_form():
+            raise ValueError("conjugate to K_0 first")
+        for E in _ruled_exceptional(model):
+            if violates(_gram_product(model, coeffs, E.coeffs)):
+                return ConeResult(CONE_NO, E, None)
+        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE)
+
+    n = model.n
+    # integer numerators over one common denominator, in the K_0 frame
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    v = _conjugate_to_k0(HomClass(model, tuple(int(c * den) for c in coeffs)), K)
+    a, b = v.coeffs[0], [-c for c in v.coeffs[1:]]
+    if n < 2 and a <= 0:
+        # the forward cone; for n >= 2 the loop finds a witness instead
+        return ConeResult(CONE_NO, None, "outside the forward cone")
+    # with the b_i sorted: No once E_n or H - E_1 - E_2 has nonpositive area,
+    # Yes once a >= b_1 + b_2 + b_3, else reflect along H - E_1 - E_2 - E_3
+    moves = []
+    while True:
+        order = sorted(range(n), key=b.__getitem__, reverse=True)
+        if n and violates(b[order[-1]]):
+            witness = model.E(order[-1] + 1)
+            break
+        top = sum(b[i] for i in order[:2])
+        if violates(a - top):
+            witness = model.unit(0) - model.E(order[0] + 1) - model.E(order[1] + 1)
+            break
+        if n < 3 or a >= top + b[order[2]]:
+            return ConeResult(CONE_YES, None, None)
+        triple = order[:3]
+        d = a - sum(b[m] for m in triple)
+        # each move lowers the positive integer a, so the loop ends
+        if not 0 < a + d < a:
+            raise ArithmeticError("Cremona move failed to lower the positive H-area")
+        a += d
+        for m in triple:
+            b[m] += d
+        moves.append(triple)
+    # reflections permute the exceptional classes; undo them on the witness
+    for i, j, k in reversed(moves):
+        gamma = model.unit(0) - model.E(i + 1) - model.E(j + 1) - model.E(k + 1)
+        witness = reflect(gamma, witness)
+    # the sign change is an involution, so it also carries K_0 back to K
+    witness = _conjugate_to_k0(witness, K)
+    if not violates(_gram_product(model, coeffs, witness.coeffs)):
+        raise ArithmeticError("cone witness does not violate the cone conditions")
+    return ConeResult(CONE_NO, witness, None)
 
 
-def in_cone(tau: FormClass, K=None, degree_bound=None) -> ConeResult:
+def in_cone(tau: FormClass, K=None) -> ConeResult:
     """Whether tau^2 > 0 and tau(E) > 0 for every exceptional class E.
 
-    The cone is open: boundary forms answer no.  When only a bounded
-    exceptional set is available the positive answer is downgraded to
-    yes_up_to_bound.  Ruled verdicts check exactly these two conditions
-    and say so in the note.
+    The cone is open, and rational forms need a > 0 (the forward cone).
+    Ruled verdicts check exactly these conditions and say so in the note.
     """
-    model = tau.model
     if K is None:
-        K = model.k0_form()
-    if _gram_product(model, tau.coeffs, tau.coeffs) <= 0:
-        return ConeResult(CONE_NO, None, None, "nonpositive square")
-    if model.kind == RATIONAL and model.n >= 9 and degree_bound is None:
-        degree_bound = _default_degree_bound(tau)
-    exc = enumerate_exceptional(model, K, degree_bound)
-    for E in exc.classes:
-        if form_pairing(tau, E) <= 0:
-            return ConeResult(CONE_NO, E, exc.degree_bound, None)
-    if not exc.complete:
-        return ConeResult(CONE_YES_UP_TO_BOUND, None, exc.degree_bound, None)
-    note = _RULED_CONE_NOTE if model.kind == RULED else None
-    return ConeResult(CONE_YES, None, None, note)
+        K = tau.model.k0_form()
+    return _cone_decide(tau.model, tau.coeffs, K, closed=False)
 
 
 class LagrangianResult(NamedTuple):
@@ -238,39 +270,21 @@ class LagrangianResult(NamedTuple):
         return self.yes
 
 
-def is_lagrangian_spherical(
-    xi: HomClass,
-    tau: FormClass,
-    K=None,
-    *,
-    degree_bound=None,
-    allow_bounded_cone=False,
-) -> LagrangianResult:
+def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianResult:
     """Yes iff xi is K-null spherical and has tau-area zero.
 
     tau must satisfy the closed cone conditions: positive square and
     nonnegative area on every exceptional class.  Boundary forms are
     admitted because a zero-area exceptional class does not interfere
-    with either clause of the criterion.  A check that is only valid up
-    to a degree bound is accepted only with allow_bounded_cone=True.
+    with either clause of the criterion.
     """
     model = xi.model
     if tau.model != model:
         raise ValueError("incompatible lattice models")
     if K is None:
         K = model.k0_form()
-    if _gram_product(model, tau.coeffs, tau.coeffs) <= 0:
+    if not _cone_decide(model, tau.coeffs, K, closed=True):
         raise ValueError("form fails the cone conditions")
-    if model.kind == RATIONAL and model.n >= 9 and degree_bound is None:
-        degree_bound = _default_degree_bound(tau)
-    exc = enumerate_exceptional(model, K, degree_bound)
-    if any(form_pairing(tau, E) < 0 for E in exc.classes):
-        raise ValueError("form fails the cone conditions")
-    if not exc.complete and not allow_bounded_cone:
-        raise ValueError(
-            "cone membership verified only up to a degree bound; "
-            "pass allow_bounded_cone=True to accept"
-        )
     spherical = is_K_null_spherical(xi, K)
     area = form_pairing(tau, xi)
     failures = []
@@ -292,14 +306,7 @@ def is_lagrangian_spherical(
     )
 
 
-def inflation_admissible(
-    A: HomClass,
-    tau: FormClass,
-    K=None,
-    *,
-    degree_bound=None,
-    allow_bounded=False,
-) -> bool:
+def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     """The four inflation hypotheses, evaluated exactly.
 
     A^2 > 0, tau(A) > 0, A - PD(K) has nonnegative square and positive
@@ -310,21 +317,13 @@ def inflation_admissible(
         raise ValueError("incompatible lattice models")
     if K is None:
         K = model.k0_form()
-    cone = in_cone(tau, K, degree_bound)
-    if cone.verdict == CONE_NO:
+    if not in_cone(tau, K):
         raise ValueError("form fails the cone conditions")
-    if cone.verdict == CONE_YES_UP_TO_BOUND and not allow_bounded:
-        raise ValueError(
-            "exceptional set only enumerated up to a degree bound; "
-            "pass allow_bounded=True to accept"
-        )
-    if any(c.denominator != 1 for c in K.coeffs):
-        raise ValueError("K is not an integral class")
     pd_k = HomClass(model, tuple(int(c) for c in K.coeffs))
     B = A - pd_k
     if pairing(A, A) <= 0 or form_pairing(tau, A) <= 0:
         return False
     if pairing(B, B) < 0 or form_pairing(tau, B) <= 0:
         return False
-    exc = enumerate_exceptional(model, K, degree_bound or cone.degree_bound)
-    return all(pairing(A, E) >= 0 for E in exc.classes)
+    # A^2 > 0 here, so the closed cone test reduces to A.E >= 0
+    return bool(_cone_decide(model, A.coeffs, K, closed=True))

@@ -277,7 +277,8 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
             raise DecompositionError("generator with nonzero alpha-area")
         gens.append(HomClass(model, mat_vec(psi_inv, g.coeffs)))
     for g in gens:
-        assert form_pairing(alpha, g) == 0
+        if form_pairing(alpha, g) != 0:
+            raise DecompositionError("pulled-back generator with nonzero alpha-area")
     return _finish(model, M, gens)
 
 

@@ -159,6 +159,12 @@ def test_enumerate_complete(capsys):
     code, data = run_json(capsys, ["enumerate", "--kind", "exceptional", "--model", "rational:3"])
     assert code == 0
     assert data["count"] == 6 and data["complete"] is True
+    code, data = run_json(
+        capsys,
+        ["enumerate", "--kind", "exceptional", "--model", "rational:9", "--degree-bound", "1"],
+    )
+    assert code == 0
+    assert data["count"] == 45 and data["complete"] is False and data["degree_bound"] == 1
 
 
 def test_enumerate_bounded(capsys):
@@ -185,10 +191,15 @@ def test_cone_verdicts(capsys):
     assert code == 1 and data["witness"] == "E1"
     code, data = run_json(
         capsys,
-        ["cone", "--model", "rational:9", "--form", "4H-E1-E2-E3-E4-E5-E6-E7-E8-E9",
-         "--degree-bound", "1"],
+        ["cone", "--model", "rational:9", "--form", "4H-E1-E2-E3-E4-E5-E6-E7-E8-E9"],
     )
-    assert code == 0 and data["verdict"] == "yes_up_to_bound" and data["degree_bound"] == 1
+    assert code == 0 and data == {"verdict": "yes"}
+    code, data = run_json(capsys, ["cone", "--model", "rational:1", "--form=-2H-E1"])
+    assert code == 1 and data["witness"] is None and data["note"] == "outside the forward cone"
+    # the cone decision takes no degree bound
+    with pytest.raises(SystemExit) as exc:
+        main(["cone", "--model", "rational:9", "--form", "4H-E1", "--degree-bound", "1"])
+    assert exc.value.code == 2
 
 
 def test_crosscheck_clean(capsys):

@@ -1,5 +1,7 @@
 """Exceptional enumeration, cone membership, Lagrangian criterion, inflation."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from latwist.classexpr import parse_class, parse_form
 from latwist.cone import (
     CONE_NO,
     CONE_YES,
-    CONE_YES_UP_TO_BOUND,
+    _enumerate_cached,
     enumerate_exceptional,
     in_cone,
     inflation_admissible,
@@ -23,6 +25,7 @@ from latwist.lattice import (
     form_pairing,
     mat_vec,
     pairing,
+    reflect,
 )
 from latwist.reduction import is_exceptional
 
@@ -96,12 +99,25 @@ def test_enumerate_large_n_needs_bound():
     assert len(s) == 9 + 36
 
 
-def test_enumerate_n10_has_negative_degree_solution():
+def test_enumerate_n10_lists_only_exceptional_classes():
     m = R(10)
+    k0 = m.k0_form()
     s = enumerate_exceptional(m, degree_bound=3)
+    # K_0 has square -1 and K-pairing -1 at n=10 but is not exceptional
     pd_k0 = HomClass(m, (-3,) + (1,) * 10)
-    assert pd_k0 in s
-    assert pairing(pd_k0, pd_k0) == -1
+    assert pairing(pd_k0, pd_k0) == -1 and form_pairing(k0, pd_k0) == -1
+    assert pd_k0 not in s
+    assert not s.complete and s.degree_bound == 3
+    assert all(is_exceptional(xi, k0) for xi in s)
+    # the 1158 numerical solutions with |a| <= 3 include 11 that are not
+    # exceptional: K_0 and the ten classes 3H + E_i - sum_{j != i} E_j
+    assert len(s) == 1147
+
+
+def test_enumeration_cache_is_bounded():
+    assert _enumerate_cached.cache_info().maxsize is not None
+    m = R(5)
+    assert enumerate_exceptional(m) is enumerate_exceptional(m)
 
 
 def test_in_cone_examples():
@@ -131,17 +147,47 @@ def test_in_cone_monotone_form_has_area_one():
             assert form_pairing(tau, E) == 1
 
 
-def test_in_cone_bounded_verdict():
+def test_in_cone_n9_reduced_form_is_exact():
     m = R(9)
+    # reduced (4 >= 1+1+1) with square 16 - 9 > 0: an exact yes
     tau = parse_form("4H-E1-E2-E3-E4-E5-E6-E7-E8-E9", m)
-    res = in_cone(tau, degree_bound=4)
-    assert res.verdict == CONE_YES_UP_TO_BOUND
-    assert res.degree_bound == 4
-    # the fallback bound grows with the largest coefficient and the rank;
-    # running it would enumerate a large set, so only its value is checked
-    from latwist.cone import _default_degree_bound
+    res = in_cone(tau)
+    assert res.verdict == CONE_YES and res.witness is None
+    # the verdict does not depend on how tau is scaled
+    assert in_cone(FormClass(m, tuple(Fraction(7, 3) * c for c in tau.coeffs))).verdict == CONE_YES
+    # 3H - sum E_i has square zero
+    assert in_cone(parse_form("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9", m)).note == "nonpositive square"
 
-    assert _default_degree_bound(tau) == 3 * 4 * m.rank
+
+def test_in_cone_forward_cone_edge():
+    # positive square, no exceptional class of nonpositive area, but
+    # K_0.tau > 0: outside the forward cone
+    m0 = R(0)
+    tau = parse_form("-H", m0)
+    assert form_pairing(m0.k0_form(), tau) > 0
+    res = in_cone(tau)
+    assert res.verdict == CONE_NO and res.witness is None
+    m1 = R(1)
+    tau = parse_form("-2H-E1", m1)
+    assert form_pairing(m1.k0_form(), tau) > 0 and form_pairing(tau, m1.E(1)) > 0
+    res = in_cone(tau)
+    assert res.verdict == CONE_NO and res.witness is None
+    assert res.note == "outside the forward cone"
+    assert in_cone(parse_form("2H-E1", m1)).verdict == CONE_YES
+    with pytest.raises(ValueError, match="cone"):
+        is_lagrangian_spherical(m1.E(1), tau)
+
+
+def test_in_cone_biran_form_n10():
+    # ten equal balls of capacity 3/10 < 1/sqrt(10) embed (Biran), so
+    # 10H - 3 sum E_i is in the cone; a scan of the exceptional set
+    # cannot decide this, the reduction answers at once
+    m = R(10)
+    tau = parse_form("10H-" + "-".join(f"3E{i}" for i in range(1, 11)), m)
+    start = time.monotonic()
+    res = in_cone(tau)
+    assert time.monotonic() - start < 1
+    assert res.verdict == CONE_YES
 
 
 def test_in_cone_ruled_note():
@@ -199,10 +245,11 @@ def test_lagrangian_rejects_bad_form():
     m9 = R(9)
     tau = parse_form("4H-E1-E2-E3-E4-E5-E6-E7-E8-E9", m9)
     xi = m9.E(1) - m9.E(2)
-    with pytest.raises(ValueError, match="allow_bounded_cone"):
-        is_lagrangian_spherical(xi, tau, degree_bound=3)
-    res = is_lagrangian_spherical(xi, tau, degree_bound=3, allow_bounded_cone=True)
-    assert res.yes
+    res = is_lagrangian_spherical(xi, tau)
+    assert res.yes and res.kind == "Binary"
+    # a form of positive square with a negative exceptional area at n=9
+    with pytest.raises(ValueError, match="cone"):
+        is_lagrangian_spherical(xi, parse_form("4H+E1-E2-E3-E4-E5-E6-E7-E8-E9", m9))
 
 
 def test_lagrangian_spherical_ruled():
@@ -253,3 +300,165 @@ def test_enumeration_is_reflection_closed(n):
 
     for g in gens:
         assert {reflect(g, xi) for xi in s} == s
+
+
+def _scan(tau, K, closed):
+    """Reference cone test: scan the complete exceptional set.
+
+    Valid for rational n <= 8 and for ruled models.  Rational forms with
+    n <= 1 must also lie in the forward cone a > 0.
+    """
+    m = tau.model
+    if form_pairing(tau, tau) <= 0:
+        return False
+    if m.kind == "rational" and m.n <= 1 and tau.coeffs[0] <= 0:
+        return False
+    for E in enumerate_exceptional(m, K):
+        area = form_pairing(tau, E)
+        if area < 0 or (area == 0 and not closed):
+            return False
+    return True
+
+
+def _assert_witness(res, tau, K, closed):
+    w = res.witness
+    assert pairing(w, w) == -1 and form_pairing(K, w) == -1
+    assert is_exceptional(w, K)
+    area = form_pairing(tau, w)
+    assert area < 0 or (area == 0 and not closed)
+
+
+@st.composite
+def _rational_forms(draw):
+    """Forms at n=2..8 over denominators up to 12, with tied areas, areas
+    on the boundary a = b1+b2 or a = b1+b2+b3, and K_delta variants."""
+    n = draw(st.integers(2, 8))
+    m = R(n)
+    q = draw(st.integers(1, 12))
+    b = draw(st.lists(st.integers(-q, 4 * q), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        b[j] = b[i]
+    top = sorted(b, reverse=True) + [0]
+    shape = draw(st.sampled_from(("free", "two", "three")))
+    if shape == "free":
+        a = draw(st.integers(-q, 6 * q))
+    elif shape == "two":
+        a = top[0] + top[1] + draw(st.integers(-1, 1))
+    else:
+        a = top[0] + top[1] + top[2] + draw(st.integers(-1, 1))
+    # a few sign patterns per n keep the enumeration cache small
+    pattern = draw(st.sampled_from(("K0", "first", "alternating")))
+    signs = [1] * n
+    if pattern == "first":
+        signs[0] = -1
+    elif pattern == "alternating":
+        signs = [(-1) ** i for i in range(n)]
+    K = FormClass(m, (-3,) + tuple(signs))
+    tau = FormClass(m, (Fraction(a, q),) + tuple(Fraction(-s * v, q) for s, v in zip(signs, b)))
+    return tau, K
+
+
+@st.composite
+def _ruled_forms(draw):
+    m = LatticeModel.ruled(draw(st.integers(1, 3)), draw(st.integers(0, 5)))
+    q = draw(st.integers(1, 12))
+    t = draw(st.integers(-q, 4 * q))
+    f = draw(st.integers(-q, 4 * q))
+    b = draw(st.lists(st.integers(-q, 3 * q), min_size=m.n, max_size=m.n))
+    if m.n and draw(st.booleans()):
+        b[-1] = t  # F - E_n on the boundary
+    tau = FormClass(m, (Fraction(t, q), Fraction(f, q)) + tuple(Fraction(-v, q) for v in b))
+    return tau, m.k0_form()
+
+
+@given(st.one_of(_rational_forms(), _ruled_forms()), st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_cone_reduction_matches_exceptional_scan(case, closed):
+    from latwist.cone import _cone_decide
+
+    tau, K = case
+    res = _cone_decide(tau.model, tau.coeffs, K, closed)
+    assert bool(res) == _scan(tau, K, closed)
+    if not closed:
+        assert in_cone(tau, K) == res
+    if not res and res.witness is not None:
+        _assert_witness(res, tau, K, closed)
+    if not res and form_pairing(tau, tau) > 0 and tau.model.n >= 2:
+        assert res.witness is not None
+
+
+def _gamma(m, rng):
+    i, j, k = rng.sample(range(1, m.n + 1), 3)
+    return m.unit(0) - m.E(i) - m.E(j) - m.E(k)
+
+
+def test_cone_witnesses_sound_n9_to_12():
+    # reduced forms (inside) and forms with a <= b1+b2 (outside), moved by
+    # random Cremona words so that the verdict needs the reduction
+    rng = random.Random(2010)
+    k0s = {n: R(n).k0_form() for n in range(9, 13)}
+    nos = 0
+    for case in range(1000):
+        n = rng.randint(9, 12)
+        m = R(n)
+        q = rng.randint(1, 6)
+        inside = case % 2 == 0
+        if inside:
+            b = sorted((rng.randint(1, 4 * q) for _ in range(n)), reverse=True)
+            a = sum(b[:3]) + rng.randint(0, 2 * q)
+        else:
+            # two large areas and small ones keep the square positive
+            b = sorted([rng.randint(2 * q, 4 * q) for _ in range(2)], reverse=True)
+            b += sorted((rng.randint(1, q) for _ in range(n - 2)), reverse=True)
+            a = b[0] + b[1] - rng.randint(0, q)
+        v = HomClass(m, (a,) + tuple(-x for x in b))
+        for _ in range(rng.randint(0, 10)):
+            g = _gamma(m, rng) if rng.random() < 0.6 else m.E(rng.randint(1, n)) - m.E(1)
+            if g != m.zero():
+                v = reflect(g, v)
+        tau = FormClass(m, tuple(Fraction(c, q) for c in v.coeffs))
+        res = in_cone(tau)
+        if form_pairing(tau, tau) <= 0:
+            assert res.verdict == CONE_NO and res.note == "nonpositive square"
+            continue
+        assert bool(res) == inside
+        if not res:
+            nos += 1
+            _assert_witness(res, tau, k0s[n], closed=False)
+    assert nos >= 400
+
+
+@st.composite
+def _inflation_cases(draw):
+    n = draw(st.integers(1, 8))
+    m = R(n)
+    pattern = draw(st.sampled_from(("K0", "first")))
+    signs = [1] * n
+    if pattern == "first":
+        signs[0] = -1
+    K = FormClass(m, (-3,) + tuple(signs))
+    # a reduced form with positive areas, moved into the K frame
+    b = sorted(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)), reverse=True)
+    a = sum(b[:3]) + draw(st.integers(1, 4))
+    tau = FormClass(m, (a,) + tuple(-s * v for s, v in zip(signs, b)))
+    A = HomClass(
+        m,
+        (draw(st.integers(0, 6)),) + tuple(draw(st.integers(-2, 3)) for _ in range(n)),
+    )
+    return A, tau, K
+
+
+@given(_inflation_cases())
+@settings(max_examples=300, deadline=None)
+def test_inflation_matches_exceptional_scan(case):
+    A, tau, K = case
+    B = A - HomClass(A.model, tuple(int(c) for c in K.coeffs))
+    expected = (
+        pairing(A, A) > 0
+        and form_pairing(tau, A) > 0
+        and pairing(B, B) >= 0
+        and form_pairing(tau, B) > 0
+        and all(pairing(A, E) >= 0 for E in enumerate_exceptional(A.model, K))
+    )
+    assert inflation_admissible(A, tau, K) == expected
