@@ -245,6 +245,23 @@ def cmd_crosscheck(args) -> tuple:
     return code, payload, lines
 
 
+class _UsageError(Exception):
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors reach main instead of exiting.
+
+    main reports them as JSON under --output json and otherwise hands
+    them back to argparse's own error, which prints usage and exits 2.
+    """
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", type=parse_model_spec, required=True,
@@ -253,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized subsampling, echoed in output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latwist",
         description="exact homology-lattice decisions for blown-up rational and ruled surfaces",
     )
@@ -321,26 +338,48 @@ def _emit(payload, lines, output, stream=None):
             stream.write(line + "\n")
 
 
+def _wants_json(argv) -> bool:
+    """Whether argv asks for JSON output, read by argparse's own rules.
+
+    A parser that knows only --output follows the same abbreviations,
+    "=" form, repeats and "--" as the full one.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--output")
+    try:
+        return pre.parse_known_args(argv)[0].output == "json"
+    except _UsageError:
+        return False
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        if not _wants_json(argv):
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        _emit_error("json", "usage", exc)
+        return 2
     try:
         code, payload, lines = args.handler(args)
     except DecompositionError as exc:
-        _emit_error(args, "decomposition", exc)
+        _emit_error(args.output, "decomposition", exc)
         return 1
     except ParseError as exc:
-        _emit_error(args, "parse", exc)
+        _emit_error(args.output, "parse", exc)
         return 2
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(args, "input", exc)
+        _emit_error(args.output, "input", exc)
         return 2
     _emit(payload, lines, args.output)
     return code
 
 
-def _emit_error(args, kind, exc):
-    if args.output == "json":
+def _emit_error(output, kind, exc):
+    if output == "json":
         _emit({"error": {"type": kind, "message": str(exc)}}, [], "json")
     else:
         sys.stderr.write(f"error ({kind}): {exc}\n")

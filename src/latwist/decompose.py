@@ -34,6 +34,13 @@ decompose_ruled  ruled isometries preserving K_0 and alpha, factored
                  it (one twist), or its fiber complement (two twists
                  through a spare index).
 
+Every reduction step applies one reflection to the running matrix.
+A reflection is a rank-one change of the identity, so it is applied
+column by column (mat_reflect), O(r^2) a step, never as a dense
+product.  The final re-check still rebuilds the product from the
+generators alone and compares it with the input, never with the
+running matrix.
+
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
 lies outside the subgroup the twist generators span.
@@ -55,11 +62,11 @@ from .lattice import (
     form_pairing,
     mat_identity,
     mat_mul,
+    mat_reflect,
     mat_transpose,
     mat_vec,
     pairing,
     reflect,
-    reflection_matrix,
 )
 from .reduction import ReflectionWord
 
@@ -189,13 +196,13 @@ def _staged_reduction(model, entries):
         v = HomClass(model, tuple(row[i] for row in cur))
         for g in _class_reduction_gens(model, v, i):
             gens.append(g)
-            cur = mat_mul(reflection_matrix(g), cur)
+            cur = mat_reflect(g, cur)
     if n >= 2:
         last = HomClass(model, tuple(row[n] for row in cur))
         if last == model.E(n - 1):
             g = model.E(n - 1) - model.E(n)
             gens.append(g)
-            cur = mat_mul(reflection_matrix(g), cur)
+            cur = mat_reflect(g, cur)
     if cur != mat_identity(model.rank):
         raise DecompositionError("residual not resolvable")
     return gens
@@ -236,7 +243,7 @@ def _frame_isometry(model, family):
     for i, e in enumerate(family, start=1):
         v = HomClass(model, mat_vec(cur, e.coeffs))
         for g in _class_reduction_gens(model, v, i):
-            cur = mat_mul(reflection_matrix(g), cur)
+            cur = mat_reflect(g, cur)
     return cur
 
 
@@ -312,7 +319,7 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         if form_pairing(alpha, g) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         gens.append(g)
-        cur = mat_mul(reflection_matrix(g), cur)
+        cur = mat_reflect(g, cur)
 
     while remaining:
         pool = []

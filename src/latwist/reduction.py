@@ -15,9 +15,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .lattice import (
+    _ADMISSIBLE_SQUARES,
     RATIONAL,
     RULED,
     FormClass,
@@ -25,11 +27,10 @@ from .lattice import (
     LatticeModel,
     form_pairing,
     mat_identity,
-    mat_mul,
+    mat_reflect,
     mat_vec,
     pairing,
     reflect,
-    reflection_matrix,
 )
 
 KIND_ZERO = "Zero"
@@ -66,22 +67,29 @@ class ReflectionWord:
     ``matrix`` is the product of the generator reflection matrices in
     listed order, acting on coefficient column vectors.  Under that
     convention the last listed generator acts first on a class.
+
+    Construction checks each generator's model and admissible square,
+    O(L r) for L generators in rank r.  The matrix is built on first
+    read, by reflecting the columns of the identity along each
+    generator from last to first, O(L r^2), and then kept.
     """
 
     model: LatticeModel
     generators: tuple
 
-    @property
-    def matrix(self) -> tuple:
-        return self._matrix
-
     def __post_init__(self):
-        m = mat_identity(self.model.rank)
         for g in self.generators:
             if g.model != self.model:
                 raise ValueError("incompatible lattice models")
-            m = mat_mul(m, reflection_matrix(g))
-        object.__setattr__(self, "_matrix", m)
+            if pairing(g, g) not in _ADMISSIBLE_SQUARES:
+                raise ValueError("reflection undefined for this square")
+
+    @cached_property
+    def matrix(self) -> tuple:
+        m = mat_identity(self.model.rank)
+        for g in reversed(self.generators):
+            m = mat_reflect(g, m)
+        return m
 
     @staticmethod
     def from_applied(model: LatticeModel, applied) -> "ReflectionWord":

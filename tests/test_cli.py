@@ -236,6 +236,60 @@ def test_bad_model_spec_exits_2():
     assert exc.value.code == 2
 
 
+def test_usage_errors_are_json_under_json_output(capsys):
+    # a bad model spec, before and after "--"
+    code, data = run_json(capsys, ["classify", "--model", "rational:x"])
+    assert code == 2
+    assert data["error"]["type"] == "usage" and "rational:x" in data["error"]["message"]
+    code, captured = run(capsys, ["classify", "--model", "rational:x", "--output", "json",
+                                  "--", "E1"])
+    assert code == 2 and json.loads(captured.out)["error"]["type"] == "usage"
+    assert captured.err == ""
+
+
+def test_missing_argument_is_json_under_json_output(capsys):
+    code, captured = run(capsys, ["classify", "--model=rational:2", "--output=json"])
+    assert code == 2 and captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "usage" and "CLASS" in error["message"]
+    code, data = run_json(capsys, ["cone", "--model", "rational:2"])
+    assert code == 2 and "--form" in data["error"]["message"]
+
+
+def test_usage_errors_follow_argparse_reading_of_output(capsys):
+    # an abbreviated option, as argparse accepts it
+    code, captured = run(capsys, ["classify", "--model", "rational:x", "--out", "json"])
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"]["type"] == "usage"
+    # the last of repeated --output options wins
+    code, captured = run(capsys, ["classify", "--model", "rational:x",
+                                  "--output", "text", "--output=json"])
+    assert code == 2 and json.loads(captured.out)["error"]["type"] == "usage"
+    for argv in (
+        ["classify", "--model", "rational:x", "--output", "json", "--output", "text"],
+        # after "--", "--output json" is a positional, not an option
+        ["classify", "--model", "rational:x", "--", "--output", "json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: latwist classify")
+    # a valid command reads the same option the same way
+    code, captured = run(capsys, ["classify", "--model", "rational:2", "--out=json", "H"])
+    assert code == 0 and "error" not in json.loads(captured.out)
+
+
+def test_usage_errors_stay_text_without_json_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model", "rational:2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: latwist classify")
+    assert "required: CLASS" in captured.err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "latwist.cli", "classify", "--model", "rational:2", "H"],

@@ -114,6 +114,16 @@ def test_enumerate_n10_lists_only_exceptional_classes():
     assert len(s) == 1147
 
 
+def test_enumerate_n10_degree_3_within_budget():
+    # every candidate goes through is_exceptional, which reads the kind
+    # of a reduction but never the matrix of its word
+    m = R(10)
+    start = time.monotonic()
+    s = _enumerate_cached.__wrapped__(m, m.k0_form(), 3)
+    assert time.monotonic() - start < 2
+    assert len(s) == 1147
+
+
 def test_enumeration_cache_is_bounded():
     assert _enumerate_cached.cache_info().maxsize is not None
     m = R(5)

@@ -1,9 +1,10 @@
 """Pairing, reflection, and characteristic tests for both lattice models."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latwist.lattice import (
@@ -12,6 +13,8 @@ from latwist.lattice import (
     LatticeModel,
     form_pairing,
     is_characteristic,
+    mat_mul,
+    mat_reflect,
     mat_vec,
     pairing,
     reflect,
@@ -126,6 +129,18 @@ def test_reflection_matrix_matches_reflect():
     assert mat_vec(mat, x.coeffs) == reflect(g, x).coeffs
 
 
+def test_gram_is_computed_once():
+    m = R(4)
+    assert m.gram is m.gram
+    ruled = LatticeModel.ruled(2, 3)
+    assert ruled.gram is ruled.gram
+    # the cached value lives outside the dataclass fields, so a model
+    # whose gram was read still equals and hashes like a fresh one
+    assert m == R(4) and hash(m) == hash(R(4))
+    assert ruled == LatticeModel.ruled(2, 3) and hash(ruled) == hash(LatticeModel.ruled(2, 3))
+    assert len({m, R(4), ruled, LatticeModel.ruled(2, 3)}) == 2
+
+
 def test_is_characteristic_examples():
     assert is_characteristic(HomClass(R(3), (1, -1, -1, -1)))
     assert not is_characteristic(HomClass(R(2), (0, 1, -1)))
@@ -198,7 +213,36 @@ def test_reflection_is_isometry(mg, data):
     assert pairing(reflect(g, x), reflect(g, y)) == pairing(x, y)
 
 
-@given(admissible_gamma())
+@lru_cache(maxsize=None)
+def k0_twist_seeds(m):
+    """The K_0-twists among the admissible seeds and their reflections along one another."""
+    seeds = admissible_seeds(m)
+    axes = set(seeds) | {reflect(s, g) for s in seeds for g in seeds}
+    k0 = m.k0()
+    return sorted((g for g in axes if g.square() == -2 and pairing(k0, g) == 0),
+                  key=lambda g: g.coeffs)
+
+
+@st.composite
+def k0_twist(draw):
+    """A model plus a K_0-twist axis, conjugated by K_0-twists.
+
+    Most draws of admissible_gamma are not K_0-twists; mixing these in
+    keeps enough draws past the filter of test_k0_twists_fix_k0.  The
+    seeds include twists such as T + F - 2E1 in ruled(1, n), reached only
+    by reflecting T - F along F - E1, which is not itself a K_0-twist.
+    """
+    m = draw(models().filter(k0_twist_seeds))
+    seeds = k0_twist_seeds(m)
+    g = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 3))):
+        g = reflect(draw(st.sampled_from(seeds)), g)
+    return m, g
+
+
+# T + F - 2E1 is T - F reflected along F - E1, a K_0-twist of ruled(1, n)
+@given(st.one_of(admissible_gamma(), k0_twist()))
+@example((LatticeModel.ruled(1, 2), HomClass(LatticeModel.ruled(1, 2), (1, 1, -2, 0))))
 @settings(max_examples=200, deadline=None)
 def test_k0_twists_fix_k0(mg):
     m, g = mg
@@ -213,3 +257,26 @@ def test_characteristic_is_reflection_invariant(mg, data):
     m, g = mg
     xi = HomClass(m, tuple(data.draw(st.integers(-5, 5)) for _ in range(m.rank)))
     assert is_characteristic(reflect(g, xi)) == is_characteristic(xi)
+
+
+def dense_reflection(g):
+    """The matrix I - (2/g.g) g (G g)^T, written out entry by entry."""
+    m = g.model
+    s = g.square()
+    gram_g = [sum(m.gram[j][k] * g.coeffs[k] for k in range(m.rank)) for j in range(m.rank)]
+    return tuple(
+        tuple((i == j) - 2 * gram_g[j] * g.coeffs[i] // s for j in range(m.rank))
+        for i in range(m.rank)
+    )
+
+
+@given(admissible_gamma(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_reflect_matches_dense_product(mg, data):
+    m, g = mg
+    assert reflection_matrix(g) == dense_reflection(g)
+    cols = data.draw(st.integers(1, m.rank + 1))
+    a = tuple(
+        tuple(data.draw(st.integers(-9, 9)) for _ in range(cols)) for _ in range(m.rank)
+    )
+    assert mat_reflect(g, a) == mat_mul(dense_reflection(g), a)

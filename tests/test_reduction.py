@@ -12,8 +12,12 @@ from latwist.lattice import (
     HomClass,
     LatticeModel,
     form_pairing,
+    mat_identity,
+    mat_mul,
     mat_vec,
     pairing,
+    reflect,
+    reflection_matrix,
 )
 from latwist.reduction import (
     KIND_BINARY,
@@ -223,6 +227,91 @@ def test_word_composition_convention():
     assert w.apply(m.E(1)) == m.E(2)
     assert ReflectionWord.from_applied(m, (g1, g2)).apply(m.E(1)) == m.E(3)
     assert (w * w.inverse()).apply(m.E(3)) == m.E(3)
+
+
+def eager_word_matrix(word):
+    """The reference: the listed-order product of dense reflection matrices."""
+    m = mat_identity(word.model.rank)
+    for g in word.generators:
+        m = mat_mul(m, reflection_matrix(g))
+    return m
+
+
+def simple_axes(m):
+    """Admissible axes (square +-1 or +-2) in basis position."""
+    if m.kind == "rational":
+        H = m.unit(0)
+        E = [m.E(i) for i in range(1, m.n + 1)]
+        axes = [H] + E + [H - a - b - c for i, a in enumerate(E) for j, b in enumerate(E[:i])
+                          for c in E[:j]]
+    else:
+        T, F = m.unit(0), m.unit(1)
+        E = [m.E(i) for i in range(1, m.n + 1)]
+        axes = [T + F, T - F] + E + [F - a for a in E]
+        axes += [F - a - b for i, a in enumerate(E) for b in E[:i]]
+    axes += [a - b for i, a in enumerate(E) for b in E[:i]]
+    return axes
+
+
+@st.composite
+def words(draw):
+    """Words of length 0..40 over conjugated axes, rational n=0..12 and
+    ruled h=1..3, n=0..6."""
+    m = draw(st.one_of(
+        st.integers(0, 12).map(R),
+        st.tuples(st.integers(1, 3), st.integers(0, 6)).map(lambda t: LatticeModel.ruled(*t)),
+    ))
+    axes = simple_axes(m)
+    gens = []
+    for _ in range(draw(st.integers(0, 40))):
+        g = draw(st.sampled_from(axes))
+        for _ in range(draw(st.integers(0, 2))):
+            g = reflect(draw(st.sampled_from(axes)), g)
+        gens.append(g)
+    return ReflectionWord(m, tuple(gens))
+
+
+@given(words())
+@settings(max_examples=200, deadline=None)
+def test_word_matrix_matches_eager_product(word):
+    assert word.matrix == eager_word_matrix(word)
+    assert word.matrix is word.matrix
+
+
+@pytest.mark.parametrize("model", [R(0), R(5), R(12), LatticeModel.ruled(1, 0),
+                                   LatticeModel.ruled(3, 6)])
+def test_empty_word_matrix_is_identity(model):
+    word = ReflectionWord(model, ())
+    assert word.matrix == mat_identity(model.rank) == eager_word_matrix(word)
+
+
+@given(words(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_apply_replays_reflections(word, data):
+    x = HomClass(word.model, tuple(data.draw(st.integers(-9, 9)) for _ in range(word.model.rank)))
+    y = x
+    for g in reversed(word.generators):
+        y = reflect(g, y)
+    assert word.apply(x) == y
+
+
+def test_word_matrix_is_built_on_first_read():
+    m = R(4)
+    word = cremona_reduce(cls("5H-2E1-2E2-2E3-E4", m)).word
+    assert "matrix" not in vars(word)
+    first = word.matrix
+    assert vars(word)["matrix"] is first is word.matrix
+
+
+def test_word_constructor_checks_generators():
+    # both checks run at construction, before any read of .matrix
+    m = LatticeModel.ruled(1, 2)
+    with pytest.raises(ValueError, match="reflection undefined for this square"):
+        ReflectionWord(m, (m.E(1) - m.E(2), m.unit(1)))
+    with pytest.raises(ValueError, match="incompatible lattice models"):
+        ReflectionWord(m, (R(3).E(1),))
+    with pytest.raises(ValueError, match="reflection undefined for this square"):
+        ReflectionWord(R(2), (R(2).unit(0) - R(2).E(1),))
 
 
 def test_is_exceptional():
