@@ -12,7 +12,6 @@ closed-form exceptional set {E_i, F - E_i}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,10 +100,8 @@ def _b_vectors(n, total, square):
 def _rational_a_window(n):
     # roots of (9-n)a^2 - 6a + (1-n) <= 0, the Cauchy-Schwarz feasibility window
     disc = 9 + (9 - n) * (n - 1)
-    root = math.isqrt(disc) if disc >= 0 else 0
-    lo = math.ceil(Fraction(3 - root, 9 - n))
-    hi = math.floor(Fraction(3 + root, 9 - n))
-    return lo, hi
+    root = isqrt(disc) if disc >= 0 else 0
+    return -((root - 3) // (9 - n)), (3 + root) // (9 - n)
 
 
 def _ruled_exceptional(model):
@@ -179,12 +176,14 @@ class ConeResult(NamedTuple):
         return self.verdict != CONE_NO
 
 
-def _cone_decide(model, coeffs, K, closed) -> ConeResult:
-    """Whether the integer or rational form ``coeffs`` has positive square
-    and positive (``closed``: nonnegative) area on every exceptional class.
-    A No of positive square has a witness unless rational n <= 1 and a <= 0.
+def _cone_decide(model, num, K, closed) -> ConeResult:
+    """Whether the form with integer coefficients ``num`` has positive
+    square and positive (``closed``: nonnegative) area on every
+    exceptional class.  The conditions do not change when the form is
+    scaled, so a form's numerators stand for it.  A No of positive square
+    has a witness unless rational n <= 1 and a <= 0.
     """
-    if _gram_product(model, coeffs, coeffs) <= 0:
+    if _gram_product(model, num, num) <= 0:
         return ConeResult(CONE_NO, None, "nonpositive square")
 
     def violates(area):
@@ -194,14 +193,12 @@ def _cone_decide(model, coeffs, K, closed) -> ConeResult:
         if K != model.k0_form():
             raise ValueError("conjugate to K_0 first")
         for E in _ruled_exceptional(model):
-            if violates(_gram_product(model, coeffs, E.coeffs)):
+            if violates(_gram_product(model, num, E.coeffs)):
                 return ConeResult(CONE_NO, E, None)
         return ConeResult(CONE_YES, None, _RULED_CONE_NOTE)
 
     n = model.n
-    # integer numerators over one common denominator, in the K_0 frame
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    v = _conjugate_to_k0(HomClass(model, tuple(int(c * den) for c in coeffs)), K)
+    v = _conjugate_to_k0(HomClass(model, num), K)
     a, b = v.coeffs[0], [-c for c in v.coeffs[1:]]
     if n < 2 and a <= 0:
         # the forward cone; for n >= 2 the loop finds a witness instead
@@ -235,7 +232,7 @@ def _cone_decide(model, coeffs, K, closed) -> ConeResult:
         witness = reflect(gamma, witness)
     # the sign change is an involution, so it also carries K_0 back to K
     witness = _conjugate_to_k0(witness, K)
-    if not violates(_gram_product(model, coeffs, witness.coeffs)):
+    if not violates(_gram_product(model, num, witness.coeffs)):
         raise ArithmeticError("cone witness does not violate the cone conditions")
     return ConeResult(CONE_NO, witness, None)
 
@@ -248,7 +245,7 @@ def in_cone(tau: FormClass, K=None) -> ConeResult:
     """
     if K is None:
         K = tau.model.k0_form()
-    return _cone_decide(tau.model, tau.coeffs, K, closed=False)
+    return _cone_decide(tau.model, tau.num, K, closed=False)
 
 
 class LagrangianResult(NamedTuple):
@@ -283,7 +280,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
         raise ValueError("incompatible lattice models")
     if K is None:
         K = model.k0_form()
-    if not _cone_decide(model, tau.coeffs, K, closed=True):
+    if not _cone_decide(model, tau.num, K, closed=True):
         raise ValueError("form fails the cone conditions")
     spherical = is_K_null_spherical(xi, K)
     area = form_pairing(tau, xi)
@@ -319,7 +316,7 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
         K = model.k0_form()
     if not in_cone(tau, K):
         raise ValueError("form fails the cone conditions")
-    pd_k = HomClass(model, tuple(int(c) for c in K.coeffs))
+    pd_k = HomClass(model, K.num)
     B = A - pd_k
     if pairing(A, A) <= 0 or form_pairing(tau, A) <= 0:
         return False

@@ -59,6 +59,7 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
+    _gram_product,
     form_pairing,
     mat_identity,
     mat_mul,
@@ -117,11 +118,11 @@ class ValidationReport(NamedTuple):
         return self.ok
 
 
-def _pullback(model, entries, coeffs):
+def _pullback(model, cols, num):
     # form composed with the matrix; in the Poincare-dual coefficient
-    # convention that is G M^T G applied to the form's vector
-    g = model.gram
-    return mat_vec(g, mat_vec(mat_transpose(entries), mat_vec(g, coeffs)))
+    # convention that is G M^T G applied to the form's vector, and entry
+    # i of M^T G v is the gram product of column i with v
+    return mat_vec(model.gram, tuple(_gram_product(model, c, num) for c in cols))
 
 
 def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> ValidationReport:
@@ -131,11 +132,17 @@ def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> Va
         K = model.k0_form()
     failures = []
     gram = model.gram
-    if mat_mul(mat_transpose(M.entries), mat_mul(gram, M.entries)) != gram:
+    cols = mat_transpose(M.entries)
+    # M^T G M = G entry by entry; both sides are symmetric
+    if any(
+        _gram_product(model, cols[i], cols[j]) != gram[i][j]
+        for i in range(model.rank)
+        for j in range(i, model.rank)
+    ):
         failures.append("pairing not preserved")
-    if _pullback(model, M.entries, K.coeffs) != tuple(K.coeffs):
+    if _pullback(model, cols, K.num) != K.num:
         failures.append("K not preserved")
-    if alpha is not None and _pullback(model, M.entries, alpha.coeffs) != tuple(alpha.coeffs):
+    if alpha is not None and _pullback(model, cols, alpha.num) != alpha.num:
         failures.append("alpha not preserved")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
@@ -222,18 +229,25 @@ def _greedy_orthogonal_family(model, alpha):
     minimal alpha-area.
 
     Ties break toward the lexicographically smallest coefficient
-    vector, keeping certificates reproducible.
+    vector, keeping certificates reproducible.  Dropping the classes
+    that meet a chosen one keeps the order of the rest, so one pass over
+    the pool sorted by (area, coefficients) takes each round's minimum.
     """
     if model.n > 8:
         raise DecompositionError("alpha-minimality basis construction failed")
-    pool = list(enumerate_exceptional(model).classes)
+    # the area numerator over alpha.den > 0 orders classes as the area does
+    pool = sorted(
+        enumerate_exceptional(model).classes,
+        key=lambda e: (_gram_product(model, alpha.num, e.coeffs), e.coeffs),
+    )
     family = []
-    for _ in range(model.n - 2):
-        if not pool:
-            raise DecompositionError("alpha-minimality basis construction failed")
-        best = min(pool, key=lambda e: (form_pairing(alpha, e), e.coeffs))
-        family.append(best)
-        pool = [e for e in pool if pairing(e, best) == 0]
+    for e in pool:
+        if len(family) == model.n - 2:
+            break
+        if all(pairing(e, f) == 0 for f in family):
+            family.append(e)
+    if len(family) < model.n - 2:
+        raise DecompositionError("alpha-minimality basis construction failed")
     return family
 
 
@@ -275,7 +289,7 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     # psi preserves gram, so its inverse is G psi^T G
     psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
     # pulling alpha back along psi^{-1} pushes its dual vector forward
-    alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
+    alpha_prime = FormClass._from_num(model, mat_vec(psi, alpha.num), alpha.den)
     M_prime = mat_mul(psi, mat_mul(M.entries, psi_inv))
 
     gens = []

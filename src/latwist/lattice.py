@@ -5,14 +5,18 @@ Two models are supported, each with a fixed ordered basis:
   rational: basis (H, E1, ..., En), H.H = 1, Ei.Ei = -1, cross terms 0
   ruled:    basis (T, F, E1, ..., En), T.F = 1, T.T = F.F = 0, Ei.Ei = -1
 
-Homology classes carry integer coefficients, cohomology classes carry
-exact rationals, and both pair through the same gram matrix (a class is
-identified with its Poincare dual, so one coefficient convention serves
-both sides).  Everything here is exact; no floats appear anywhere.
+Homology classes carry integer coefficients.  Cohomology classes carry
+exact rationals, stored as integer numerators over one denominator, so
+both pair through the same integer gram product (a class is identified
+with its Poincare dual, so one coefficient convention serves both
+sides).  Fraction appears only where a form enters or leaves: its
+constructor, ``coeffs`` and the value of ``form_pairing``.  Everything
+here is exact; no floats appear anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,17 +84,18 @@ class LatticeModel:
             rows[i][i] = -1
         return tuple(tuple(row) for row in rows)
 
+    def _k0_coeffs(self) -> tuple:
+        if self.kind == RATIONAL:
+            return (-3,) + (1,) * self.n
+        return (-2, 2 * self.genus - 2) + (1,) * self.n
+
     def k0(self) -> "HomClass":
         """PD of the standard canonical class, as a homology class."""
-        if self.kind == RATIONAL:
-            coeffs = (-3,) + (1,) * self.n
-        else:
-            coeffs = (-2, 2 * self.genus - 2) + (1,) * self.n
-        return HomClass(self, coeffs)
+        return HomClass(self, self._k0_coeffs())
 
     def k0_form(self) -> "FormClass":
         """The standard canonical class, as an evaluating form."""
-        return FormClass(self, self.k0().coeffs)
+        return FormClass._from_num(self, self._k0_coeffs(), 1)
 
     def zero(self) -> "HomClass":
         return HomClass(self, (0,) * self.rank)
@@ -157,40 +162,77 @@ class HomClass:
         return HomClass(self.model, tuple(k * a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FormClass:
-    """A cohomology class: an exact rational coefficient vector."""
+    """A cohomology class: exact rational coefficients in basis order.
+
+    Stored as integer numerators ``num`` over one positive denominator
+    ``den``, the lcm of the reduced denominators, so gcd(den, *num) = 1
+    and equal forms have equal (num, den).  Library arithmetic runs on
+    ``num``; ``coeffs``, the Fraction tuple, is built on first read.
+    """
 
     model: LatticeModel
-    coeffs: tuple
+    num: tuple
+    den: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.model.rank:
+    def __init__(self, model: LatticeModel, coeffs):
+        if len(coeffs) != model.rank:
             raise ValueError("coefficient vector length does not match rank")
-        coerced = []
-        for c in self.coeffs:
+        exact = []
+        for c in coeffs:
             if isinstance(c, float):
                 raise TypeError("form coefficients must be exact rationals, not floats")
-            coerced.append(Fraction(c))
-        object.__setattr__(self, "coeffs", tuple(coerced))
+            exact.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        den = math.lcm(*(c.denominator for c in exact))
+        num = tuple(c.numerator * (den // c.denominator) for c in exact)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _from_num(cls, model: LatticeModel, num: tuple, den: int) -> "FormClass":
+        """The form num/den from integer numerators, reduced to lowest terms."""
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(a // g for a in num), den // g
+        form = object.__new__(cls)
+        object.__setattr__(form, "model", model)
+        object.__setattr__(form, "num", tuple(num))
+        object.__setattr__(form, "den", den)
+        return form
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    def __repr__(self):
+        return f"FormClass(model={self.model!r}, coeffs={self.coeffs!r})"
+
+    def _combine(self, other, sign):
+        _check_same_model(self, other)
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return FormClass._from_num(self.model, tuple(p * a + q * b for a, b in zip(self.num, other.num)), den)
 
     def __add__(self, other):
-        _check_same_model(self, other)
-        return FormClass(self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        _check_same_model(self, other)
-        return FormClass(self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return FormClass(self.model, tuple(-a for a in self.coeffs))
+        return FormClass._from_num(self.model, tuple(-a for a in self.num), self.den)
 
     def __rmul__(self, k):
-        return FormClass(self.model, tuple(Fraction(k) * a for a in self.coeffs))
+        k = k if isinstance(k, (int, Fraction)) else Fraction(k)
+        return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
 
-def _gram_product(model: LatticeModel, u, v):
-    """u^T gram v on raw coefficient sequences, int or Fraction."""
+def _gram_product(model: LatticeModel, u, v) -> int:
+    """u^T gram v on raw integer coefficient sequences."""
     off = model.e_offset
     if model.kind == RATIONAL:
         head = u[0] * v[0]
@@ -206,9 +248,11 @@ def pairing(x: HomClass, y: HomClass) -> int:
 
 
 def form_pairing(tau: FormClass, x) -> Fraction:
-    """Evaluate the form tau on the class x, exactly."""
+    """Evaluate the form tau on the class x (or on a form), exactly."""
     _check_same_model(tau, x)
-    return Fraction(_gram_product(tau.model, tau.coeffs, x.coeffs))
+    if isinstance(x, FormClass):
+        return Fraction(_gram_product(tau.model, tau.num, x.num), tau.den * x.den)
+    return Fraction(_gram_product(tau.model, tau.num, x.coeffs), tau.den)
 
 
 def reflect(gamma: HomClass, beta: HomClass) -> HomClass:

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 from .lattice import (
     _ADMISSIBLE_SQUARES,
+    _check_same_model,
+    _gram_product,
     RATIONAL,
     RULED,
     FormClass,
@@ -134,12 +136,16 @@ class NormalForm:
 
 def eta_K(e: HomClass, K: FormClass) -> Fraction:
     """The K-symplectic genus (K(e) + e.e)/2 + 1."""
-    return Fraction(form_pairing(K, e) + pairing(e, e), 2) + 1
+    _check_same_model(K, e)
+    k = _gram_product(e.model, K.num, e.coeffs)
+    return Fraction(k + (pairing(e, e) + 2) * K.den, 2 * K.den)
 
 
 def gt_dimension(e: HomClass, K: FormClass) -> Fraction:
     """Expected moduli dimension (-K(e) + e.e)/2."""
-    return Fraction(-form_pairing(K, e) + pairing(e, e), 2)
+    _check_same_model(K, e)
+    k = _gram_product(e.model, K.num, e.coeffs)
+    return Fraction(-k + pairing(e, e) * K.den, 2 * K.den)
 
 
 def _sorted_b(xi: HomClass):
@@ -291,10 +297,10 @@ def _k_delta_signs(model: LatticeModel, K: FormClass):
     """
     if K.model != model or model.kind != RATIONAL:
         return None
-    if K.coeffs[0] != -3:
+    if K.den != 1 or K.num[0] != -3:
         return None
     signs = []
-    for c in K.coeffs[1:]:
+    for c in K.num[1:]:
         if c == 1:
             signs.append(1)
         elif c == -1:
@@ -384,5 +390,5 @@ def eta_lower_bound(e: HomClass) -> EtaBound:
     if a <= 0:
         raise ValueError("K_delta family not certified for nonpositive H-coefficient")
     best_k = -3 * a + sum(abs(c) for c in e.coeffs[1:])
-    value = Fraction(best_k + pairing(e, e), 2) + 1
+    value = Fraction(best_k + pairing(e, e) + 2, 2)
     return EtaBound(value, is_reduced(e))

@@ -1,13 +1,18 @@
 """Isometry validation and twist-word factorization."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class, parse_form
+from latwist.cone import enumerate_exceptional
 from latwist.decompose import (
     DecompositionError,
     IsometryMatrix,
+    _greedy_orthogonal_family,
     decompose_K,
     decompose_K_alpha,
     decompose_ruled,
@@ -19,6 +24,9 @@ from latwist.lattice import (
     FormClass,
     LatticeModel,
     form_pairing,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
     pairing,
     reflection_matrix,
 )
@@ -89,6 +97,109 @@ def test_validate_non_isometry():
     m1 = R(1)
     rep = validate(IsometryMatrix(m1, ((2, 0), (0, 1))))
     assert "pairing not preserved" in rep.failures
+
+
+def _dense_validate(M, K=None, alpha=None):
+    """validate as written with the dense products M^T G M and G M^T G v,
+    kept to check the column-pairing version against."""
+    model = M.model
+    if K is None:
+        K = model.k0_form()
+    gram = model.gram
+
+    def pullback(coeffs):
+        return mat_vec(gram, mat_vec(mat_transpose(M.entries), mat_vec(gram, coeffs)))
+
+    failures = []
+    if mat_mul(mat_transpose(M.entries), mat_mul(gram, M.entries)) != gram:
+        failures.append("pairing not preserved")
+    if pullback(K.coeffs) != tuple(K.coeffs):
+        failures.append("K not preserved")
+    if alpha is not None and pullback(alpha.coeffs) != tuple(alpha.coeffs):
+        failures.append("alpha not preserved")
+    return tuple(failures)
+
+
+@st.composite
+def validation_cases(draw):
+    """A matrix, K and alpha: twist words (some along non-twists of square
+    -1 or +1), often corrupted, against forms with tied areas."""
+    if draw(st.booleans()):
+        m = R(draw(st.integers(0, 8)))
+        gens = rational_generators(m) + [m.unit(0)]
+        Ks = [None, m.k0_form()]
+        if m.n:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m.n, max_size=m.n))
+            Ks.append(FormClass(m, (-3,) + tuple(signs)))
+    else:
+        m = LatticeModel.ruled(draw(st.integers(1, 3)), draw(st.integers(0, 5)))
+        gens = ruled_generators(m)
+        Ks = [None, m.k0_form()]
+    gens += [m.E(i) for i in range(1, m.n + 1)]
+    q = draw(st.integers(1, 12))
+    e = m.e_offset
+    head = draw(st.lists(st.integers(-6, 12), min_size=e, max_size=e))
+    tail = draw(st.lists(st.sampled_from((0, -1, -2)), min_size=m.n, max_size=m.n))
+    alpha = FormClass(m, [Fraction(c, q) for c in head + tail])
+    zero_area = [g for g in gens if form_pairing(alpha, g) == 0]
+    pool = zero_area if zero_area and draw(st.booleans()) else gens
+    word = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+    rows = [list(r) for r in ReflectionWord(m, tuple(word)).matrix]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, m.rank - 1)), draw(st.integers(0, m.rank - 1))
+        if draw(st.booleans()):
+            rows[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return IsometryMatrix(m, rows), draw(st.sampled_from(Ks)), draw(st.sampled_from((None, alpha)))
+
+
+@given(validation_cases())
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_dense_formula(case):
+    M, K, alpha = case
+    assert validate(M, K, alpha).failures == _dense_validate(M, K, alpha)
+
+
+def _round_by_round_family(model, alpha):
+    """The family as the earlier loop chose it: each round takes the
+    minimum of (area, coefficients) over the classes orthogonal to every
+    class taken so far.  None where that loop raised."""
+    pool = list(enumerate_exceptional(model).classes)
+    family = []
+    for _ in range(model.n - 2):
+        if not pool:
+            return None
+        best = min(pool, key=lambda e: (form_pairing(alpha, e), e.coeffs))
+        family.append(best)
+        pool = [e for e in pool if pairing(e, best) == 0]
+    return family
+
+
+@st.composite
+def greedy_alphas(draw):
+    m = R(draw(st.integers(3, 8)))
+    q = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # two blocks of tied areas, in shuffled positions
+        top = draw(st.integers(0, m.n))
+        b = draw(st.permutations([2] * top + [1] * (m.n - top)))
+        a = sorted(b, reverse=True)[:3]
+        coeffs = [sum(a) + draw(st.integers(0, 2))] + [-v for v in b]
+    else:
+        coeffs = [draw(st.integers(-10, 40))] + draw(st.lists(st.integers(-10, 12), min_size=m.n, max_size=m.n))
+    return FormClass(m, [Fraction(c, q) for c in coeffs])
+
+
+@given(greedy_alphas())
+@settings(max_examples=200, deadline=None)
+def test_greedy_family_matches_round_by_round_minimum(alpha):
+    expected = _round_by_round_family(alpha.model, alpha)
+    if expected is None:
+        with pytest.raises(DecompositionError):
+            _greedy_orthogonal_family(alpha.model, alpha)
+    else:
+        assert _greedy_orthogonal_family(alpha.model, alpha) == expected
 
 
 def test_decompose_identity_and_generator():
