@@ -7,6 +7,7 @@ input errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -262,7 +263,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", type=parse_model_spec, required=True,
                         help='lattice model, "rational:6" or "ruled:h=2,n=3"')

@@ -25,6 +25,7 @@ from .lattice import (
     HomClass,
     LatticeModel,
     _gram_product,
+    _sparse_class,
     form_pairing,
     is_characteristic,
     pairing,
@@ -227,8 +228,8 @@ def _cone_decide(model, num, K, closed) -> ConeResult:
             b[m] += d
         moves.append(triple)
     # reflections permute the exceptional classes; undo them on the witness
-    for i, j, k in reversed(moves):
-        gamma = model.unit(0) - model.E(i + 1) - model.E(j + 1) - model.E(k + 1)
+    for triple in reversed(moves):
+        gamma = _sparse_class(model, ((0, 1),) + tuple((m + 1, -1) for m in triple))
         witness = reflect(gamma, witness)
     # the sign change is an involution, so it also carries K_0 back to K
     witness = _conjugate_to_k0(witness, K)

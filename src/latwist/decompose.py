@@ -34,12 +34,14 @@ decompose_ruled  ruled isometries preserving K_0 and alpha, factored
                  it (one twist), or its fiber complement (two twists
                  through a spare index).
 
-Every reduction step applies one reflection to the running matrix.
-A reflection is a rank-one change of the identity, so it is applied
-column by column (mat_reflect), O(r^2) a step, never as a dense
-product.  The final re-check still rebuilds the product from the
-generators alone and compares it with the input, never with the
-running matrix.
+Every reduction step applies one reflection to the running matrix,
+and decompose_K_alpha conjugates by its frame one reflection at a time,
+never by a dense product.  A reflection along gamma rewrites only the
+rows in the support of gamma when it acts on the left (mat_reflect) and
+only the columns in the support of G gamma when it acts on the right
+(mat_reflect_right); a twist core has at most four nonzero entries.
+The final re-check still rebuilds the product from the generators alone
+and compares it with the input, never with the running matrix.
 
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
@@ -60,10 +62,11 @@ from .lattice import (
     HomClass,
     LatticeModel,
     _gram_product,
+    _sparse_class,
     form_pairing,
     mat_identity,
-    mat_mul,
     mat_reflect,
+    mat_reflect_right,
     mat_transpose,
     mat_vec,
     pairing,
@@ -168,7 +171,6 @@ def _class_reduction_gens(model, v, i):
     v must be an exceptional class orthogonal to E_1, ..., E_{i-1}.
     """
     n = model.n
-    H = model.unit(0)
     gens = []
     while v.coeffs[0] != 0:
         if v.coeffs[0] < 0:
@@ -178,14 +180,14 @@ def _class_reduction_gens(model, v, i):
             raise DecompositionError("residual not resolvable")
         if v.coeffs[0] + sum(v.coeffs[j] for j in top) >= 0:
             raise DecompositionError("residual not resolvable")
-        g = H - model.E(top[0]) - model.E(top[1]) - model.E(top[2])
+        g = _sparse_class(model, ((0, 1),) + tuple((j, -1) for j in sorted(top)))
         gens.append(g)
         v = reflect(g, v)
-    target = next((j for j in range(i, n + 1) if v == model.E(j)), None)
+    target = next((j for j in range(i, n + 1) if v == _sparse_class(model, ((j, 1),))), None)
     if target is None:
         raise DecompositionError("residual not resolvable")
     if target != i:
-        gens.append(model.E(i) - model.E(target))
+        gens.append(_sparse_class(model, ((i, 1), (target, -1))))
     return gens
 
 
@@ -206,8 +208,8 @@ def _staged_reduction(model, entries):
             cur = mat_reflect(g, cur)
     if n >= 2:
         last = HomClass(model, tuple(row[n] for row in cur))
-        if last == model.E(n - 1):
-            g = model.E(n - 1) - model.E(n)
+        if last == _sparse_class(model, ((n - 1, 1),)):
+            g = _sparse_class(model, ((n - 1, 1), (n, -1)))
             gens.append(g)
             cur = mat_reflect(g, cur)
     if cur != mat_identity(model.rank):
@@ -251,14 +253,14 @@ def _greedy_orthogonal_family(model, alpha):
     return family
 
 
-def _frame_isometry(model, family):
-    """A product of K_0-twists psi with psi(family[i-1]) = E_i."""
-    cur = mat_identity(model.rank)
+def _frame_word(model, family):
+    """Chronological K_0-twists whose product psi has psi(family[i-1]) = E_i."""
+    word = []
     for i, e in enumerate(family, start=1):
-        v = HomClass(model, mat_vec(cur, e.coeffs))
-        for g in _class_reduction_gens(model, v, i):
-            cur = mat_reflect(g, cur)
-    return cur
+        for f in word:
+            e = reflect(f, e)
+        word.extend(_class_reduction_gens(model, e, i))
+    return word
 
 
 def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
@@ -284,19 +286,25 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         raise ValueError("alpha must lie in the symplectic cone")
 
     family = _greedy_orthogonal_family(model, alpha)
-    psi = _frame_isometry(model, family)
-    gram = model.gram
-    # psi preserves gram, so its inverse is G psi^T G
-    psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
-    # pulling alpha back along psi^{-1} pushes its dual vector forward
-    alpha_prime = FormClass._from_num(model, mat_vec(psi, alpha.num), alpha.den)
-    M_prime = mat_mul(psi, mat_mul(M.entries, psi_inv))
+    frame = _frame_word(model, family)
+    # psi = R(f_m) ... R(f_1) over the frame word f, and every R(f) is an
+    # involution, so M' = psi M psi^{-1} takes one reflection on each side
+    # per frame twist; pulling alpha back along psi^{-1} pushes its dual
+    # vector forward
+    M_prime = M.entries
+    dual = HomClass(model, alpha.num)
+    for f in frame:
+        M_prime = mat_reflect_right(f, mat_reflect(f, M_prime))
+        dual = reflect(f, dual)
+    alpha_prime = FormClass._from_num(model, dual.coeffs, alpha.den)
 
     gens = []
     for g in _staged_reduction(model, M_prime):
         if form_pairing(alpha_prime, g) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
-        gens.append(HomClass(model, mat_vec(psi_inv, g.coeffs)))
+        for f in reversed(frame):
+            g = reflect(f, g)
+        gens.append(g)
     for g in gens:
         if form_pairing(alpha, g) != 0:
             raise DecompositionError("pulled-back generator with nonzero alpha-area")
@@ -313,7 +321,13 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         raise ValueError("incompatible lattice models")
     _require_valid(M, model.k0_form(), alpha)
     n = model.n
-    F = model.unit(1)
+
+    def core(f, *e_terms):
+        # the class f F + sum s E_j over the pairs (j, s)
+        terms = ((1, f),) if f else ()
+        return _sparse_class(model, terms + tuple((j + 1, s) for j, s in e_terms))
+
+    F = core(1)
     if M.apply(F) != F:
         raise DecompositionError("fiber class not preserved")
     if n == 0:
@@ -336,25 +350,28 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         cur = mat_reflect(g, cur)
 
     while remaining:
-        pool = []
+        # E_j and F - E_j, each as (j, f, s) for f F + s E_j
+        pool = {}
         for j in remaining:
-            pool.append((j, model.E(j)))
-            pool.append((j, F - model.E(j)))
-        j, e = min(pool, key=lambda p: (form_pairing(alpha, p[1]), p[1].coeffs))
+            pool[core(0, (j, 1))] = (j, 0, 1)
+            pool[core(1, (j, -1))] = (j, 1, -1)
+        e = min(pool, key=lambda x: (form_pairing(alpha, x), x.coeffs))
+        j, f, s = pool[e]
         c = img(e)
-        if c not in {x for _, x in pool}:
+        if c not in pool:
             raise DecompositionError("residual not resolvable")
         if c != e:
             if pairing(c, e) == 0:
-                push(e - c)
+                k, fc, sc = pool[c]
+                push(core(f - fc, (j, s), (k, -sc)))  # e - c
             else:
                 # c is the fiber complement of e; route through a spare index
                 spare = [k for k in remaining if k != j]
                 if not spare:
                     raise DecompositionError("residual not resolvable")
-                e2 = model.E(spare[0])
-                push(e2 - e)
-                push(F - e2 - e)
+                k = spare[0]
+                push(core(-f, (k, 1), (j, -s)))  # E_k - e
+                push(core(1 - f, (k, -1), (j, -s)))  # F - E_k - e
             if img(e) != e:
                 raise DecompositionError("residual not resolvable")
         remaining.remove(j)

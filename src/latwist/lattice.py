@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 RATIONAL = "rational"
 RULED = "ruled"
@@ -231,6 +231,29 @@ class FormClass:
         return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
 
+@lru_cache(maxsize=64)
+def _class_table(model: LatticeModel) -> tuple:
+    # one model instance per value, so the shared classes share its gram
+    return model, {}
+
+
+def _sparse_class(model: LatticeModel, terms: tuple) -> HomClass:
+    """The class sum of c·basis[i] over the pairs (i, c) in terms.
+
+    Each class is built once per model and then shared, so the loops
+    that take twist cores and basis classes from here build no class
+    per step.
+    """
+    model, table = _class_table(model)
+    x = table.get(terms)
+    if x is None:
+        coeffs = [0] * model.rank
+        for i, c in terms:
+            coeffs[i] = c
+        x = table[terms] = HomClass(model, tuple(coeffs))
+    return x
+
+
 def _gram_product(model: LatticeModel, u, v) -> int:
     """u^T gram v on raw integer coefficient sequences."""
     off = model.e_offset
@@ -255,6 +278,27 @@ def form_pairing(tau: FormClass, x) -> Fraction:
     return Fraction(_gram_product(tau.model, tau.num, x.coeffs), tau.den)
 
 
+def _reflection(gamma: HomClass):
+    """gamma.gamma and the nonzero entries of gamma and of G gamma.
+
+    Each entry list holds (index, value) pairs; a twist core has at most
+    four.  The reflection along gamma is x -> x - (2 (G gamma . x) / s) gamma
+    with s = gamma.gamma, so it reads x only on the support of G gamma and
+    changes it only on the support of gamma.
+    """
+    model = gamma.model
+    coeffs = gamma.coeffs
+    s = _gram_product(model, coeffs, coeffs)
+    if s not in _ADMISSIBLE_SQUARES:
+        raise ValueError("reflection undefined for this square")
+    support = [(i, c) for i, c in enumerate(coeffs) if c]
+    # G is -1 on the exceptional diagonal and the antidiagonal 1s of the
+    # (H) or (T, F) head block
+    off = model.e_offset
+    dual = [(i, -c) if i >= off else (off - 1 - i, c) for i, c in support]
+    return s, support, dual
+
+
 def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
     """The reflection along gamma: beta - 2(gamma.beta)/(gamma.gamma) gamma.
 
@@ -262,14 +306,16 @@ def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
     integral for every integral beta.
     """
     _check_same_model(gamma, beta)
-    s = pairing(gamma, gamma)
-    if s not in _ADMISSIBLE_SQUARES:
-        raise ValueError("reflection undefined for this square")
-    c, rem = divmod(2 * pairing(gamma, beta), s)
+    s, support, dual = _reflection(gamma)
+    x = beta.coeffs
+    c, rem = divmod(2 * sum(d * x[i] for i, d in dual), s)
     if rem:
         # unreachable for the admissible squares, kept as a hard check
         raise ArithmeticError("non-integral reflection coefficient")
-    return HomClass(beta.model, tuple(b - c * g for b, g in zip(beta.coeffs, gamma.coeffs)))
+    out = list(x)
+    for i, g in support:
+        out[i] -= c * g
+    return HomClass(beta.model, tuple(out))
 
 
 def reflection_matrix(gamma: HomClass) -> tuple:
@@ -311,11 +357,64 @@ def mat_transpose(a: tuple) -> tuple:
     return tuple(zip(*a))
 
 
-def mat_reflect(gamma: HomClass, a: tuple) -> tuple:
-    """The product of the matrix of reflect(gamma, .) with a, one column at a time.
+def _check_int_rows(a, width: int):
+    """Every row of a has the given length and holds only integers."""
+    for row in a:
+        if len(row) != width:
+            raise ValueError("matrix rows must all have the same length")
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError("matrix entries must be exact integers")
 
-    Each column of a is a coefficient vector, reflected on its own by
-    reflect, so the product costs O(r^2) instead of O(r^3).
+
+def _reflection_factor(s: int) -> int:
+    q, rem = divmod(2, s)
+    if rem:
+        # 2/s is an integer for every admissible square, kept as a hard check
+        raise ArithmeticError("non-integral reflection coefficient")
+    return q
+
+
+def mat_reflect(gamma: HomClass, a: tuple) -> tuple:
+    """The product R(gamma)·a of the reflection matrix with a.
+
+    Column j changes by c_j gamma with c_j = 2 (G gamma . a_j) / s, so
+    the coefficients are read from the rows of a in the support of
+    G gamma and only the rows in the support of gamma are rewritten; the
+    other row tuples are shared.  For a twist core both supports have at
+    most four entries, so the arithmetic is O(k) for k columns; the check
+    that every entry of a is an integer is O(r k).
     """
-    model = gamma.model
-    return mat_transpose([reflect(gamma, HomClass(model, col)).coeffs for col in zip(*a)])
+    s, support, dual = _reflection(gamma)
+    if len(a) != gamma.model.rank:
+        raise ValueError("matrix row count does not match rank")
+    _check_int_rows(a, len(a[0]))
+    q = _reflection_factor(s)
+    dots = [0] * len(a[0])
+    for i, d in dual:
+        dots = [u + d * x for u, x in zip(dots, a[i])]
+    rows = [tuple(row) for row in a]
+    for i, g in support:
+        m = q * g
+        rows[i] = tuple(x - m * u for x, u in zip(rows[i], dots))
+    return tuple(rows)
+
+
+def mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
+    """The product a·R(gamma) of a with the reflection matrix.
+
+    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
+    only the columns in the support of G gamma change.
+    """
+    s, support, dual = _reflection(gamma)
+    _check_int_rows(a, gamma.model.rank)
+    q = _reflection_factor(s)
+    rows = []
+    for row in a:
+        c = q * sum(g * row[i] for i, g in support)
+        if c:
+            row = list(row)
+            for j, d in dual:
+                row[j] -= c * d
+        rows.append(tuple(row))
+    return tuple(rows)

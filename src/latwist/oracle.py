@@ -27,7 +27,6 @@ __all__ = [
     "SAFETY_LIMIT",
     "EnumQuery",
     "enumerate_classes",
-    "enumerate",
     "bfs_is_exceptional",
     "bfs_is_knull_spherical",
     "CrosscheckReport",
@@ -392,8 +391,3 @@ def crosscheck(
             if lib != orc:
                 disagreements.append(Disagreement(x, "characteristic", lib, orc))
     return CrosscheckReport(q, tuple(classes), tuple(disagreements))
-
-
-# the operation is published under this name; keep the builtin out of
-# reach below this line
-enumerate = enumerate_classes

@@ -22,6 +22,7 @@ from .lattice import (
     _ADMISSIBLE_SQUARES,
     _check_same_model,
     _gram_product,
+    _sparse_class,
     RATIONAL,
     RULED,
     FormClass,
@@ -32,7 +33,6 @@ from .lattice import (
     mat_reflect,
     mat_vec,
     pairing,
-    reflect,
 )
 
 KIND_ZERO = "Zero"
@@ -72,8 +72,10 @@ class ReflectionWord:
 
     Construction checks each generator's model and admissible square,
     O(L r) for L generators in rank r.  The matrix is built on first
-    read, by reflecting the columns of the identity along each
-    generator from last to first, O(L r^2), and then kept.
+    read, by applying the generators' reflections to the identity from
+    last to first with mat_reflect, and then kept.  Each step rewrites
+    only the rows in its generator's support and checks the entries it
+    is given, O(L r^2) in all.
     """
 
     model: LatticeModel
@@ -148,9 +150,9 @@ def gt_dimension(e: HomClass, K: FormClass) -> Fraction:
     return Fraction(-k + pairing(e, e) * K.den, 2 * K.den)
 
 
-def _sorted_b(xi: HomClass):
+def _sorted_b(coeffs):
     """H-coefficient and the b_i of a = aH - sum b_i E_i, b descending."""
-    return xi.coeffs[0], sorted((-c for c in xi.coeffs[1:]), reverse=True)
+    return coeffs[0], sorted((-c for c in coeffs[1:]), reverse=True)
 
 
 def _defect(a, b):
@@ -158,25 +160,28 @@ def _defect(a, b):
     return a - sum(b[:3])
 
 
-def is_reduced(xi: HomClass) -> bool:
-    """a >= 0, all b_i >= 0, and a >= b_1 + b_2 + b_3 after sorting."""
-    if xi.model.kind != RATIONAL:
-        raise ValueError("reduced form defined for rational model only")
-    a, b = _sorted_b(xi)
+def _is_reduced(coeffs) -> bool:
+    a, b = _sorted_b(coeffs)
     if a < 0 or (b and b[-1] < 0):
         return False
     return _defect(a, b) >= 0
 
 
-def _match_terminal(xi: HomClass):
-    """Return the terminal pattern kind of xi, or None.
+def is_reduced(xi: HomClass) -> bool:
+    """a >= 0, all b_i >= 0, and a >= b_1 + b_2 + b_3 after sorting."""
+    if xi.model.kind != RATIONAL:
+        raise ValueError("reduced form defined for rational model only")
+    return _is_reduced(xi.coeffs)
+
+
+def _match_terminal(coeffs, n):
+    """Return the terminal pattern kind of a rational class, or None.
 
     Patterns: 0, +-E_i, +-(E_i-E_j), +-(H-E_i-E_j) when n = 2 only,
     +-(H-E_i-E_j-E_k).  The sign is not normalized here.
     """
-    a = xi.coeffs[0]
-    tail = xi.coeffs[1:]
-    nonzero = [c for c in tail if c]
+    a = coeffs[0]
+    nonzero = [c for c in coeffs[1:] if c]
     if a == 0:
         if not nonzero:
             return KIND_ZERO
@@ -186,7 +191,7 @@ def _match_terminal(xi: HomClass):
             return KIND_BINARY
         return None
     if abs(a) == 1:
-        if len(nonzero) == 2 and nonzero == [-a, -a] and xi.model.n == 2:
+        if len(nonzero) == 2 and nonzero == [-a, -a] and n == 2:
             return KIND_EXC_HEIEJ
         if len(nonzero) == 3 and nonzero == [-a, -a, -a]:
             return KIND_TERNARY
@@ -204,6 +209,7 @@ def _normalize_sign(xi: HomClass):
 
 
 _GAMMA_CAP_SLACK = 4
+_GAMMA_TERMS = ((0, 1), (1, -1), (2, -1), (3, -1))
 
 
 def cremona_reduce(xi: HomClass) -> NormalForm:
@@ -217,19 +223,24 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
     b_i while the defect is negative.  A generous iteration cap and a
     stuck-state check return Irreducible instead of looping on inputs
     outside the classes the terminal patterns cover.
+
+    The loop runs on the coefficient list, applying each reflection on
+    its support: a transposition swaps two coefficients, and Gamma moves
+    only a and b_1, b_2, b_3.  The generators come from the shared class
+    cache, so the loop builds one class, the representative.
     """
     model = xi.model
     if model.kind != RATIONAL:
         raise ValueError("Cremona reduction defined for rational model only")
     n = model.n
-    cur = xi
+    cur = list(xi.coeffs)
     flipped = False
     applied = []
-    gamma_cap = abs(xi.coeffs[0]) + n + _GAMMA_CAP_SLACK
+    gamma_cap = abs(cur[0]) + n + _GAMMA_CAP_SLACK
     gamma_count = 0
 
     def finish(kind):
-        rep, extra = _normalize_sign(cur)
+        rep, extra = _normalize_sign(HomClass(model, tuple(cur)))
         return NormalForm(
             kind=kind,
             representative=rep,
@@ -238,7 +249,7 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
         )
 
     while True:
-        kind = _match_terminal(cur)
+        kind = _match_terminal(cur, n)
         if kind is not None:
             if flipped:
                 # the flag tracks the net sign, so a flipped -E_i is a
@@ -248,24 +259,24 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
                 elif kind == KIND_MINUS_BASIS:
                     kind = KIND_EXC_EI
             return finish(kind)
-        a = cur.coeffs[0]
+        a = cur[0]
         if a < 0:
-            cur = -cur
+            cur = [-c for c in cur]
             flipped = not flipped
             continue
-        # sort b descending with explicit transpositions
-        for pos in range(n):
+        # sort b descending with explicit transpositions; the reflection
+        # along E_i - E_j swaps the coefficients of E_i and E_j
+        for pos in range(1, n + 1):
             best = pos
-            for q in range(pos + 1, n):
-                if -cur.coeffs[1 + q] > -cur.coeffs[1 + best]:
+            for q in range(pos + 1, n + 1):
+                if cur[q] < cur[best]:
                     best = q
             if best != pos:
-                g = model.E(pos + 1) - model.E(best + 1)
-                applied.append(g)
-                cur = reflect(g, cur)
-        if is_reduced(cur):
+                applied.append(_sparse_class(model, ((pos, 1), (best, -1))))
+                cur[pos], cur[best] = cur[best], cur[pos]
+        if _is_reduced(cur):
             return finish(KIND_REDUCED)
-        b = [-c for c in cur.coeffs[1:]]
+        b = [-c for c in cur[1:]]
         d = _defect(a, b)
         if a > 0 and b and b[-1] < 0 and d >= 0:
             return finish(KIND_NEGATIVE)
@@ -278,12 +289,12 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
                 )
                 return finish(KIND_IRREDUCIBLE)
             gamma_count += 1
-            g = HomClass(
-                model,
-                (1, -1, -1, -1) + (0,) * (n - 3),
-            )
-            applied.append(g)
-            cur = reflect(g, cur)
+            applied.append(_sparse_class(model, _GAMMA_TERMS))
+            # Gamma = H - E_1 - E_2 - E_3 has Gamma.x = d and square -2,
+            # so the reflection adds d to a and to b_1, b_2, b_3
+            cur[0] += d
+            for i in (1, 2, 3):
+                cur[i] -= d
             continue
         # no move applies: either n < 3 with negative defect or a stuck
         # a = 0 class; both sit outside the covered terminal patterns

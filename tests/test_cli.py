@@ -298,3 +298,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "square: 1" in proc.stdout
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; later calls must not see
+    # anything an earlier call left behind
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["classify", "--model", "rational:6", "2H-E1-E2-E3-E4-E5-E6", "--output", "json"],
+        ["classify", "--model", "rational:x", "H", "--output", "json"],
+        ["classify", "--model", "rational:2"],
+        ["reduce", "--model", "rational:8", "5H-2E1-2E2-2E3-2E4-2E5-2E6-E7-E8"],
+        ["classify", "--model", "rational:6", "2H-E1-E2-E3-E4-E5-E6", "--output", "json"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "latwist.cli", *argv], capture_output=True, text=True,
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -12,7 +12,9 @@ from latwist.cone import enumerate_exceptional
 from latwist.decompose import (
     DecompositionError,
     IsometryMatrix,
+    _class_reduction_gens,
     _greedy_orthogonal_family,
+    _staged_reduction,
     decompose_K,
     decompose_K_alpha,
     decompose_ruled,
@@ -22,8 +24,10 @@ from latwist.decompose import (
 )
 from latwist.lattice import (
     FormClass,
+    HomClass,
     LatticeModel,
     form_pairing,
+    mat_identity,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -200,6 +204,53 @@ def test_greedy_family_matches_round_by_round_minimum(alpha):
             _greedy_orthogonal_family(alpha.model, alpha)
     else:
         assert _greedy_orthogonal_family(alpha.model, alpha) == expected
+
+
+def _dense_conjugation_word(M, alpha):
+    """decompose_K_alpha's generators as the earlier dense path found them:
+    the frame isometry psi as a matrix, psi^{-1} = G psi^T G, the
+    conjugate psi M psi^{-1} by matrix products, and each generator
+    pulled back by psi^{-1}."""
+    model = M.model
+    family = _greedy_orthogonal_family(model, alpha)
+    psi = mat_identity(model.rank)
+    for i, e in enumerate(family, start=1):
+        v = HomClass(model, mat_vec(psi, e.coeffs))
+        for g in _class_reduction_gens(model, v, i):
+            psi = mat_mul(reflection_matrix(g), psi)
+    gram = model.gram
+    psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
+    alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
+    gens = []
+    for g in _staged_reduction(model, mat_mul(psi, mat_mul(M.entries, psi_inv))):
+        if form_pairing(alpha_prime, g) != 0:
+            raise DecompositionError("generator with nonzero alpha-area")
+        gens.append(HomClass(model, mat_vec(psi_inv, g.coeffs)))
+    return tuple(gens)
+
+
+@st.composite
+def k_alpha_cases(draw):
+    m = R(draw(st.integers(3, 8)))
+    if draw(st.booleans()):
+        alpha = -m.k0_form()
+    else:
+        # two blocks of tied areas, in shuffled positions, over 1/q
+        top = draw(st.integers(0, m.n))
+        b = draw(st.permutations([2] * top + [1] * (m.n - top)))
+        a = sum(sorted(b, reverse=True)[:3]) + draw(st.integers(0, 2))
+        q = draw(st.integers(1, 6))
+        alpha = FormClass(m, [Fraction(c, q) for c in [a] + [-v for v in b]])
+    null = [g for g in rational_generators(m) if form_pairing(alpha, g) == 0]
+    picks = draw(st.lists(st.sampled_from(null), max_size=20)) if null else []
+    return IsometryMatrix(m, ReflectionWord(m, tuple(picks)).matrix), alpha
+
+
+@given(k_alpha_cases())
+@settings(max_examples=150, deadline=None)
+def test_k_alpha_word_matches_dense_conjugation(case):
+    M, alpha = case
+    assert decompose_K_alpha(M, alpha).generators == _dense_conjugation_word(M, alpha)
 
 
 def test_decompose_identity_and_generator():

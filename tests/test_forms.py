@@ -1,7 +1,10 @@
-"""FormClass as integer numerators over one denominator, and the guard
-that keeps Fraction arithmetic out of the decision paths."""
+"""FormClass as integer numerators over one denominator, and the guards
+that keep Fraction arithmetic out of the decision paths and dense
+products out of the factorizations."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,17 @@ from latwist.decompose import (
     decompose_ruled,
     validate,
 )
-from latwist.lattice import FormClass, HomClass, LatticeModel, form_pairing
+from latwist import lattice
+from latwist.lattice import (
+    FormClass,
+    HomClass,
+    LatticeModel,
+    form_pairing,
+    mat_mul,
+    mat_reflect,
+    mat_reflect_right,
+    reflection_matrix,
+)
 from latwist.reduction import ReflectionWord
 
 
@@ -221,3 +234,48 @@ def test_decisions_run_no_fraction_arithmetic(monkeypatch):
     assert ok.ok and bad.failures == ("pairing not preserved", "K not preserved", "alpha not preserved")
     for word, matrix in zip(results[8:], (M, M, M2, Mr)):
         assert word.matrix == matrix.entries
+
+
+# -- no dense products and no per-column classes in the factorizations --------
+
+def test_factorizations_run_no_dense_products(monkeypatch):
+    m5, mr = R(5), LatticeModel.ruled(1, 3)
+    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
+    M = _word_matrix(m5, ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
+    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
+    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
+    m12 = R(12)
+    gamma = parse_class("H - E2 - E7 - E11", m12)
+    rng = random.Random(5)
+    a = tuple(tuple(rng.randint(-9, 9) for _ in range(13)) for _ in range(13))
+
+    products = []
+    dense = lattice.mat_mul
+
+    def counting_mat_mul(*args):
+        products.append(args)
+        return dense(*args)
+
+    # every module that imported the function holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latwist") and getattr(module, "mat_mul", None) is dense:
+            monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_ruled(Mr, alpha_r))
+    monkeypatch.undo()
+    assert products == []
+    for word, matrix in zip(words, (M, M, Mr)):
+        assert word.matrix == matrix.entries
+
+    builds = []
+    check = HomClass.__post_init__
+
+    def counting_post_init(self):
+        builds.append(self.coeffs)
+        check(self)
+
+    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    left, right = mat_reflect(gamma, a), mat_reflect_right(gamma, a)
+    monkeypatch.undo()
+    assert builds == []
+    assert left == mat_mul(reflection_matrix(gamma), a)
+    assert right == mat_mul(a, reflection_matrix(gamma))

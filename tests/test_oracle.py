@@ -11,7 +11,6 @@ from latwist.oracle import (
     crosscheck,
     enumerate_classes,
 )
-from latwist import oracle
 from latwist.reduction import is_K_null_spherical, is_exceptional
 
 
@@ -166,10 +165,6 @@ def test_report_json():
     assert len(data["classes"]) == 6
     assert data["query"]["coeff_bound"] == 2
     assert data["query"]["predicate"] == "exceptional"
-
-
-def test_enumerate_alias():
-    assert oracle.enumerate is enumerate_classes
 
 
 def test_knull_agreement_small():

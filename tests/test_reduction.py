@@ -1,9 +1,10 @@
 """Genus formulas and Cremona reduction certificates."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
@@ -22,9 +23,11 @@ from latwist.lattice import (
 from latwist.reduction import (
     KIND_BINARY,
     KIND_EXC_EI,
+    KIND_EXC_HEIEJ,
     KIND_IRREDUCIBLE,
     KIND_MINUS_BASIS,
     KIND_NEGATIVE,
+    KIND_REDUCED,
     KIND_TERNARY,
     KIND_ZERO,
     NormalForm,
@@ -382,3 +385,129 @@ def test_eta_lower_bound():
         eta_lower_bound(-R(1).unit(0))
     with pytest.raises(ValueError, match="K_delta family"):
         eta_lower_bound(R(2).E(1))
+
+
+# -- the integer reduction loop against the earlier class-by-class loop --------
+
+def _old_match_terminal(xi):
+    a = xi.coeffs[0]
+    nonzero = [c for c in xi.coeffs[1:] if c]
+    if a == 0:
+        if not nonzero:
+            return KIND_ZERO
+        if len(nonzero) == 1 and abs(nonzero[0]) == 1:
+            return KIND_EXC_EI if nonzero[0] > 0 else KIND_MINUS_BASIS
+        if len(nonzero) == 2 and sorted(nonzero) == [-1, 1]:
+            return KIND_BINARY
+        return None
+    if abs(a) == 1:
+        if len(nonzero) == 2 and nonzero == [-a, -a] and xi.model.n == 2:
+            return KIND_EXC_HEIEJ
+        if len(nonzero) == 3 and nonzero == [-a, -a, -a]:
+            return KIND_TERNARY
+    return None
+
+
+def _old_cremona_reduce(xi):
+    """The loop as it ran on HomClass values, building every generator
+    from basis classes and applying it with reflect.  Returns kind,
+    representative, generators in listed order, sign flag and whether the
+    iteration cap was hit."""
+    model, n = xi.model, xi.model.n
+    cur, flipped, applied = xi, False, []
+    gamma_cap, gamma_count = abs(xi.coeffs[0]) + n + 4, 0
+
+    def finish(kind, capped=False):
+        rep, extra = cur, False
+        for c in cur.coeffs:
+            if c:
+                rep, extra = (cur, False) if c > 0 else (-cur, True)
+                break
+        return kind, rep, tuple(reversed(applied)), flipped ^ extra, capped
+
+    while True:
+        kind = _old_match_terminal(cur)
+        if kind is not None:
+            if flipped and kind in (KIND_EXC_EI, KIND_MINUS_BASIS):
+                kind = KIND_MINUS_BASIS if kind == KIND_EXC_EI else KIND_EXC_EI
+            return finish(kind)
+        a = cur.coeffs[0]
+        if a < 0:
+            cur, flipped = -cur, not flipped
+            continue
+        for pos in range(n):
+            best = pos
+            for q in range(pos + 1, n):
+                if -cur.coeffs[1 + q] > -cur.coeffs[1 + best]:
+                    best = q
+            if best != pos:
+                g = model.E(pos + 1) - model.E(best + 1)
+                applied.append(g)
+                cur = reflect(g, cur)
+        if is_reduced(cur):
+            return finish(KIND_REDUCED)
+        b = [-c for c in cur.coeffs[1:]]
+        d = a - sum(b[:3])
+        if a > 0 and b and b[-1] < 0 and d >= 0:
+            return finish(KIND_NEGATIVE)
+        if d < 0 and n >= 3:
+            if gamma_count >= gamma_cap:
+                return finish(KIND_IRREDUCIBLE, capped=True)
+            gamma_count += 1
+            g = HomClass(model, (1, -1, -1, -1) + (0,) * (n - 3))
+            applied.append(g)
+            cur = reflect(g, cur)
+            continue
+        return finish(KIND_IRREDUCIBLE)
+
+
+def _k0_twists(m):
+    n, H = m.n, m.unit(0)
+    out = [m.E(i) - m.E(j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    out += [H - m.E(i) - m.E(j) - m.E(k)
+            for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+    return out
+
+
+@st.composite
+def reduction_inputs(draw):
+    m = R(draw(st.integers(0, 12)))
+    shape = draw(st.sampled_from(("wide", "stuck", "orbit")))
+    if shape == "wide":
+        # any sign of the H-coefficient; many of these hit the cap
+        top = draw(st.sampled_from((3, 12, 60)))
+        return HomClass(m, tuple(draw(st.integers(-top, top)) for _ in range(m.rank)))
+    if shape == "stuck":
+        return HomClass(m, (0,) + tuple(draw(st.integers(-3, 3)) for _ in range(m.n)))
+    # a terminal class moved by K_0-twists, so it reduces back to one
+    seeds = [m.unit(0)] + [m.E(i) for i in range(1, m.n + 1)] + _k0_twists(m)
+    if m.n >= 2:
+        seeds.append(m.unit(0) - m.E(1) - m.E(2))
+    xi = draw(st.sampled_from(seeds))
+    twists = _k0_twists(m)
+    for _ in range(draw(st.integers(0, 20)) if twists else 0):
+        xi = reflect(draw(st.sampled_from(twists)), xi)
+    return -xi if draw(st.booleans()) else xi
+
+
+@given(reduction_inputs())
+@example(HomClass(R(3), (-1, 2, 2, 2)))
+@example(HomClass(R(3), (0, 2, -1, 1)))
+@example(HomClass(R(2), (1, 3, -2)))
+@example(HomClass(R(0), (-4,)))
+@settings(max_examples=600, deadline=None)
+def test_reduction_matches_class_loop(xi):
+    kind, rep, gens, flipped, capped = _old_cremona_reduce(xi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nf = cremona_reduce(xi)
+    assert (nf.kind, nf.representative, nf.word.generators, nf.sign_flipped) == (
+        kind, rep, gens, flipped,
+    )
+    assert [(w.category, str(w.message)) for w in caught] == (
+        [(RuntimeWarning, "Cremona reduction hit its iteration cap; reporting Irreducible")]
+        if capped else []
+    )
+    if capped:
+        # the warning points at the caller, as before
+        assert caught[0].filename == __file__
