@@ -12,6 +12,10 @@ coefficients only; forms also accept rationals written p/q.  Repeated
 symbols accumulate.  Printing is canonical (basis order, zero terms
 omitted), so parse(print(x)) == x and printing is injective per model.
 
+Parsing builds no Fraction: it accumulates integer numerators over the
+lcm of the term denominators, and parse_form hands them to the form
+constructor, which reduces them to lowest terms.
+
 The JSON wire format used by every CLI command is
 
     {"model": {"type": "rational", "n": N}, "coeffs": [...]}
@@ -22,6 +26,7 @@ with coefficients as integers or "p/q" strings.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -56,28 +61,18 @@ def _scan(text: str):
         return []
     terms = []
     pos = 0
+    end = len(text.rstrip())
     first = True
-    while pos < len(text):
+    while pos < end:
         m = _TERM.match(text, pos)
-        if not m or m.group("sym") is None:
+        if m is None:
             raise ParseError("cannot parse term", pos)
-        if m.group("sign") is None and not first:
+        sign, num, den, sym, idx = m.groups()
+        if sign is None and not first:
             raise ParseError("expected '+' or '-' between terms", m.start("sym"))
-        terms.append(
-            (
-                -1 if m.group("sign") == "-" else 1,
-                m.group("num"),
-                m.group("den"),
-                m.group("sym").upper(),
-                m.group("idx"),
-                m.start("sym"),
-            )
-        )
+        terms.append((-1 if sign == "-" else 1, num, den, sym.upper(), idx, m.start("sym")))
         first = False
         pos = m.end()
-        tail = text[pos:]
-        if tail.strip() == "":
-            break
     return terms
 
 
@@ -105,33 +100,41 @@ def _symbol_index(model: LatticeModel, sym: str, idx: str, pos: int) -> int:
 
 
 def _parse(text: str, model: LatticeModel, allow_rational: bool):
+    """Integer numerators over one denominator, the lcm of the term denominators."""
     terms = _scan(text)
     symbols = {t[3] for t in terms}
     if "H" in symbols and symbols & {"T", "F"}:
         raise ParseError("mixed basis symbols")
-    coeffs = [Fraction(0)] * model.rank
-    for sign, num, den, sym, idx, pos in terms:
-        if den is not None:
-            if not allow_rational:
-                raise ParseError("non-integer coefficient in a homology class", pos)
-            if int(den) == 0:
-                raise ParseError(f"malformed rational '{num}/{den}'", pos)
-            value = Fraction(int(num), int(den))
+    num = [0] * model.rank
+    den = 1
+    for sign, p, q, sym, idx, pos in terms:
+        if q is None:
+            p, q = (1 if p is None else int(p)), 1
+        elif not allow_rational:
+            raise ParseError("non-integer coefficient in a homology class", pos)
+        elif int(q) == 0:
+            raise ParseError(f"malformed rational '{p}/{q}'", pos)
         else:
-            value = Fraction(1 if num is None else int(num))
-        coeffs[_symbol_index(model, sym, idx, pos)] += sign * value
-    return coeffs
+            p, q = int(p), int(q)
+            if den % q:
+                # widen to the lcm; every numerator so far scales with it
+                scale = q // math.gcd(den, q)
+                num = [c * scale for c in num]
+                den *= scale
+        num[_symbol_index(model, sym, idx, pos)] += sign * p * (den // q)
+    return num, den
 
 
 def parse_class(text: str, model: LatticeModel) -> HomClass:
     """Parse an integer class expression into a HomClass."""
-    coeffs = _parse(text, model, allow_rational=False)
-    return HomClass(model, tuple(int(c) for c in coeffs))
+    num, _ = _parse(text, model, allow_rational=False)
+    return HomClass(model, tuple(num))
 
 
 def parse_form(text: str, model: LatticeModel) -> FormClass:
     """Parse a class expression with rational coefficients into a FormClass."""
-    return FormClass(model, tuple(_parse(text, model, allow_rational=True)))
+    num, den = _parse(text, model, allow_rational=True)
+    return FormClass._from_num(model, tuple(num), den)
 
 
 def print_class(x) -> str:
@@ -163,13 +166,21 @@ def model_to_json(model: LatticeModel) -> dict:
     return {"type": "ruled", "genus": model.genus, "n": model.n}
 
 
+def _model_size(obj: dict, key: str) -> int:
+    # JSON true and 3.9 are not sizes; int() would read them as 1 and 3
+    value = obj.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"model field {key!r} must be an integer")
+    return value
+
+
 def model_from_json(obj) -> LatticeModel:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("model object must have a 'type' field")
     if obj["type"] == "rational":
-        return LatticeModel.rational(int(obj["n"]))
+        return LatticeModel.rational(_model_size(obj, "n"))
     if obj["type"] == "ruled":
-        return LatticeModel.ruled(int(obj["genus"]), int(obj["n"]))
+        return LatticeModel.ruled(_model_size(obj, "genus"), _model_size(obj, "n"))
     raise ValueError(f"unknown model type {obj['type']!r}")
 
 
@@ -200,7 +211,13 @@ def class_to_json(x) -> dict:
     }
 
 
+def _require_object(obj, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+
+
 def class_from_json(obj) -> HomClass:
+    _require_object(obj, "class")
     model = model_from_json(obj.get("model"))
     coeffs = [_coeff_from_json(v) for v in obj["coeffs"]]
     for c in coeffs:
@@ -210,5 +227,6 @@ def class_from_json(obj) -> HomClass:
 
 
 def form_from_json(obj) -> FormClass:
+    _require_object(obj, "form")
     model = model_from_json(obj.get("model"))
     return FormClass(model, tuple(_coeff_from_json(v) for v in obj["coeffs"]))

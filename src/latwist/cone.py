@@ -35,7 +35,7 @@ from .reduction import (
     ReflectionWord,
     _conjugate_to_k0,
     _k_delta_signs,
-    cremona_reduce,
+    _spherical_normal_form,
     is_exceptional,
     is_K_null_spherical,
 )
@@ -238,6 +238,21 @@ def _cone_decide(model, num, K, closed) -> ConeResult:
     return ConeResult(CONE_NO, witness, None)
 
 
+def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
+    """_cone_decide on a form, decided once per (K, closed) and kept on tau.
+
+    An open Yes also answers the closed question, whose conditions are
+    weaker; both verdicts are the same ConeResult.
+    """
+    verdicts = tau._cone_verdicts
+    res = verdicts.get((K, closed))
+    if res is None:
+        res = verdicts.get((K, False)) if closed else None
+        if not res:
+            res = verdicts[K, closed] = _cone_decide(tau.model, tau.num, K, closed)
+    return res
+
+
 def in_cone(tau: FormClass, K=None) -> ConeResult:
     """Whether tau^2 > 0 and tau(E) > 0 for every exceptional class E.
 
@@ -246,7 +261,7 @@ def in_cone(tau: FormClass, K=None) -> ConeResult:
     """
     if K is None:
         K = tau.model.k0_form()
-    return _cone_decide(tau.model, tau.num, K, closed=False)
+    return _form_cone(tau, K, closed=False)
 
 
 class LagrangianResult(NamedTuple):
@@ -274,16 +289,27 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     tau must satisfy the closed cone conditions: positive square and
     nonnegative area on every exceptional class.  Boundary forms are
     admitted because a zero-area exceptional class does not interfere
-    with either clause of the criterion.
+    with either clause of the criterion.  The cone verdict is kept on
+    tau, so testing many classes against one form decides it once, and
+    an earlier in_cone Yes on tau already answers it.
+
+    For rational models one Cremona reduction, after the sign change
+    that carries K to K_0, decides the spherical clause and gives the
+    Yes certificate: ``word`` and ``kind`` are that normal form's.
     """
     model = xi.model
     if tau.model != model:
         raise ValueError("incompatible lattice models")
     if K is None:
         K = model.k0_form()
-    if not _cone_decide(model, tau.num, K, closed=True):
+    if not _form_cone(tau, K, closed=True):
         raise ValueError("form fails the cone conditions")
-    spherical = is_K_null_spherical(xi, K)
+    nf = None
+    if model.kind == RATIONAL:
+        nf = _spherical_normal_form(xi, K)
+        spherical = nf is not None
+    else:
+        spherical = is_K_null_spherical(xi, K)
     area = form_pairing(tau, xi)
     failures = []
     if not spherical:
@@ -291,8 +317,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     if area != 0:
         failures.append("nonzero area")
     word = kind = None
-    if not failures and model.kind == RATIONAL:
-        nf = cremona_reduce(_conjugate_to_k0(xi, K))
+    if not failures and nf is not None:
         word, kind = nf.word, nf.kind
     return LagrangianResult(
         yes=not failures,

@@ -40,6 +40,8 @@ never by a dense product.  A reflection along gamma rewrites only the
 rows in the support of gamma when it acts on the left (mat_reflect) and
 only the columns in the support of G gamma when it acts on the right
 (mat_reflect_right); a twist core has at most four nonzero entries.
+These loops use the unchecked forms of both, because the running
+matrix starts from the checked input and changes only by reflections.
 The final re-check still rebuilds the product from the generators alone
 and compares it with the input, never with the running matrix.
 
@@ -62,11 +64,11 @@ from .lattice import (
     HomClass,
     LatticeModel,
     _gram_product,
+    _mat_reflect,
+    _mat_reflect_right,
     _sparse_class,
     form_pairing,
     mat_identity,
-    mat_reflect,
-    mat_reflect_right,
     mat_transpose,
     mat_vec,
     pairing,
@@ -205,13 +207,13 @@ def _staged_reduction(model, entries):
         v = HomClass(model, tuple(row[i] for row in cur))
         for g in _class_reduction_gens(model, v, i):
             gens.append(g)
-            cur = mat_reflect(g, cur)
+            cur = _mat_reflect(g, cur)
     if n >= 2:
         last = HomClass(model, tuple(row[n] for row in cur))
         if last == _sparse_class(model, ((n - 1, 1),)):
             g = _sparse_class(model, ((n - 1, 1), (n, -1)))
             gens.append(g)
-            cur = mat_reflect(g, cur)
+            cur = _mat_reflect(g, cur)
     if cur != mat_identity(model.rank):
         raise DecompositionError("residual not resolvable")
     return gens
@@ -294,7 +296,7 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     M_prime = M.entries
     dual = HomClass(model, alpha.num)
     for f in frame:
-        M_prime = mat_reflect_right(f, mat_reflect(f, M_prime))
+        M_prime = _mat_reflect_right(f, _mat_reflect(f, M_prime))
         dual = reflect(f, dual)
     alpha_prime = FormClass._from_num(model, dual.coeffs, alpha.den)
 
@@ -347,7 +349,7 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         if form_pairing(alpha, g) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         gens.append(g)
-        cur = mat_reflect(g, cur)
+        cur = _mat_reflect(g, cur)
 
     while remaining:
         # E_j and F - E_j, each as (j, f, s) for f F + s E_j
@@ -388,6 +390,8 @@ def matrix_to_json(M: IsometryMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> IsometryMatrix:
+    if not isinstance(data, dict):
+        raise ValueError("matrix must be a JSON object")
     model = model_from_json(data["model"])
     entries = data["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):

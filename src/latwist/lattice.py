@@ -208,6 +208,12 @@ class FormClass:
     def coeffs(self) -> tuple:
         return tuple(Fraction(a, self.den) for a in self.num)
 
+    @cached_property
+    def _cone_verdicts(self) -> dict:
+        # the cone module's verdicts on this form, by (K, closed); equality
+        # and hash read the fields only
+        return {}
+
     def __repr__(self):
         return f"FormClass(model={self.model!r}, coeffs={self.coeffs!r})"
 
@@ -320,7 +326,7 @@ def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
 
 def reflection_matrix(gamma: HomClass) -> tuple:
     """Matrix of reflect(gamma, .) acting on coefficient vectors."""
-    return mat_reflect(gamma, mat_identity(gamma.model.rank))
+    return _mat_reflect(gamma, mat_identity(gamma.model.rank))
 
 
 def is_characteristic(xi: HomClass) -> bool:
@@ -385,10 +391,28 @@ def mat_reflect(gamma: HomClass, a: tuple) -> tuple:
     most four entries, so the arithmetic is O(k) for k columns; the check
     that every entry of a is an integer is O(r k).
     """
-    s, support, dual = _reflection(gamma)
     if len(a) != gamma.model.rank:
         raise ValueError("matrix row count does not match rank")
     _check_int_rows(a, len(a[0]))
+    return _mat_reflect(gamma, a)
+
+
+def mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
+    """The product a·R(gamma) of a with the reflection matrix.
+
+    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
+    only the columns in the support of G gamma change.
+    """
+    _check_int_rows(a, gamma.model.rank)
+    return _mat_reflect_right(gamma, a)
+
+
+# mat_reflect and mat_reflect_right without the entry checks, for loops
+# whose matrices are integral by construction: they start from the
+# identity or from a checked IsometryMatrix and change only by reflections.
+
+def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
+    s, support, dual = _reflection(gamma)
     q = _reflection_factor(s)
     dots = [0] * len(a[0])
     for i, d in dual:
@@ -400,14 +424,8 @@ def mat_reflect(gamma: HomClass, a: tuple) -> tuple:
     return tuple(rows)
 
 
-def mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
-    """The product a·R(gamma) of a with the reflection matrix.
-
-    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
-    only the columns in the support of G gamma change.
-    """
+def _mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
     s, support, dual = _reflection(gamma)
-    _check_int_rows(a, gamma.model.rank)
     q = _reflection_factor(s)
     rows = []
     for row in a:

@@ -16,12 +16,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .lattice import (
     _ADMISSIBLE_SQUARES,
     _check_same_model,
     _gram_product,
+    _mat_reflect,
     _sparse_class,
     RATIONAL,
     RULED,
@@ -30,7 +31,6 @@ from .lattice import (
     LatticeModel,
     form_pairing,
     mat_identity,
-    mat_reflect,
     mat_vec,
     pairing,
 )
@@ -73,9 +73,9 @@ class ReflectionWord:
     Construction checks each generator's model and admissible square,
     O(L r) for L generators in rank r.  The matrix is built on first
     read, by applying the generators' reflections to the identity from
-    last to first with mat_reflect, and then kept.  Each step rewrites
-    only the rows in its generator's support and checks the entries it
-    is given, O(L r^2) in all.
+    last to first, and then kept.  Each step rewrites only the rows in
+    its generator's support, O(L r) in all; the entries need no check,
+    because a product of reflections on the identity stays integral.
     """
 
     model: LatticeModel
@@ -92,7 +92,7 @@ class ReflectionWord:
     def matrix(self) -> tuple:
         m = mat_identity(self.model.rank)
         for g in reversed(self.generators):
-            m = mat_reflect(g, m)
+            m = _mat_reflect(g, m)
         return m
 
     @staticmethod
@@ -375,11 +375,18 @@ def is_K_null_spherical(xi: HomClass, K: FormClass) -> bool:
         if f == 0:
             return sorted(nonzero) == [-1, 1]
         return abs(f) == 1 and nonzero == [-f, -f]
+    return _spherical_normal_form(xi, K) is not None
+
+
+def _spherical_normal_form(xi: HomClass, K: FormClass) -> Optional[NormalForm]:
+    """The Binary or Ternary normal form of a rational K-null spherical
+    class, reduced after the sign change that carries K to K_0; None when
+    xi is not K-null spherical."""
     conjugated = _conjugate_to_k0(xi, K)
-    if pairing(xi, xi) != -2 or form_pairing(K, xi) != 0:
-        return False
+    if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
+        return None
     nf = cremona_reduce(conjugated)
-    return nf.kind in SPHERICAL_KINDS
+    return nf if nf.kind in SPHERICAL_KINDS else None
 
 
 class EtaBound(NamedTuple):

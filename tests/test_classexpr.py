@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import (
+    _TERM,
     ParseError,
     class_from_json,
     class_to_json,
@@ -147,3 +148,164 @@ def test_model_json_round_trip():
         assert model_from_json(model_to_json(m)) == m
     with pytest.raises(ValueError):
         model_from_json({"type": "weird"})
+
+
+def test_model_json_rejects_non_integer_sizes():
+    for bad in (3.9, 3.0, True, False, "4", None, [3]):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            model_from_json({"type": "rational", "n": bad})
+        with pytest.raises(ValueError, match="'genus' must be an integer"):
+            model_from_json({"type": "ruled", "genus": bad, "n": 2})
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            model_from_json({"type": "ruled", "genus": 1, "n": bad})
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        model_from_json({"type": "rational"})
+    assert model_from_json({"type": "ruled", "genus": 2, "n": 0}) == LatticeModel.ruled(2, 0)
+
+
+def test_json_decoders_reject_non_objects():
+    from latwist.decompose import matrix_from_json
+
+    for bad in ([], [["model"]], "rational", 3, None, True):
+        for decode in (class_from_json, form_from_json, matrix_from_json):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                decode(bad)
+
+
+# -- the integer parser against the Fraction-accumulating one it replaced -----
+
+def _reference_scan(text):
+    if not text or not text.strip():
+        raise ParseError("empty input")
+    if text.strip() == "0":
+        return []
+    terms = []
+    pos = 0
+    first = True
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if not m or m.group("sym") is None:
+            raise ParseError("cannot parse term", pos)
+        if m.group("sign") is None and not first:
+            raise ParseError("expected '+' or '-' between terms", m.start("sym"))
+        terms.append(
+            (
+                -1 if m.group("sign") == "-" else 1,
+                m.group("num"),
+                m.group("den"),
+                m.group("sym").upper(),
+                m.group("idx"),
+                m.start("sym"),
+            )
+        )
+        first = False
+        pos = m.end()
+        if text[pos:].strip() == "":
+            break
+    return terms
+
+
+def _reference_symbol_index(model, sym, idx, pos):
+    if sym == "E":
+        if not idx:
+            raise ParseError("symbol 'E' needs an index", pos)
+        if len(idx) > 1 and idx[0] == "0":
+            raise ParseError(f"leading zeros in index 'E{idx}'", pos)
+        i = int(idx)
+        if not 1 <= i <= model.n:
+            raise ParseError(f"index out of range: E{i} (model has n={model.n})", pos)
+        return model.e_offset + i - 1
+    if idx:
+        raise ParseError(f"unknown symbol '{sym}{idx}'", pos)
+    if sym == "H":
+        if model.kind != "rational":
+            raise ParseError("symbol 'H' is not in the ruled model", pos)
+        return 0
+    if sym in ("T", "F"):
+        if model.kind != "ruled":
+            raise ParseError(f"symbol '{sym}' is not in the rational model", pos)
+        return 0 if sym == "T" else 1
+    raise ParseError(f"unknown symbol '{sym}'", pos)
+
+
+def _reference_parse(text, model, allow_rational):
+    terms = _reference_scan(text)
+    symbols = {t[3] for t in terms}
+    if "H" in symbols and symbols & {"T", "F"}:
+        raise ParseError("mixed basis symbols")
+    coeffs = [Fraction(0)] * model.rank
+    for sign, num, den, sym, idx, pos in terms:
+        if den is not None:
+            if not allow_rational:
+                raise ParseError("non-integer coefficient in a homology class", pos)
+            if int(den) == 0:
+                raise ParseError(f"malformed rational '{num}/{den}'", pos)
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(1 if num is None else int(num))
+        coeffs[_reference_symbol_index(model, sym, idx, pos)] += sign * value
+    return coeffs
+
+
+def _reference_parse_class(text, model):
+    return HomClass(model, tuple(int(c) for c in _reference_parse(text, model, False)))
+
+
+def _reference_parse_form(text, model):
+    return FormClass(model, tuple(_reference_parse(text, model, True)))
+
+
+_COEFFICIENTS = st.one_of(
+    st.just(""),
+    st.integers(0, 120).map(str),
+    st.tuples(st.integers(0, 60), st.integers(1, 16)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["0/7", "6/8", "12/18", "3/0", "0/0", "007", "0", " 5 / 3 ", "2 /4"]),
+)
+_LATER_SIGNS = ["+", "-", " + ", " - ", "+ ", " -", "+", "-", " - ", ""]
+
+
+@st.composite
+def _terms(draw, model, first):
+    sign = draw(st.sampled_from(["", "", "+", "-", " - "] if first else _LATER_SIGNS))
+    coeff = draw(_COEFFICIENTS)
+    star = draw(st.sampled_from(["", "*", " * ", " "])) if coeff else ""
+    if draw(st.integers(0, 9)):
+        sym = draw(st.sampled_from(model.basis_names))
+        sym = sym.lower() if draw(st.booleans()) else sym
+    else:
+        # wrong-model, unknown, unindexed, leading-zero and out-of-range symbols
+        sym = draw(st.sampled_from(
+            ["H", "T", "F", "X", "Hx", "H1", "E", "E0", "E01", "E007", f"E{model.n + 1}", "E99"]
+        ))
+    return sign + coeff + star + sym
+
+
+@st.composite
+def _expressions(draw, model):
+    count = draw(st.integers(0, 5))
+    if count == 0:
+        return draw(st.sampled_from(["0", " 0 ", "", "   ", "+", "-", "H +", "2 3H", "H E1", "*H", "1/2"]))
+    text = "".join(draw(_terms(model, first=i == 0)) for i in range(count))
+    return text + draw(st.sampled_from(["", "", "", " ", "\t", "  ", " +", "#"]))
+
+
+def _outcome(parse, text, model):
+    try:
+        value = parse(text, model)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return type(value), value, value.coeffs, getattr(value, "num", None), getattr(value, "den", None)
+
+
+@given(
+    st.one_of(
+        st.integers(0, 12).map(LatticeModel.rational),
+        st.tuples(st.integers(1, 3), st.integers(0, 6)).map(lambda t: LatticeModel.ruled(*t)),
+    ),
+    st.data(),
+)
+@settings(max_examples=800, deadline=None)
+def test_parse_matches_fraction_reference(model, data):
+    text = data.draw(_expressions(model))
+    assert _outcome(parse_class, text, model) == _outcome(_reference_parse_class, text, model)
+    assert _outcome(parse_form, text, model) == _outcome(_reference_parse_form, text, model)

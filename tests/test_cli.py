@@ -125,6 +125,20 @@ def test_decompose_invalid_matrix(tmp_path, capsys):
     assert "K not preserved" in data["failures"]
 
 
+def test_decompose_rejects_non_integer_model_size(tmp_path, capsys):
+    identity = {1: [[1, 0], [0, 1]], 3: [[int(i == j) for j in range(4)] for i in range(4)]}
+    for spec_n, bad in ((3, 3.9), (3, "3"), (1, True)):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"model": {"type": "rational", "n": bad}, "entries": identity[spec_n]}))
+        code, data = run_json(capsys, ["decompose", "--model", f"rational:{spec_n}", "--matrix", str(path)])
+        assert code == 2
+        assert data["error"]["type"] == "input"
+        assert "'n' must be an integer" in data["error"]["message"]
+    path.write_text(json.dumps([{"type": "rational", "n": 3}]))
+    code, data = run_json(capsys, ["decompose", "--model", "rational:3", "--matrix", str(path)])
+    assert code == 2 and data["error"]["type"] == "input"
+
+
 def test_decompose_words(tmp_path, capsys):
     m = LatticeModel.rational(4)
     gens = (parse_class("H-E1-E2-E3", m), parse_class("E1-E4", m))

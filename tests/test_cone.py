@@ -1,6 +1,7 @@
 """Exceptional enumeration, cone membership, Lagrangian criterion, inflation."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -472,3 +473,85 @@ def test_inflation_matches_exceptional_scan(case):
         and all(pairing(A, E) >= 0 for E in enumerate_exceptional(A.model, K))
     )
     assert inflation_admissible(A, tau, K) == expected
+
+
+# -- each decision runs once per query -----------------------------------------
+
+def _count_cone_decisions(monkeypatch):
+    from latwist import cone
+
+    calls = []
+    decide = cone._cone_decide
+
+    def counting(model, num, K, closed):
+        calls.append((K, closed))
+        return decide(model, num, K, closed)
+
+    monkeypatch.setattr(cone, "_cone_decide", counting)
+    return calls
+
+
+def test_cone_conditions_decided_once_per_form(monkeypatch):
+    m = R(4)
+    tau = parse_form("3H-E1-E2-E3-1/2*E4", m)
+    calls = _count_cone_decisions(monkeypatch)
+    assert in_cone(tau).verdict == CONE_YES
+    texts = ("E1-E2", "H-E1-E2-E3", "E3-E4", "2H-2E1-E2-E3", "E1")
+    results = [is_lagrangian_spherical(parse_class(t, m), tau) for t in texts]
+    assert calls == [(m.k0_form(), False)]
+    assert [r.yes for r in results] == [True, True, False, False, False]
+    # an equal form built separately keeps its own verdicts
+    assert is_lagrangian_spherical(m.E(1) - m.E(2), parse_form("3H-E1-E2-E3-1/2*E4", m)).yes
+    assert len(calls) == 2
+    # a K_delta variant is a separate question with its own answer: after
+    # the sign change on E4 the area of E4 is -1/2
+    k_delta = FormClass(m, (-3, 1, 1, 1, -1))
+    res = in_cone(tau, k_delta)
+    assert res.verdict == CONE_NO and res.witness == -m.E(4)
+    assert in_cone(tau, k_delta) is res and in_cone(tau) == (CONE_YES, None, None)
+    assert calls[2:] == [(k_delta, False)]
+    with pytest.raises(ValueError, match="cone"):
+        is_lagrangian_spherical(m.E(1) - m.E(2), tau, k_delta)
+    assert calls[3:] == [(k_delta, True)]
+
+
+def test_boundary_form_still_admitted_after_open_no(monkeypatch):
+    m = R(3)
+    # H - E1 - E2 has area zero: closed Yes, open No
+    tau = parse_form("2H-E1-E2-1/2*E3", m)
+    calls = _count_cone_decisions(monkeypatch)
+    res = in_cone(tau)
+    assert res.verdict == CONE_NO and res.witness == parse_class("H-E1-E2", m)
+    for _ in range(3):
+        lag = is_lagrangian_spherical(parse_class("E1-E2", m), tau)
+        assert lag.yes and lag.kind == "Binary"
+    assert [closed for _, closed in calls] == [False, True]
+
+
+def test_lagrangian_yes_reduces_once(monkeypatch):
+    from latwist import reduction
+
+    m = R(8)
+    k0, k_delta = m.k0_form(), FormClass(m, (-3, 1, -1, 1, 1, 1, 1, 1, 1))
+    # minus K is in the cone of K for n <= 8, and every K-null class has
+    # area zero on it
+    cases = [
+        (parse_class("3H-2E1-E2-E3-E4-E5-E6-E7-E8", m), -k0),
+        (parse_class("2H-E1-E2-E3-E4-E5-E6", m), -k0),
+        (parse_class("3H-2E1+E2-E3-E4-E5-E6-E7-E8", m), -k_delta),
+        (parse_class("2H-E3-E4-E5-E6-E7-E8", m), -k_delta),
+    ]
+    reduce = reduction.cremona_reduce
+    calls = []
+    # every module that imported the function holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latwist") and getattr(module, "cremona_reduce", None) is reduce:
+            monkeypatch.setattr(module, "cremona_reduce", lambda x: calls.append(x) or reduce(x))
+    for xi, tau in cases:
+        K = -tau
+        expected = reduce(reduction._conjugate_to_k0(xi, K))
+        calls.clear()
+        res = is_lagrangian_spherical(xi, tau, K)
+        assert res.yes and len(calls) == 1
+        assert res.word == expected.word and res.kind == expected.kind
+        assert len(res.word) >= 1

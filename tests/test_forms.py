@@ -173,6 +173,18 @@ _ARITHMETIC = (
 )
 
 
+def _count_fraction_operations(monkeypatch, names):
+    """Patch the named Fraction methods to log each call; returns the log."""
+    calls = []
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(Fraction, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, staticmethod(counting) if name == "__new__" else counting)
+    return calls
+
+
 def _word_matrix(m, texts):
     gens = tuple(parse_class(t, m) for t in texts)
     return IsometryMatrix(m, ReflectionWord(m, gens).matrix)
@@ -200,13 +212,7 @@ def test_decisions_run_no_fraction_arithmetic(monkeypatch):
     for form in (inside, outside, flipped, alpha, alpha2, alpha_r):
         assert max(c.denominator for c in form.coeffs) > 1
 
-    calls = []
-    for name in _ARITHMETIC:
-        def counting(*args, _name=name, _original=getattr(Fraction, name)):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(Fraction, name, counting)
+    calls = _count_fraction_operations(monkeypatch, _ARITHMETIC)
     results = (
         in_cone(inside),
         in_cone(outside),
@@ -234,6 +240,60 @@ def test_decisions_run_no_fraction_arithmetic(monkeypatch):
     assert ok.ok and bad.failures == ("pairing not preserved", "K not preserved", "alpha not preserved")
     for word, matrix in zip(results[8:], (M, M, M2, Mr)):
         assert word.matrix == matrix.entries
+
+
+def test_parsing_builds_no_fraction(monkeypatch):
+    m5, mr = R(5), LatticeModel.ruled(2, 3)
+    forms = [
+        (m5, "7/2 H - 3/2 E1 - 6/4 E2 - E3 - 1/3 E4 - 1/3 E5 + 0/9 E5"),
+        (m5, "h - 1/2 e1 + 1/2 E1 - 1/5*E4 - 2/7 * E5"),
+        (mr, "5/2 T + 1/2 F - E1 - 3/2 E2 - 22/33 E3"),
+        (m5, "0"),
+    ]
+    classes = [(m5, "2H - E1 - E1 - 3*E4 + E5"), (mr, "T + 2F - E3"), (m5, "0")]
+    calls = _count_fraction_operations(monkeypatch, ("__new__",) + _ARITHMETIC)
+    parsed = [parse_form(text, m) for m, text in forms] + [parse_class(text, m) for m, text in classes]
+    monkeypatch.undo()
+    assert calls == []
+
+    expected = [
+        FormClass(m5, (Fraction(7, 2), Fraction(-3, 2), Fraction(-3, 2), -1, Fraction(-1, 3), Fraction(-1, 3))),
+        FormClass(m5, (1, 0, 0, 0, Fraction(-1, 5), Fraction(-2, 7))),
+        FormClass(mr, (Fraction(5, 2), Fraction(1, 2), -1, Fraction(-3, 2), Fraction(-2, 3))),
+        FormClass(m5, (0,) * 6),
+        HomClass(m5, (2, -2, 0, 0, -3, 1)),
+        HomClass(mr, (1, 2, 0, 0, -1)),
+        m5.zero(),
+    ]
+    for got, want in zip(parsed, expected, strict=True):
+        assert got == want
+        if isinstance(want, FormClass):
+            assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_internal_reflection_loops_skip_the_entry_check(monkeypatch):
+    m5, mr = R(5), LatticeModel.ruled(1, 3)
+    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
+    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
+    gens = tuple(parse_class(t, m5) for t in ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
+    M = IsometryMatrix(m5, ReflectionWord(m5, gens).matrix)
+    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
+    fresh = ReflectionWord(m5, gens)
+
+    checks = []
+    check = lattice._check_int_rows
+    monkeypatch.setattr(lattice, "_check_int_rows", lambda *args: checks.append(args) or check(*args))
+    words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_ruled(Mr, alpha_r))
+    matrix = fresh.matrix
+    assert checks == []
+    # the public forms still check every entry
+    mat_reflect(gens[0], matrix)
+    mat_reflect_right(gens[0], matrix)
+    assert len(checks) == 2
+    monkeypatch.undo()
+    assert matrix == M.entries
+    for word, expected in zip(words, (M, M, Mr)):
+        assert word.matrix == expected.entries
 
 
 # -- no dense products and no per-column classes in the factorizations --------
