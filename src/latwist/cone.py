@@ -177,15 +177,21 @@ class ConeResult(NamedTuple):
         return self.verdict != CONE_NO
 
 
-def _cone_decide(model, num, K, closed) -> ConeResult:
+def _cone_decide(model, num, K, closed):
     """Whether the form with integer coefficients ``num`` has positive
     square and positive (``closed``: nonnegative) area on every
     exceptional class.  The conditions do not change when the form is
     scaled, so a form's numerators stand for it.  A No of positive square
     has a witness unless rational n <= 1 and a <= 0.
+
+    Returns (ConeResult, moves): the walk's reflections along
+    H - E_{i+1} - E_{j+1} - E_{k+1} as 0-based triples (i, j, k) in order,
+    in the frame where K is K_0; on a Yes they carry the form into the
+    chamber a >= b_i + b_j + b_k.  Ruled models make no moves.
     """
+    moves = []
     if _gram_product(model, num, num) <= 0:
-        return ConeResult(CONE_NO, None, "nonpositive square")
+        return ConeResult(CONE_NO, None, "nonpositive square"), moves
 
     def violates(area):
         return area < 0 or (area == 0 and not closed)
@@ -195,18 +201,20 @@ def _cone_decide(model, num, K, closed) -> ConeResult:
             raise ValueError("conjugate to K_0 first")
         for E in _ruled_exceptional(model):
             if violates(_gram_product(model, num, E.coeffs)):
-                return ConeResult(CONE_NO, E, None)
-        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE)
+                return ConeResult(CONE_NO, E, None), moves
+        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE), moves
 
     n = model.n
-    v = _conjugate_to_k0(HomClass(model, num), K)
-    a, b = v.coeffs[0], [-c for c in v.coeffs[1:]]
+    signs = _k_delta_signs(model, K)
+    if signs is None:
+        raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
+    # the sign change carrying K to K_0, read off the numerators directly
+    a, b = num[0], [-s * c for s, c in zip(signs, num[1:])]
     if n < 2 and a <= 0:
         # the forward cone; for n >= 2 the loop finds a witness instead
-        return ConeResult(CONE_NO, None, "outside the forward cone")
+        return ConeResult(CONE_NO, None, "outside the forward cone"), moves
     # with the b_i sorted: No once E_n or H - E_1 - E_2 has nonpositive area,
     # Yes once a >= b_1 + b_2 + b_3, else reflect along H - E_1 - E_2 - E_3
-    moves = []
     while True:
         order = sorted(range(n), key=b.__getitem__, reverse=True)
         if n and violates(b[order[-1]]):
@@ -217,7 +225,7 @@ def _cone_decide(model, num, K, closed) -> ConeResult:
             witness = model.unit(0) - model.E(order[0] + 1) - model.E(order[1] + 1)
             break
         if n < 3 or a >= top + b[order[2]]:
-            return ConeResult(CONE_YES, None, None)
+            return ConeResult(CONE_YES, None, None), moves
         triple = order[:3]
         d = a - sum(b[m] for m in triple)
         # each move lowers the positive integer a, so the loop ends
@@ -235,7 +243,7 @@ def _cone_decide(model, num, K, closed) -> ConeResult:
     witness = _conjugate_to_k0(witness, K)
     if not violates(_gram_product(model, num, witness.coeffs)):
         raise ArithmeticError("cone witness does not violate the cone conditions")
-    return ConeResult(CONE_NO, witness, None)
+    return ConeResult(CONE_NO, witness, None), moves
 
 
 def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
@@ -249,7 +257,7 @@ def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
     if res is None:
         res = verdicts.get((K, False)) if closed else None
         if not res:
-            res = verdicts[K, closed] = _cone_decide(tau.model, tau.num, K, closed)
+            res = verdicts[K, closed] = _cone_decide(tau.model, tau.num, K, closed)[0]
     return res
 
 
@@ -349,4 +357,4 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     if pairing(B, B) < 0 or form_pairing(tau, B) <= 0:
         return False
     # A^2 > 0 here, so the closed cone test reduces to A.E >= 0
-    return bool(_cone_decide(model, A.coeffs, K, closed=True))
+    return bool(_cone_decide(model, A.coeffs, K, closed=True)[0])

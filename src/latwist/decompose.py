@@ -15,16 +15,21 @@ decompose_K      rational isometries preserving K_0, factored into
                  later generator is orthogonal to them.
 
 decompose_K_alpha  as above, but every generator must also annihilate
-                 a fixed form alpha.  The matrix is first conjugated by
-                 a frame change sending a greedily chosen family of
-                 alpha-minimal, mutually orthogonal exceptional classes
-                 to E_1, E_2, ...  In that frame the staged reduction
-                 can only ever meet area-zero generators: each ternary
-                 core has nonnegative area by minimality of the frame
-                 while the running image's area is pinned to its
-                 minimum, forcing equality.  The word is conjugated
-                 back at the end, which preserves both the product and
-                 the area of every core.
+                 a form alpha in the symplectic cone.  The matrix is
+                 first conjugated by the frame change psi of alpha's own
+                 cone walk, its Cremona moves and then transpositions
+                 sorting the b_i ascending, so alpha' = aH - sum b_i E_i
+                 has b_1 <= ... <= b_n and a >= b_{n-2} + b_{n-1} + b_n.
+                 Every ternary core then has alpha'-area
+                 a - b_j - b_k - b_l >= 0, and b_i is the least
+                 alpha'-area of an exceptional class orthogonal to
+                 E_1, ..., E_{i-1}.  The running image of E_i is such a
+                 class with its area pinned at b_i, while a twist that
+                 lowers its H-coefficient lowers its area by a positive
+                 multiple of the core's area, which is therefore zero;
+                 the closing transposition joins two classes of area
+                 b_i.  The word is conjugated back at the end, which
+                 preserves the product and the area of every core.
 
 decompose_ruled  ruled isometries preserving K_0 and alpha, factored
                  into twists along E_i-E_j and F-E_i-E_j.  The fiber
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .classexpr import model_from_json, model_to_json
-from .cone import CONE_YES, enumerate_exceptional, in_cone
+from .cone import _cone_decide
 from .lattice import (
     RATIONAL,
     RULED,
@@ -228,67 +233,46 @@ def decompose_K(M: IsometryMatrix) -> ReflectionWord:
     return _finish(model, M, _staged_reduction(model, M.entries))
 
 
-def _greedy_orthogonal_family(model, alpha):
-    """n-2 mutually orthogonal exceptional classes of successively
-    minimal alpha-area.
+def _chamber_frame(model, alpha):
+    """Chronological K_0-twists whose product psi carries alpha into its
+    reduced chamber with the b_i ascending, or None when alpha is not in
+    the symplectic cone.
 
-    Ties break toward the lexicographically smallest coefficient
-    vector, keeping certificates reproducible.  Dropping the classes
-    that meet a chosen one keeps the order of the rest, so one pass over
-    the pool sorted by (area, coefficients) takes each round's minimum.
+    The ternary cores are the moves of alpha's own cone walk; the
+    transpositions after them sort the b_i ascending, ties kept in index
+    order.
     """
-    if model.n > 8:
-        raise DecompositionError("alpha-minimality basis construction failed")
-    # the area numerator over alpha.den > 0 orders classes as the area does
-    pool = sorted(
-        enumerate_exceptional(model).classes,
-        key=lambda e: (_gram_product(model, alpha.num, e.coeffs), e.coeffs),
-    )
-    family = []
-    for e in pool:
-        if len(family) == model.n - 2:
-            break
-        if all(pairing(e, f) == 0 for f in family):
-            family.append(e)
-    if len(family) < model.n - 2:
-        raise DecompositionError("alpha-minimality basis construction failed")
-    return family
-
-
-def _frame_word(model, family):
-    """Chronological K_0-twists whose product psi has psi(family[i-1]) = E_i."""
-    word = []
-    for i, e in enumerate(family, start=1):
-        for f in word:
-            e = reflect(f, e)
-        word.extend(_class_reduction_gens(model, e, i))
-    return word
+    res, moves = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
+    if not res:
+        return None
+    frame = [_sparse_class(model, ((0, 1),) + tuple((m + 1, -1) for m in sorted(t))) for t in moves]
+    dual = HomClass(model, alpha.num)
+    for f in frame:
+        dual = reflect(f, dual)
+    # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
+    keys = [(-c, i) for i, c in enumerate(dual.coeffs[1:], start=1)]
+    for p in range(model.n):
+        q = min(range(p, model.n), key=keys.__getitem__)
+        if q != p:
+            keys[p], keys[q] = keys[q], keys[p]
+            frame.append(_sparse_class(model, ((p + 1, 1), (q + 1, -1))))
+    return frame
 
 
 def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     """Factor a (K_0, alpha)-preserving rational isometry into twists
-    whose cores all have alpha-area zero."""
+    whose cores all have alpha-area zero; alpha outside the symplectic
+    cone raises ValueError at every n."""
     model = M.model
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
     if alpha.model != model:
         raise ValueError("incompatible lattice models")
     _require_valid(M, model.k0_form(), alpha)
-
-    if model.n <= 2:
-        gens = _staged_reduction(model, M.entries)
-        for g in gens:
-            if form_pairing(alpha, g) != 0:
-                raise DecompositionError("generator with nonzero alpha-area")
-        return _finish(model, M, gens)
-
-    if model.n > 8:
-        raise DecompositionError("alpha-minimality basis construction failed")
-    if in_cone(alpha).verdict != CONE_YES:
+    frame = _chamber_frame(model, alpha)
+    if frame is None:
         raise ValueError("alpha must lie in the symplectic cone")
 
-    family = _greedy_orthogonal_family(model, alpha)
-    frame = _frame_word(model, family)
     # psi = R(f_m) ... R(f_1) over the frame word f, and every R(f) is an
     # involution, so M' = psi M psi^{-1} takes one reflection on each side
     # per frame twist; pulling alpha back along psi^{-1} pushes its dual

@@ -332,15 +332,17 @@ def reflection_matrix(gamma: HomClass) -> tuple:
 def is_characteristic(xi: HomClass) -> bool:
     """Whether xi.x = x.x mod 2 for every class x.
 
-    By bilinearity it is enough to test the basis vectors.
+    By bilinearity it is enough to test the basis vectors, and against
+    each of them the condition is a parity.  For xi = aH + sum c_i E_i,
+    xi.H = a against H.H = 1 and xi.E_i = -c_i against E_i.E_i = -1, so
+    every coefficient is odd.  For xi = tT + fF + sum c_i E_i,
+    xi.T = f and xi.F = t against T.T = F.F = 0, so t and f are even and
+    every c_i is odd.
     """
     model = xi.model
-    gram = model.gram
-    for j in range(model.rank):
-        dot = sum(gram[j][i] * xi.coeffs[i] for i in range(model.rank))
-        if (dot - gram[j][j]) % 2:
-            return False
-    return True
+    off = model.e_offset
+    head = 1 if model.kind == RATIONAL else 0
+    return all(c % 2 == head for c in xi.coeffs[:off]) and all(c % 2 for c in xi.coeffs[off:])
 
 
 # Small exact matrix helpers shared by the word and isometry types.

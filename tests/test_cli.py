@@ -8,9 +8,9 @@ import pytest
 
 from latwist.cli import main, parse_model_spec
 from latwist.decompose import IsometryMatrix, matrix_to_json
-from latwist.lattice import LatticeModel
+from latwist.lattice import LatticeModel, form_pairing
 from latwist.reduction import ReflectionWord
-from latwist.classexpr import parse_class
+from latwist.classexpr import parse_class, parse_form
 
 
 def run(capsys, argv):
@@ -154,6 +154,25 @@ def test_decompose_words(tmp_path, capsys):
         ["decompose", "--model", "rational:4", "--matrix", str(path), "--alpha", "3H-E1-E2-E3-E4"],
     )
     assert code == 0 and data["valid"] is True
+
+
+def test_decompose_alpha_at_n10(tmp_path, capsys):
+    # 6H-2E1-2E2-2E3-E4-...-E10 moved by the twist along H-E4-E5-E6, and
+    # the images of roots of area zero; n = 10 has no complete
+    # exceptional listing, and the frame comes from alpha's cone walk
+    m = LatticeModel.rational(10)
+    alpha = "9H-2E1-2E2-2E3-4E4-4E5-4E6-E7-E8-E9-E10"
+    texts = ["2H-E1-E2-E3-E4-E5-E6", "E4-E5", "E7-E10", "E2-E3"]
+    gens = tuple(parse_class(t, m) for t in texts)
+    M = IsometryMatrix(m, ReflectionWord(m, gens).matrix)
+    path = tmp_path / "w10.json"
+    path.write_text(json.dumps(matrix_to_json(M)))
+    argv = ["decompose", "--model", "rational:10", "--matrix", str(path), "--alpha", alpha]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["valid"] is True
+    assert data["word"]["length"] >= 1
+    tau = parse_form(alpha, m)
+    assert all(form_pairing(tau, parse_class(g, m)) == 0 for g in data["word"]["generators"])
 
 
 def test_decompose_ruled_requires_alpha(tmp_path, capsys):

@@ -389,7 +389,7 @@ def test_cone_reduction_matches_exceptional_scan(case, closed):
     from latwist.cone import _cone_decide
 
     tau, K = case
-    res = _cone_decide(tau.model, tau.num, K, closed)
+    res, _ = _cone_decide(tau.model, tau.num, K, closed)
     assert bool(res) == _scan(tau, K, closed)
     if not closed:
         assert in_cone(tau, K) == res

@@ -2,18 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class, parse_form
-from latwist.cone import enumerate_exceptional
+from latwist.cone import in_cone
 from latwist.decompose import (
     DecompositionError,
     IsometryMatrix,
-    _class_reduction_gens,
-    _greedy_orthogonal_family,
+    _chamber_frame,
     _staged_reduction,
     decompose_K,
     decompose_K_alpha,
@@ -32,6 +32,7 @@ from latwist.lattice import (
     mat_transpose,
     mat_vec,
     pairing,
+    reflect,
     reflection_matrix,
 )
 from latwist.reduction import ReflectionWord
@@ -165,59 +166,15 @@ def test_validate_matches_dense_formula(case):
     assert validate(M, K, alpha).failures == _dense_validate(M, K, alpha)
 
 
-def _round_by_round_family(model, alpha):
-    """The family as the earlier loop chose it: each round takes the
-    minimum of (area, coefficients) over the classes orthogonal to every
-    class taken so far.  None where that loop raised."""
-    pool = list(enumerate_exceptional(model).classes)
-    family = []
-    for _ in range(model.n - 2):
-        if not pool:
-            return None
-        best = min(pool, key=lambda e: (form_pairing(alpha, e), e.coeffs))
-        family.append(best)
-        pool = [e for e in pool if pairing(e, best) == 0]
-    return family
-
-
-@st.composite
-def greedy_alphas(draw):
-    m = R(draw(st.integers(3, 8)))
-    q = draw(st.integers(1, 12))
-    if draw(st.booleans()):
-        # two blocks of tied areas, in shuffled positions
-        top = draw(st.integers(0, m.n))
-        b = draw(st.permutations([2] * top + [1] * (m.n - top)))
-        a = sorted(b, reverse=True)[:3]
-        coeffs = [sum(a) + draw(st.integers(0, 2))] + [-v for v in b]
-    else:
-        coeffs = [draw(st.integers(-10, 40))] + draw(st.lists(st.integers(-10, 12), min_size=m.n, max_size=m.n))
-    return FormClass(m, [Fraction(c, q) for c in coeffs])
-
-
-@given(greedy_alphas())
-@settings(max_examples=200, deadline=None)
-def test_greedy_family_matches_round_by_round_minimum(alpha):
-    expected = _round_by_round_family(alpha.model, alpha)
-    if expected is None:
-        with pytest.raises(DecompositionError):
-            _greedy_orthogonal_family(alpha.model, alpha)
-    else:
-        assert _greedy_orthogonal_family(alpha.model, alpha) == expected
-
-
 def _dense_conjugation_word(M, alpha):
-    """decompose_K_alpha's generators as the earlier dense path found them:
-    the frame isometry psi as a matrix, psi^{-1} = G psi^T G, the
-    conjugate psi M psi^{-1} by matrix products, and each generator
-    pulled back by psi^{-1}."""
+    """decompose_K_alpha's generators by dense products: the frame
+    isometry psi as a matrix, psi^{-1} = G psi^T G, the conjugate
+    psi M psi^{-1} by matrix products, and each generator pulled back
+    by psi^{-1}."""
     model = M.model
-    family = _greedy_orthogonal_family(model, alpha)
     psi = mat_identity(model.rank)
-    for i, e in enumerate(family, start=1):
-        v = HomClass(model, mat_vec(psi, e.coeffs))
-        for g in _class_reduction_gens(model, v, i):
-            psi = mat_mul(reflection_matrix(g), psi)
+    for f in _chamber_frame(model, alpha):
+        psi = mat_mul(reflection_matrix(f), psi)
     gram = model.gram
     psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
     alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
@@ -251,6 +208,104 @@ def k_alpha_cases(draw):
 def test_k_alpha_word_matches_dense_conjugation(case):
     M, alpha = case
     assert decompose_K_alpha(M, alpha).generators == _dense_conjugation_word(M, alpha)
+
+
+@st.composite
+def scrambled_chamber_forms(draw, n_min=3, n_max=12):
+    """A form alpha in the cone and the alpha-null twist roots.
+
+    alpha starts in the chamber: areas b_i in {1, 2, 3} with ties,
+    a >= the sum of the three largest b_i and a^2 > sum b_i^2, over a
+    denominator up to 12.  Up to 12 K_0-twists then scramble it, and
+    the binary and ternary roots of area zero with it.
+    """
+    m = R(draw(st.integers(n_min, n_max)))
+    b = draw(st.lists(st.integers(1, 3), min_size=m.n, max_size=m.n))
+    a = max(sum(sorted(b)[-3:]), isqrt(sum(v * v for v in b)) + 1) + draw(st.integers(0, 2))
+    dual = HomClass(m, (a,) + tuple(-v for v in b))
+    twists = rational_generators(m)
+    null = [g for g in twists if pairing(dual, g) == 0]
+    for f in draw(st.lists(st.sampled_from(twists), max_size=12)) if twists else ():
+        dual = reflect(f, dual)
+        null = [reflect(f, g) for g in null]
+    q = draw(st.integers(1, 12))
+    return FormClass(m, [Fraction(c, q) for c in dual.coeffs]), null
+
+
+@st.composite
+def scrambled_chamber_cases(draw):
+    alpha, null = draw(scrambled_chamber_forms())
+    m = alpha.model
+    picks = draw(st.lists(st.sampled_from(null), max_size=20)) if null else []
+    return IsometryMatrix(m, ReflectionWord(m, tuple(picks)).matrix), alpha
+
+
+@given(scrambled_chamber_cases())
+@settings(max_examples=150, deadline=None)
+def test_k_alpha_factors_at_every_n(case):
+    # n = 9..12 included, where no complete exceptional listing exists
+    M, alpha = case
+    m = M.model
+    word = decompose_K_alpha(M, alpha)
+    assert word.matrix == M.entries
+    for g in word.generators:
+        assert pairing(g, g) == -2
+        assert form_pairing(m.k0_form(), g) == 0
+        assert form_pairing(alpha, g) == 0
+
+
+@st.composite
+def any_rational_forms(draw):
+    m = R(draw(st.integers(0, 12)))
+    q = draw(st.integers(1, 12))
+    coeffs = [draw(st.integers(-5, 40))] + draw(st.lists(st.integers(-12, 12), min_size=m.n, max_size=m.n))
+    return FormClass(m, [Fraction(c, q) for c in coeffs])
+
+
+@given(st.one_of(scrambled_chamber_forms(0, 12).map(lambda t: t[0]), any_rational_forms()))
+@settings(max_examples=300, deadline=None)
+def test_chamber_frame_sorts_alpha_into_the_chamber(alpha):
+    m = alpha.model
+    frame = _chamber_frame(m, alpha)
+    assert (frame is None) == (not in_cone(alpha))
+    if frame is None:
+        return
+    dual = HomClass(m, alpha.num)
+    for f in frame:
+        assert pairing(f, f) == -2 and form_pairing(m.k0_form(), f) == 0
+        dual = reflect(f, dual)
+    a, b = dual.coeffs[0], [-c for c in dual.coeffs[1:]]
+    assert b == sorted(b)
+    if m.n >= 3:
+        assert a >= sum(b[-3:])
+
+
+@st.composite
+def small_n_cases(draw):
+    m = R(draw(st.integers(0, 2)))
+    q = draw(st.integers(1, 4))
+    coeffs = [draw(st.integers(-6, 6)) for _ in range(m.rank)]
+    if m.n == 2 and draw(st.booleans()):
+        coeffs[2] = coeffs[1]  # tied areas, so E1 - E2 is null
+    alpha = FormClass(m, [Fraction(c, q) for c in coeffs])
+    M = IsometryMatrix.identity(m)
+    if m.n == 2 and coeffs[1] == coeffs[2] and draw(st.booleans()):
+        M = word_matrix(m, ["E1-E2"])
+    return M, alpha
+
+
+@given(small_n_cases())
+@settings(max_examples=300, deadline=None)
+def test_k_alpha_small_n_needs_alpha_in_the_cone(case):
+    # n <= 2 takes the same path as every other n: the staged reduction
+    # on an unchanged frame inside the cone, ValueError outside it
+    M, alpha = case
+    if in_cone(alpha):
+        word = decompose_K_alpha(M, alpha)
+        assert word.generators == tuple(_staged_reduction(M.model, M.entries))
+    else:
+        with pytest.raises(ValueError, match="symplectic cone"):
+            decompose_K_alpha(M, alpha)
 
 
 def test_decompose_identity_and_generator():
@@ -342,7 +397,7 @@ def test_decompose_k_alpha_round_trip():
 
 def test_decompose_k_alpha_uneven_areas():
     # areas (3, 1, 2, 2): only two generator cores are null, and the
-    # greedy frame must respect the area order (E2 first, then E4)
+    # frame must sort the areas ascending (E2 first, then E3 and E4)
     m = R(4)
     alpha = parse_form("7H-3E1-E2-2E3-2E4", m)
     from latwist.cone import CONE_YES, in_cone

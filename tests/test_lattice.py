@@ -153,6 +153,24 @@ def test_is_characteristic_examples():
     assert not is_characteristic(HomClass(mr, (1, 0, 1, 1)))
 
 
+def test_is_characteristic_matches_basis_pairings():
+    # every class with coefficients in [-3, 3], against the oracle's
+    # test of x.u = u.u mod 2 on each basis vector u
+    from itertools import product
+
+    from latwist.oracle import _is_characteristic_direct
+
+    models = [R(n) for n in range(4)]
+    models += [LatticeModel.ruled(h, n) for h in range(1, 4) for n in range(3)]
+    checked = 0
+    for m in models:
+        for coeffs in product(range(-3, 4), repeat=m.rank):
+            x = HomClass(m, coeffs)
+            assert is_characteristic(x) == _is_characteristic_direct(x), (m, coeffs)
+            checked += 1
+    assert checked == 11179
+
+
 def models():
     return st.one_of(
         st.integers(0, 6).map(LatticeModel.rational),
