@@ -11,21 +11,14 @@ import functools
 import json
 import sys
 
-from .classexpr import (
-    ParseError,
-    class_to_json,
-    model_from_json,
-    parse_class,
-    parse_form,
-    print_class,
-)
+from .classexpr import ParseError, parse_class, parse_form, print_class
 from .cone import CONE_NO, enumerate_exceptional, in_cone, is_lagrangian_spherical
 from .decompose import (
     DecompositionError,
-    IsometryMatrix,
     decompose_K,
     decompose_K_alpha,
     decompose_ruled,
+    matrix_from_json,
     validate,
 )
 from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteristic, pairing
@@ -139,11 +132,9 @@ def cmd_reduce(args) -> tuple:
 def cmd_decompose(args) -> tuple:
     model = args.model
     with open(args.matrix) as fh:
-        data = json.load(fh)
-    if model_from_json(data["model"]) != model:
+        M = matrix_from_json(json.load(fh))
+    if M.model != model:
         raise ValueError("matrix file model does not match --model")
-    entries = tuple(tuple(v for v in row) for row in data["entries"])
-    M = IsometryMatrix(model, entries)
     alpha = parse_form(args.alpha, model) if args.alpha else None
     if model.kind == RULED and alpha is None:
         raise ValueError("ruled decomposition requires --alpha")
@@ -161,6 +152,16 @@ def cmd_decompose(args) -> tuple:
     return 0, payload, _word_lines(word)
 
 
+def _query(args) -> EnumQuery:
+    return EnumQuery(
+        args.model,
+        args.bound,
+        square=args.square,
+        k_pairing=args.k_pairing,
+        predicate=args.kind,
+    )
+
+
 def cmd_enumerate(args) -> tuple:
     model = args.model
     if args.kind == "exceptional" and args.bound is None:
@@ -176,14 +177,7 @@ def cmd_enumerate(args) -> tuple:
     else:
         if args.bound is None:
             raise ValueError("--bound required unless --kind exceptional")
-        q = EnumQuery(
-            model,
-            args.bound,
-            square=args.square,
-            k_pairing=args.k_pairing,
-            predicate=args.kind,
-        )
-        classes = enumerate_classes(q, allow_large=args.allow_large)
+        classes = enumerate_classes(_query(args), allow_large=args.allow_large)
         payload = {
             "count": len(classes),
             "complete": False,
@@ -217,16 +211,8 @@ def cmd_cone(args) -> tuple:
 
 
 def cmd_crosscheck(args) -> tuple:
-    model = args.model
-    q = EnumQuery(
-        model,
-        args.bound,
-        square=args.square,
-        k_pairing=args.k_pairing,
-        predicate=args.kind,
-    )
     report = crosscheck(
-        q,
+        _query(args),
         allow_large=args.allow_large,
         depth=args.depth,
         sample=args.sample,

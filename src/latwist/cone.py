@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
 from .lattice import (
-    RATIONAL,
     RULED,
     FormClass,
     HomClass,
@@ -34,7 +32,7 @@ from .lattice import (
 from .reduction import (
     ReflectionWord,
     _conjugate_to_k0,
-    _k_delta_signs,
+    _k0_signs,
     _spherical_normal_form,
     is_exceptional,
     is_K_null_spherical,
@@ -110,19 +108,21 @@ def _ruled_exceptional(model):
     return [E for i in range(1, model.n + 1) for E in (model.E(i), F - model.E(i))]
 
 
-# bounded: listings for many K_delta variants or degree bounds would pile up
-@lru_cache(maxsize=64)
-def _enumerate_cached(model, K, degree_bound):
+def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
+    """The set of exceptional classes for K (default K_0).
+
+    K passes the one check of _k0_signs before anything is listed; the
+    classes are solved in the frame where K is K_0 and carried back by
+    K's signs.  Rational models with n >= 9 require ``degree_bound``; the
+    set then holds the exceptional classes with |a| <= degree_bound only.
+    """
+    if K is None:
+        K = model.k0_form()
+    signs = _k0_signs(model, K)
     n = model.n
     if model.kind == RULED:
-        if K != model.k0_form():
-            raise ValueError("conjugate to K_0 first")
         classes, complete = _ruled_exceptional(model), True
     else:
-        # solve in the standard frame, then undo the sign change that
-        # carries a K_delta variant back to K_0
-        if _k_delta_signs(model, K) is None:
-            raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
         complete = n <= 8
         if complete:
             a_lo, a_hi = _rational_a_window(n)
@@ -130,6 +130,7 @@ def _enumerate_cached(model, K, degree_bound):
             raise ValueError("degree_bound required for rational models with n >= 9")
         else:
             a_lo, a_hi = -degree_bound, degree_bound
+        k0 = model.k0_form()
         classes = []
         for a in range(a_lo, a_hi + 1):
             if (3 * a - 1) ** 2 > n * (a * a + 1):
@@ -137,8 +138,8 @@ def _enumerate_cached(model, K, degree_bound):
             for b in _b_vectors(n, 3 * a - 1, a * a + 1):
                 xi = HomClass(model, (a,) + tuple(-v for v in b))
                 # from n = 9 on not every solution is exceptional (K_0 at n = 10)
-                if complete or is_exceptional(xi, model.k0_form()):
-                    classes.append(_conjugate_to_k0(xi, K))
+                if complete or is_exceptional(xi, k0):
+                    classes.append(_conjugate_to_k0(xi, signs))
     for xi in classes:
         if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
             raise ArithmeticError(f"enumerated class {xi.coeffs} fails square or K-pairing")
@@ -149,21 +150,6 @@ def _enumerate_cached(model, K, degree_bound):
         complete=complete,
         degree_bound=None if complete else degree_bound,
     )
-
-
-def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
-    """The set of exceptional classes for K (default K_0).
-
-    Rational models with n >= 9 require ``degree_bound``; the set then
-    holds the exceptional classes with |a| <= degree_bound only.
-    """
-    if K is None:
-        K = model.k0_form()
-    if K.model != model:
-        raise ValueError("incompatible lattice models")
-    if model.kind == RATIONAL and model.n <= 8:
-        degree_bound = None
-    return _enumerate_cached(model, K, degree_bound)
 
 
 class ConeResult(NamedTuple):
@@ -188,7 +174,12 @@ def _cone_decide(model, num, K, closed):
     H - E_{i+1} - E_{j+1} - E_{k+1} as 0-based triples (i, j, k) in order,
     in the frame where K is K_0; on a Yes they carry the form into the
     chamber a >= b_i + b_j + b_k.  Ruled models make no moves.
+
+    K passes the one check of _k0_signs first, so a K that is not K_0
+    or a K_delta variant raises whatever the form; the walk runs on the
+    numerators after K's sign change, and the witness is carried back.
     """
+    signs = _k0_signs(model, K)
     moves = []
     if _gram_product(model, num, num) <= 0:
         return ConeResult(CONE_NO, None, "nonpositive square"), moves
@@ -197,17 +188,12 @@ def _cone_decide(model, num, K, closed):
         return area < 0 or (area == 0 and not closed)
 
     if model.kind == RULED:
-        if K != model.k0_form():
-            raise ValueError("conjugate to K_0 first")
         for E in _ruled_exceptional(model):
             if violates(_gram_product(model, num, E.coeffs)):
                 return ConeResult(CONE_NO, E, None), moves
         return ConeResult(CONE_YES, None, _RULED_CONE_NOTE), moves
 
     n = model.n
-    signs = _k_delta_signs(model, K)
-    if signs is None:
-        raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
     # the sign change carrying K to K_0, read off the numerators directly
     a, b = num[0], [-s * c for s, c in zip(signs, num[1:])]
     if n < 2 and a <= 0:
@@ -240,7 +226,7 @@ def _cone_decide(model, num, K, closed):
         gamma = _sparse_class(model, ((0, 1),) + tuple((m + 1, -1) for m in triple))
         witness = reflect(gamma, witness)
     # the sign change is an involution, so it also carries K_0 back to K
-    witness = _conjugate_to_k0(witness, K)
+    witness = _conjugate_to_k0(witness, signs)
     if not violates(_gram_product(model, num, witness.coeffs)):
         raise ArithmeticError("cone witness does not violate the cone conditions")
     return ConeResult(CONE_NO, witness, None), moves
@@ -310,14 +296,15 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
         raise ValueError("incompatible lattice models")
     if K is None:
         K = model.k0_form()
+    signs = _k0_signs(model, K)
     if not _form_cone(tau, K, closed=True):
         raise ValueError("form fails the cone conditions")
     nf = None
-    if model.kind == RATIONAL:
-        nf = _spherical_normal_form(xi, K)
-        spherical = nf is not None
-    else:
+    if model.kind == RULED:
         spherical = is_K_null_spherical(xi, K)
+    else:
+        nf = _spherical_normal_form(xi, K, signs)
+        spherical = nf is not None
     area = form_pairing(tau, xi)
     failures = []
     if not spherical:

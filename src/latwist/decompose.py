@@ -42,13 +42,13 @@ decompose_ruled  ruled isometries preserving K_0 and alpha, factored
 Every reduction step applies one reflection to the running matrix,
 and decompose_K_alpha conjugates by its frame one reflection at a time,
 never by a dense product.  A reflection along gamma rewrites only the
-rows in the support of gamma when it acts on the left (mat_reflect) and
-only the columns in the support of G gamma when it acts on the right
-(mat_reflect_right); a twist core has at most four nonzero entries.
-These loops use the unchecked forms of both, because the running
-matrix starts from the checked input and changes only by reflections.
-The final re-check still rebuilds the product from the generators alone
-and compares it with the input, never with the running matrix.
+rows in the support of gamma when it acts on the left and only the
+columns in the support of G gamma when it acts on the right; a twist
+core has at most four nonzero entries.  Neither kernel checks the
+entries, because the running matrix starts from the checked input and
+changes only by reflections.  The final re-check still rebuilds the
+product from the generators alone and compares it with the input, never
+with the running matrix.
 
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
@@ -234,9 +234,9 @@ def decompose_K(M: IsometryMatrix) -> ReflectionWord:
 
 
 def _chamber_frame(model, alpha):
-    """Chronological K_0-twists whose product psi carries alpha into its
-    reduced chamber with the b_i ascending, or None when alpha is not in
-    the symplectic cone.
+    """(frame, alpha'): the chronological K_0-twists whose product psi
+    carries alpha into its reduced chamber with the b_i ascending, and
+    that image alpha'; None when alpha is not in the symplectic cone.
 
     The ternary cores are the moves of alpha's own cone walk; the
     transpositions after them sort the b_i ascending, ties kept in index
@@ -256,7 +256,8 @@ def _chamber_frame(model, alpha):
         if q != p:
             keys[p], keys[q] = keys[q], keys[p]
             frame.append(_sparse_class(model, ((p + 1, 1), (q + 1, -1))))
-    return frame
+    num = (dual.coeffs[0],) + tuple(-b for b, _ in keys)
+    return frame, FormClass._from_num(model, num, alpha.den)
 
 
 def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
@@ -269,20 +270,17 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     if alpha.model != model:
         raise ValueError("incompatible lattice models")
     _require_valid(M, model.k0_form(), alpha)
-    frame = _chamber_frame(model, alpha)
-    if frame is None:
+    chamber = _chamber_frame(model, alpha)
+    if chamber is None:
         raise ValueError("alpha must lie in the symplectic cone")
+    frame, alpha_prime = chamber
 
     # psi = R(f_m) ... R(f_1) over the frame word f, and every R(f) is an
     # involution, so M' = psi M psi^{-1} takes one reflection on each side
-    # per frame twist; pulling alpha back along psi^{-1} pushes its dual
-    # vector forward
+    # per frame twist
     M_prime = M.entries
-    dual = HomClass(model, alpha.num)
     for f in frame:
         M_prime = _mat_reflect_right(f, _mat_reflect(f, M_prime))
-        dual = reflect(f, dual)
-    alpha_prime = FormClass._from_num(model, dual.coeffs, alpha.den)
 
     gens = []
     for g in _staged_reduction(model, M_prime):

@@ -285,24 +285,29 @@ def form_pairing(tau: FormClass, x) -> Fraction:
 
 
 def _reflection(gamma: HomClass):
-    """gamma.gamma and the nonzero entries of gamma and of G gamma.
+    """The factor q = 2 / gamma.gamma and the nonzero entries of gamma
+    and of G gamma.
 
     Each entry list holds (index, value) pairs; a twist core has at most
-    four.  The reflection along gamma is x -> x - (2 (G gamma . x) / s) gamma
-    with s = gamma.gamma, so it reads x only on the support of G gamma and
-    changes it only on the support of gamma.
+    four.  The reflection along gamma is x -> x - q (G gamma . x) gamma,
+    so it reads x only on the support of G gamma and changes it only on
+    the support of gamma.
     """
     model = gamma.model
     coeffs = gamma.coeffs
     s = _gram_product(model, coeffs, coeffs)
     if s not in _ADMISSIBLE_SQUARES:
         raise ValueError("reflection undefined for this square")
+    q, rem = divmod(2, s)
+    if rem:
+        # 2/s is an integer for every admissible square, kept as a hard check
+        raise ArithmeticError("non-integral reflection coefficient")
     support = [(i, c) for i, c in enumerate(coeffs) if c]
     # G is -1 on the exceptional diagonal and the antidiagonal 1s of the
     # (H) or (T, F) head block
     off = model.e_offset
     dual = [(i, -c) if i >= off else (off - 1 - i, c) for i, c in support]
-    return s, support, dual
+    return q, support, dual
 
 
 def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
@@ -312,12 +317,9 @@ def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
     integral for every integral beta.
     """
     _check_same_model(gamma, beta)
-    s, support, dual = _reflection(gamma)
+    q, support, dual = _reflection(gamma)
     x = beta.coeffs
-    c, rem = divmod(2 * sum(d * x[i] for i, d in dual), s)
-    if rem:
-        # unreachable for the admissible squares, kept as a hard check
-        raise ArithmeticError("non-integral reflection coefficient")
+    c = q * sum(d * x[i] for i, d in dual)
     out = list(x)
     for i, g in support:
         out[i] -= c * g
@@ -365,57 +367,18 @@ def mat_transpose(a: tuple) -> tuple:
     return tuple(zip(*a))
 
 
-def _check_int_rows(a, width: int):
-    """Every row of a has the given length and holds only integers."""
-    for row in a:
-        if len(row) != width:
-            raise ValueError("matrix rows must all have the same length")
-        for x in row:
-            if not isinstance(x, int):
-                raise TypeError("matrix entries must be exact integers")
-
-
-def _reflection_factor(s: int) -> int:
-    q, rem = divmod(2, s)
-    if rem:
-        # 2/s is an integer for every admissible square, kept as a hard check
-        raise ArithmeticError("non-integral reflection coefficient")
-    return q
-
-
-def mat_reflect(gamma: HomClass, a: tuple) -> tuple:
+def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
     """The product R(gamma)·a of the reflection matrix with a.
 
     Column j changes by c_j gamma with c_j = 2 (G gamma . a_j) / s, so
     the coefficients are read from the rows of a in the support of
     G gamma and only the rows in the support of gamma are rewritten; the
     other row tuples are shared.  For a twist core both supports have at
-    most four entries, so the arithmetic is O(k) for k columns; the check
-    that every entry of a is an integer is O(r k).
+    most four entries, so the arithmetic is O(k) for k columns.  The
+    entries of a are not checked: callers start from the identity or from
+    a checked IsometryMatrix and change it only by reflections.
     """
-    if len(a) != gamma.model.rank:
-        raise ValueError("matrix row count does not match rank")
-    _check_int_rows(a, len(a[0]))
-    return _mat_reflect(gamma, a)
-
-
-def mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
-    """The product a·R(gamma) of a with the reflection matrix.
-
-    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
-    only the columns in the support of G gamma change.
-    """
-    _check_int_rows(a, gamma.model.rank)
-    return _mat_reflect_right(gamma, a)
-
-
-# mat_reflect and mat_reflect_right without the entry checks, for loops
-# whose matrices are integral by construction: they start from the
-# identity or from a checked IsometryMatrix and change only by reflections.
-
-def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
-    s, support, dual = _reflection(gamma)
-    q = _reflection_factor(s)
+    q, support, dual = _reflection(gamma)
     dots = [0] * len(a[0])
     for i, d in dual:
         dots = [u + d * x for u, x in zip(dots, a[i])]
@@ -427,8 +390,13 @@ def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
 
 
 def _mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
-    s, support, dual = _reflection(gamma)
-    q = _reflection_factor(s)
+    """The product a·R(gamma) of a with the reflection matrix.
+
+    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
+    only the columns in the support of G gamma change.  The entries of a
+    are not checked, as for _mat_reflect.
+    """
+    q, support, dual = _reflection(gamma)
     rows = []
     for row in a:
         c = q * sum(g * row[i] for i, g in support)

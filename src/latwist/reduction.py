@@ -301,57 +301,48 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
         return finish(KIND_IRREDUCIBLE)
 
 
-def _k_delta_signs(model: LatticeModel, K: FormClass):
-    """For rational K = K_0 or a K_delta variant, the E-sign vector.
+def _k0_signs(model: LatticeModel, K: FormClass) -> tuple:
+    """The canonical-class check of every routine that takes a K.
 
-    Returns None when K is not of that shape.
+    Rational K may be K_0 or a K_delta variant -3H + sum +-E_i; ruled K
+    must be K_0.  Returns the E-coefficients of K, which for those
+    classes are the signs of the isometry carrying K to K_0 (all +1 for
+    K_0); raises ValueError for any other K, or for a K of another model.
     """
-    if K.model != model or model.kind != RATIONAL:
-        return None
-    if K.den != 1 or K.num[0] != -3:
-        return None
-    signs = []
-    for c in K.num[1:]:
-        if c == 1:
-            signs.append(1)
-        elif c == -1:
-            signs.append(-1)
-        else:
-            return None
-    return tuple(signs)
-
-
-def _conjugate_to_k0(xi: HomClass, K: FormClass) -> HomClass:
-    """Map xi by the sign isometry that carries K (a K_delta) to K_0."""
-    signs = _k_delta_signs(xi.model, K)
-    if signs is None:
+    if K.model != model:
+        raise ValueError("incompatible lattice models")
+    if model.kind == RULED:
+        if K != model.k0_form():
+            raise ValueError("conjugate to K_0 first")
+    elif K.den != 1 or K.num[0] != -3 or any(c not in (1, -1) for c in K.num[1:]):
         raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
-    coeffs = (xi.coeffs[0],) + tuple(s * c for s, c in zip(signs, xi.coeffs[1:]))
+    return K.num[model.e_offset:]
+
+
+def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
+    """Map xi by the sign isometry with the E-signs from _k0_signs."""
+    off = xi.model.e_offset
+    coeffs = xi.coeffs[:off] + tuple(s * c for s, c in zip(signs, xi.coeffs[off:]))
     return HomClass(xi.model, coeffs)
 
 
 def is_exceptional(xi: HomClass, K: FormClass) -> bool:
     """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at n=2).
 
-    Rational K may be K_0 or any K_delta variant; ruled K must be K_0,
-    where the exceptional classes are exactly E_i and F-E_i.
+    K passes the one check of _k0_signs: rational K may be K_0 or any
+    K_delta variant, ruled K must be K_0, where the exceptional classes
+    are exactly E_i and F-E_i.
     """
-    if xi.model != K.model:
-        raise ValueError("incompatible lattice models")
+    signs = _k0_signs(xi.model, K)
+    if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
+        return False
     if xi.model.kind == RULED:
-        if K != xi.model.k0_form():
-            raise ValueError("conjugate to K_0 first")
-        if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
-            return False
         t, f = xi.coeffs[0], xi.coeffs[1]
         nonzero = [c for c in xi.coeffs[2:] if c]
         if t != 0 or len(nonzero) != 1:
             return False
         return (f, nonzero[0]) in ((0, 1), (1, -1))
-    conjugated = _conjugate_to_k0(xi, K)
-    if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
-        return False
-    nf = cremona_reduce(conjugated)
+    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
     return nf.kind in (KIND_EXC_EI, KIND_EXC_HEIEJ) and not nf.sign_flipped
 
 
@@ -361,11 +352,8 @@ def is_K_null_spherical(xi: HomClass, K: FormClass) -> bool:
     Rational K may be K_0 or any K_delta variant; ruled K must be K_0,
     where the list is +-(F-E_i-E_j) and +-(E_i-E_j).
     """
-    if xi.model != K.model:
-        raise ValueError("incompatible lattice models")
+    signs = _k0_signs(xi.model, K)
     if xi.model.kind == RULED:
-        if K != xi.model.k0_form():
-            raise ValueError("conjugate to K_0 first")
         if pairing(xi, xi) != -2 or form_pairing(K, xi) != 0:
             return False
         t, f = xi.coeffs[0], xi.coeffs[1]
@@ -375,17 +363,16 @@ def is_K_null_spherical(xi: HomClass, K: FormClass) -> bool:
         if f == 0:
             return sorted(nonzero) == [-1, 1]
         return abs(f) == 1 and nonzero == [-f, -f]
-    return _spherical_normal_form(xi, K) is not None
+    return _spherical_normal_form(xi, K, signs) is not None
 
 
-def _spherical_normal_form(xi: HomClass, K: FormClass) -> Optional[NormalForm]:
+def _spherical_normal_form(xi: HomClass, K: FormClass, signs: tuple) -> Optional[NormalForm]:
     """The Binary or Ternary normal form of a rational K-null spherical
     class, reduced after the sign change that carries K to K_0; None when
-    xi is not K-null spherical."""
-    conjugated = _conjugate_to_k0(xi, K)
+    xi is not K-null spherical.  ``signs`` are K's, from _k0_signs."""
     if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
         return None
-    nf = cremona_reduce(conjugated)
+    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
     return nf if nf.kind in SPHERICAL_KINDS else None
 
 

@@ -139,6 +139,20 @@ def test_decompose_rejects_non_integer_model_size(tmp_path, capsys):
     assert code == 2 and data["error"]["type"] == "input"
 
 
+def test_decompose_reports_malformed_matrix_files(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    cases = (
+        ([[1, 0], [0, 1]], "matrix must be a JSON object"),
+        ({"model": {"type": "rational", "n": 1}, "entries": "[[1, 0], [0, 1]]"}, "entries must be a list of rows"),
+        ({"model": {"type": "rational", "n": 1}, "entries": [[1, 0], 3]}, "entries must be a list of rows"),
+    )
+    for bad, message in cases:
+        path.write_text(json.dumps(bad))
+        code, data = run_json(capsys, ["decompose", "--model", "rational:1", "--matrix", str(path)])
+        assert code == 2
+        assert data["error"] == {"type": "input", "message": message}
+
+
 def test_decompose_words(tmp_path, capsys):
     m = LatticeModel.rational(4)
     gens = (parse_class("H-E1-E2-E3", m), parse_class("E1-E4", m))

@@ -13,7 +13,6 @@ from latwist.classexpr import parse_class, parse_form
 from latwist.cone import (
     CONE_NO,
     CONE_YES,
-    _enumerate_cached,
     enumerate_exceptional,
     in_cone,
     inflation_admissible,
@@ -28,7 +27,7 @@ from latwist.lattice import (
     pairing,
     reflect,
 )
-from latwist.reduction import is_exceptional
+from latwist.reduction import is_exceptional, is_K_null_spherical
 
 DEL_PEZZO_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
@@ -120,15 +119,9 @@ def test_enumerate_n10_degree_3_within_budget():
     # of a reduction but never the matrix of its word
     m = R(10)
     start = time.monotonic()
-    s = _enumerate_cached.__wrapped__(m, m.k0_form(), 3)
+    s = enumerate_exceptional(m, degree_bound=3)
     assert time.monotonic() - start < 2
     assert len(s) == 1147
-
-
-def test_enumeration_cache_is_bounded():
-    assert _enumerate_cached.cache_info().maxsize is not None
-    m = R(5)
-    assert enumerate_exceptional(m) is enumerate_exceptional(m)
 
 
 def test_in_cone_examples():
@@ -275,6 +268,54 @@ def test_lagrangian_spherical_ruled():
     assert not res.yes and res.reason == "nonzero area"
     res = is_lagrangian_spherical(parse_class("F-E1", m), tau)
     assert not res.yes and res.reason.startswith("not K-null spherical")
+
+
+def _unsupported_canonical_classes():
+    """(model, K, message) for every kind of K no routine accepts."""
+    m3, mr = R(3), LatticeModel.ruled(1, 2)
+    not_k_delta = "K must be K_0 or a K_delta variant; conjugate to K_0 first"
+    yield m3, FormClass(m3, (-3, 1, 1, 2)), not_k_delta
+    yield m3, FormClass(m3, (3, -1, -1, -1)), not_k_delta
+    yield m3, FormClass(m3, (-3, 1, 1, Fraction(1, 2))), not_k_delta
+    yield mr, FormClass(mr, (-2, 0, 1, -1)), "conjugate to K_0 first"
+    yield mr, -mr.k0_form(), "conjugate to K_0 first"
+    # same rank, other model
+    yield m3, LatticeModel.ruled(1, 2).k0_form(), "incompatible lattice models"
+    yield mr, LatticeModel.ruled(2, 2).k0_form(), "incompatible lattice models"
+    yield mr, R(3).k0_form(), "incompatible lattice models"
+
+
+def test_every_routine_rejects_an_unsupported_k():
+    # K is checked once, at entry, so the verdict never depends on the
+    # other argument: no "nonpositive square" No for a K that the
+    # positive-square path would refuse
+    forms = {
+        "rational": ["3H-E1-E2-E3", "E1", "0", "2H+E1", "H-E1-E2-E3"],
+        "ruled": ["2T+3F-E1-E2", "T", "0", "T+F+E1", "F-E1"],
+    }
+    classes = {
+        "rational": ["E1", "E1-E2", "H-E1-E2-E3", "0", "2H"],
+        "ruled": ["E1", "E1-E2", "F-E1-E2", "0", "T"],
+    }
+    for m, K, message in _unsupported_canonical_classes():
+        xs = [parse_class(t, m) for t in classes[m.kind]]
+        taus = [parse_form(t, m) for t in forms[m.kind]]
+        assert any(form_pairing(t, t) <= 0 for t in taus)
+        assert any(form_pairing(t, t) > 0 and not in_cone(t) for t in taus)
+        calls = [lambda: enumerate_exceptional(m, K)]
+        for x in xs:
+            calls += [lambda x=x: is_exceptional(x, K), lambda x=x: is_K_null_spherical(x, K)]
+        for tau in taus:
+            calls.append(lambda tau=tau: in_cone(tau, K))
+            for x in xs:
+                calls += [
+                    lambda x=x, tau=tau: is_lagrangian_spherical(x, tau, K),
+                    lambda x=x, tau=tau: inflation_admissible(x, tau, K),
+                ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message, (m, K)
 
 
 def test_inflation_examples():
@@ -549,7 +590,7 @@ def test_lagrangian_yes_reduces_once(monkeypatch):
             monkeypatch.setattr(module, "cremona_reduce", lambda x: calls.append(x) or reduce(x))
     for xi, tau in cases:
         K = -tau
-        expected = reduce(reduction._conjugate_to_k0(xi, K))
+        expected = reduce(reduction._conjugate_to_k0(xi, reduction._k0_signs(m, K)))
         calls.clear()
         res = is_lagrangian_spherical(xi, tau, K)
         assert res.yes and len(calls) == 1

@@ -173,7 +173,7 @@ def _dense_conjugation_word(M, alpha):
     by psi^{-1}."""
     model = M.model
     psi = mat_identity(model.rank)
-    for f in _chamber_frame(model, alpha):
+    for f in _chamber_frame(model, alpha)[0]:
         psi = mat_mul(reflection_matrix(f), psi)
     gram = model.gram
     psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
@@ -266,14 +266,16 @@ def any_rational_forms(draw):
 @settings(max_examples=300, deadline=None)
 def test_chamber_frame_sorts_alpha_into_the_chamber(alpha):
     m = alpha.model
-    frame = _chamber_frame(m, alpha)
-    assert (frame is None) == (not in_cone(alpha))
-    if frame is None:
+    chamber = _chamber_frame(m, alpha)
+    assert (chamber is None) == (not in_cone(alpha))
+    if chamber is None:
         return
+    frame, alpha_prime = chamber
     dual = HomClass(m, alpha.num)
     for f in frame:
         assert pairing(f, f) == -2 and form_pairing(m.k0_form(), f) == 0
         dual = reflect(f, dual)
+    assert alpha_prime == FormClass._from_num(m, dual.coeffs, alpha.den)
     a, b = dual.coeffs[0], [-c for c in dual.coeffs[1:]]
     assert b == sorted(b)
     if m.n >= 3:

@@ -22,13 +22,13 @@ from latwist.decompose import (
 )
 from latwist import lattice
 from latwist.lattice import (
+    _mat_reflect,
+    _mat_reflect_right,
     FormClass,
     HomClass,
     LatticeModel,
     form_pairing,
     mat_mul,
-    mat_reflect,
-    mat_reflect_right,
     reflection_matrix,
 )
 from latwist.reduction import ReflectionWord
@@ -271,31 +271,6 @@ def test_parsing_builds_no_fraction(monkeypatch):
             assert (got.num, got.den) == (want.num, want.den)
 
 
-def test_internal_reflection_loops_skip_the_entry_check(monkeypatch):
-    m5, mr = R(5), LatticeModel.ruled(1, 3)
-    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
-    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
-    gens = tuple(parse_class(t, m5) for t in ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
-    M = IsometryMatrix(m5, ReflectionWord(m5, gens).matrix)
-    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
-    fresh = ReflectionWord(m5, gens)
-
-    checks = []
-    check = lattice._check_int_rows
-    monkeypatch.setattr(lattice, "_check_int_rows", lambda *args: checks.append(args) or check(*args))
-    words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_ruled(Mr, alpha_r))
-    matrix = fresh.matrix
-    assert checks == []
-    # the public forms still check every entry
-    mat_reflect(gens[0], matrix)
-    mat_reflect_right(gens[0], matrix)
-    assert len(checks) == 2
-    monkeypatch.undo()
-    assert matrix == M.entries
-    for word, expected in zip(words, (M, M, Mr)):
-        assert word.matrix == expected.entries
-
-
 # -- no dense products and no per-column classes in the factorizations --------
 
 def test_factorizations_run_no_dense_products(monkeypatch):
@@ -334,7 +309,7 @@ def test_factorizations_run_no_dense_products(monkeypatch):
         check(self)
 
     monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
-    left, right = mat_reflect(gamma, a), mat_reflect_right(gamma, a)
+    left, right = _mat_reflect(gamma, a), _mat_reflect_right(gamma, a)
     monkeypatch.undo()
     assert builds == []
     assert left == mat_mul(reflection_matrix(gamma), a)

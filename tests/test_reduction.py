@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
 from latwist.lattice import (
+    RATIONAL,
     FormClass,
     HomClass,
     LatticeModel,
@@ -32,6 +33,8 @@ from latwist.reduction import (
     KIND_ZERO,
     NormalForm,
     ReflectionWord,
+    _conjugate_to_k0,
+    _k0_signs,
     cremona_reduce,
     eta_K,
     eta_lower_bound,
@@ -351,6 +354,50 @@ def test_is_exceptional_ruled():
     assert not is_exceptional(-m.E(1), k0)
     with pytest.raises(ValueError, match="conjugate to K_0"):
         is_exceptional(m.E(1), FormClass(m, (-2, 3, 1, 1)))
+
+
+def _k_delta_signs_loop(model, K):
+    """The sign loop that _k0_signs replaced, kept as its reference:
+    the E-sign vector of a rational K_0 or K_delta variant, else None."""
+    if K.model != model or model.kind != RATIONAL:
+        return None
+    if K.den != 1 or K.num[0] != -3:
+        return None
+    signs = []
+    for c in K.num[1:]:
+        if c == 1:
+            signs.append(1)
+        elif c == -1:
+            signs.append(-1)
+        else:
+            return None
+    return tuple(signs)
+
+
+@st.composite
+def canonical_candidates(draw):
+    m = R(draw(st.integers(0, 9)))
+    head = draw(st.sampled_from((-3, -2)))
+    # half the draws keep every E-coefficient a sign, so the K_delta
+    # family is hit as often as its complement
+    e = st.sampled_from((-1, 1)) if draw(st.booleans()) else st.integers(-2, 2)
+    num = [head] + draw(st.lists(e, min_size=m.n, max_size=m.n))
+    q = draw(st.integers(1, 2))
+    return FormClass(m, [Fraction(c, q) for c in num])
+
+
+@given(canonical_candidates())
+@settings(max_examples=400, deadline=None)
+def test_k0_signs_matches_the_sign_loop(K):
+    m = K.model
+    expected = _k_delta_signs_loop(m, K)
+    if expected is None:
+        with pytest.raises(ValueError, match="K must be K_0 or a K_delta variant"):
+            _k0_signs(m, K)
+        return
+    signs = _k0_signs(m, K)
+    assert signs == expected
+    assert _conjugate_to_k0(HomClass(m, K.num), signs).coeffs == m.k0_form().num
 
 
 def test_is_k_null_spherical():
