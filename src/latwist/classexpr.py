@@ -216,10 +216,17 @@ def _require_object(obj, what: str):
         raise ValueError(f"{what} must be a JSON object")
 
 
+def _coeff_list(obj) -> list:
+    coeffs = obj.get("coeffs")
+    if not isinstance(coeffs, list):
+        raise ValueError("coeffs must be a list of coefficients")
+    return [_coeff_from_json(v) for v in coeffs]
+
+
 def class_from_json(obj) -> HomClass:
     _require_object(obj, "class")
     model = model_from_json(obj.get("model"))
-    coeffs = [_coeff_from_json(v) for v in obj["coeffs"]]
+    coeffs = _coeff_list(obj)
     for c in coeffs:
         if c.denominator != 1:
             raise ValueError("homology classes take integer coefficients")
@@ -229,4 +236,4 @@ def class_from_json(obj) -> HomClass:
 def form_from_json(obj) -> FormClass:
     _require_object(obj, "form")
     model = model_from_json(obj.get("model"))
-    return FormClass(model, tuple(_coeff_from_json(v) for v in obj["coeffs"]))
+    return FormClass(model, tuple(_coeff_list(obj)))

@@ -137,8 +137,10 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
                 continue
             for b in _b_vectors(n, 3 * a - 1, a * a + 1):
                 xi = HomClass(model, (a,) + tuple(-v for v in b))
-                # from n = 9 on not every solution is exceptional (K_0 at n = 10)
-                if complete or is_exceptional(xi, k0):
+                # from n = 9 on not every solution is exceptional (K_0 at n = 10);
+                # the test runs on a copy, so the listed class does not keep
+                # the normal form that cremona_reduce leaves on it
+                if complete or is_exceptional(HomClass(model, xi.coeffs), k0):
                     classes.append(_conjugate_to_k0(xi, signs))
     for xi in classes:
         if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:

@@ -58,6 +58,7 @@ lies outside the subgroup the twist generators span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .classexpr import model_from_json, model_to_json
@@ -88,7 +89,13 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class IsometryMatrix:
-    """An integer matrix acting on coefficient column vectors."""
+    """An integer matrix acting on coefficient column vectors.
+
+    The matrix keeps its columns and its verdict on M^T G M = G once
+    computed, so validate and the entry check of a decompose_* routine
+    run that O(r^3) check once per matrix; equality and hash read the
+    fields only.
+    """
 
     model: LatticeModel
     entries: tuple
@@ -117,6 +124,14 @@ class IsometryMatrix:
             raise ValueError("incompatible lattice models")
         return HomClass(self.model, mat_vec(self.entries, xi.coeffs))
 
+    @cached_property
+    def _cols(self) -> tuple:
+        return mat_transpose(self.entries)
+
+    @cached_property
+    def _preserves_pairing(self) -> bool:
+        return _pairing_preserved(self.model, self._cols)
+
 
 class ValidationReport(NamedTuple):
     """Which of the isometry preconditions hold, failures named."""
@@ -135,20 +150,29 @@ def _pullback(model, cols, num):
     return mat_vec(model.gram, tuple(_gram_product(model, c, num) for c in cols))
 
 
+def _pairing_preserved(model, cols) -> bool:
+    # M^T G M = G entry by entry; both sides are symmetric
+    gram = model.gram
+    return all(
+        _gram_product(model, cols[i], cols[j]) == gram[i][j]
+        for i in range(model.rank)
+        for j in range(i, model.rank)
+    )
+
+
 def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> ValidationReport:
-    """Check pairing preservation, K-preservation, and alpha-preservation."""
+    """Check pairing preservation, K-preservation, and alpha-preservation.
+
+    The pairing verdict is kept on M, so a later validate of the same
+    matrix, or the one inside decompose_*, does not repeat that O(r^3)
+    check; the K and alpha pullbacks, O(r^2), run on every call.
+    """
     model = M.model
     if K is None:
         K = model.k0_form()
     failures = []
-    gram = model.gram
-    cols = mat_transpose(M.entries)
-    # M^T G M = G entry by entry; both sides are symmetric
-    if any(
-        _gram_product(model, cols[i], cols[j]) != gram[i][j]
-        for i in range(model.rank)
-        for j in range(i, model.rank)
-    ):
+    cols = M._cols
+    if not M._preserves_pairing:
         failures.append("pairing not preserved")
     if _pullback(model, cols, K.num) != K.num:
         failures.append("K not preserved")
@@ -374,8 +398,8 @@ def matrix_to_json(M: IsometryMatrix) -> dict:
 def matrix_from_json(data: dict) -> IsometryMatrix:
     if not isinstance(data, dict):
         raise ValueError("matrix must be a JSON object")
-    model = model_from_json(data["model"])
-    entries = data["entries"]
+    model = model_from_json(data.get("model"))
+    entries = data.get("entries")
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("entries must be a list of rows")
     return IsometryMatrix(model, tuple(tuple(row) for row in entries))

@@ -66,7 +66,7 @@ class LatticeModel:
         """Index of E1 in the coefficient vector."""
         return 1 if self.kind == RATIONAL else 2
 
-    @property
+    @cached_property
     def basis_names(self) -> tuple:
         head = ("H",) if self.kind == RATIONAL else ("T", "F")
         return head + tuple(f"E{i}" for i in range(1, self.n + 1))
@@ -140,7 +140,13 @@ class HomClass:
                 raise TypeError("homology coefficients must be exact integers")
 
     def square(self) -> int:
-        return pairing(self, self)
+        return self._square
+
+    @cached_property
+    def _square(self) -> int:
+        # kept on the class for every reflection along it; equality and
+        # hash read the fields only
+        return _gram_product(self.model, self.coeffs, self.coeffs)
 
     def e_coeffs(self) -> tuple:
         return self.coeffs[self.model.e_offset:]
@@ -237,10 +243,29 @@ class FormClass:
         return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
 
+class _ClassTable(dict):
+    """The shared classes of one model, keyed by their (index, coeff) terms.
+
+    A missing key builds its class on first lookup, so a loop that holds
+    the table reads each generator with one dict lookup.
+    """
+
+    def __init__(self, model: LatticeModel):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, terms: tuple) -> HomClass:
+        coeffs = [0] * self.model.rank
+        for i, c in terms:
+            coeffs[i] = c
+        x = self[terms] = HomClass(self.model, tuple(coeffs))
+        return x
+
+
 @lru_cache(maxsize=64)
-def _class_table(model: LatticeModel) -> tuple:
+def _class_table(model: LatticeModel) -> _ClassTable:
     # one model instance per value, so the shared classes share its gram
-    return model, {}
+    return _ClassTable(model)
 
 
 def _sparse_class(model: LatticeModel, terms: tuple) -> HomClass:
@@ -248,16 +273,9 @@ def _sparse_class(model: LatticeModel, terms: tuple) -> HomClass:
 
     Each class is built once per model and then shared, so the loops
     that take twist cores and basis classes from here build no class
-    per step.
+    per step, and the square kept on each is computed once per process.
     """
-    model, table = _class_table(model)
-    x = table.get(terms)
-    if x is None:
-        coeffs = [0] * model.rank
-        for i, c in terms:
-            coeffs[i] = c
-        x = table[terms] = HomClass(model, tuple(coeffs))
-    return x
+    return _class_table(model)[terms]
 
 
 def _gram_product(model: LatticeModel, u, v) -> int:
@@ -294,15 +312,14 @@ def _reflection(gamma: HomClass):
     the support of gamma.
     """
     model = gamma.model
-    coeffs = gamma.coeffs
-    s = _gram_product(model, coeffs, coeffs)
+    s = gamma._square
     if s not in _ADMISSIBLE_SQUARES:
         raise ValueError("reflection undefined for this square")
     q, rem = divmod(2, s)
     if rem:
         # 2/s is an integer for every admissible square, kept as a hard check
         raise ArithmeticError("non-integral reflection coefficient")
-    support = [(i, c) for i, c in enumerate(coeffs) if c]
+    support = [(i, c) for i, c in enumerate(gamma.coeffs) if c]
     # G is -1 on the exceptional diagonal and the antidiagonal 1s of the
     # (H) or (T, F) head block
     off = model.e_offset

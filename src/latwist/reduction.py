@@ -23,7 +23,7 @@ from .lattice import (
     _check_same_model,
     _gram_product,
     _mat_reflect,
-    _sparse_class,
+    _class_table,
     RATIONAL,
     RULED,
     FormClass,
@@ -70,8 +70,11 @@ class ReflectionWord:
     listed order, acting on coefficient column vectors.  Under that
     convention the last listed generator acts first on a class.
 
-    Construction checks each generator's model and admissible square,
-    O(L r) for L generators in rank r.  The matrix is built on first
+    Construction checks each generator's model and admissible square.
+    The square is read from the one kept on the generator, so a
+    generator from the shared class table (every twist core the library
+    builds) has its square computed once per process, and the check is
+    O(L) for L generators after that.  The matrix is built on first
     read, by applying the generators' reflections to the identity from
     last to first, and then kept.  Each step rewrites only the rows in
     its generator's support, O(L r) in all; the entries need no check,
@@ -82,10 +85,11 @@ class ReflectionWord:
     generators: tuple
 
     def __post_init__(self):
+        model = self.model
         for g in self.generators:
-            if g.model != self.model:
+            if g.model is not model and g.model != model:
                 raise ValueError("incompatible lattice models")
-            if pairing(g, g) not in _ADMISSIBLE_SQUARES:
+            if g._square not in _ADMISSIBLE_SQUARES:
                 raise ValueError("reflection undefined for this square")
 
     @cached_property
@@ -224,14 +228,41 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
     stuck-state check return Irreducible instead of looping on inputs
     outside the classes the terminal patterns cover.
 
+    The normal form is kept on xi, so is_exceptional,
+    is_K_null_spherical and a later cremona_reduce of the same class
+    object share one reduction under K_0; equality and hash still read
+    the coefficients only.  A result that hit the cap is not kept, so
+    every call on such a class reduces it again and warns at its caller.
+    """
+    nf = vars(xi).get("_normal_form")
+    if nf is not None:
+        return nf
+    if xi.model.kind != RATIONAL:
+        raise ValueError("Cremona reduction defined for rational model only")
+    nf, capped = _cremona_reduce(xi)
+    if capped:
+        warnings.warn(
+            "Cremona reduction hit its iteration cap; reporting Irreducible",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    else:
+        object.__setattr__(xi, "_normal_form", nf)
+    return nf
+
+
+def _cremona_reduce(xi: HomClass) -> tuple:
+    """The reduction loop of cremona_reduce: (normal form, whether the
+    iteration cap was hit).
+
     The loop runs on the coefficient list, applying each reflection on
     its support: a transposition swaps two coefficients, and Gamma moves
-    only a and b_1, b_2, b_3.  The generators come from the shared class
-    cache, so the loop builds one class, the representative.
+    only a and b_1, b_2, b_3.  The generators come from the model's
+    shared class table, fetched once per call, so the loop builds one
+    class, the representative.
     """
     model = xi.model
-    if model.kind != RATIONAL:
-        raise ValueError("Cremona reduction defined for rational model only")
+    classes = _class_table(model)
     n = model.n
     cur = list(xi.coeffs)
     flipped = False
@@ -239,14 +270,15 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
     gamma_cap = abs(cur[0]) + n + _GAMMA_CAP_SLACK
     gamma_count = 0
 
-    def finish(kind):
+    def finish(kind, capped=False):
         rep, extra = _normalize_sign(HomClass(model, tuple(cur)))
-        return NormalForm(
+        nf = NormalForm(
             kind=kind,
             representative=rep,
             word=ReflectionWord.from_applied(model, applied),
             sign_flipped=flipped ^ extra,
         )
+        return nf, capped
 
     while True:
         kind = _match_terminal(cur, n)
@@ -272,7 +304,7 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
                 if cur[q] < cur[best]:
                     best = q
             if best != pos:
-                applied.append(_sparse_class(model, ((pos, 1), (best, -1))))
+                applied.append(classes[(pos, 1), (best, -1)])
                 cur[pos], cur[best] = cur[best], cur[pos]
         if _is_reduced(cur):
             return finish(KIND_REDUCED)
@@ -282,14 +314,9 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
             return finish(KIND_NEGATIVE)
         if d < 0 and n >= 3:
             if gamma_count >= gamma_cap:
-                warnings.warn(
-                    "Cremona reduction hit its iteration cap; reporting Irreducible",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return finish(KIND_IRREDUCIBLE)
+                return finish(KIND_IRREDUCIBLE, capped=True)
             gamma_count += 1
-            applied.append(_sparse_class(model, _GAMMA_TERMS))
+            applied.append(classes[_GAMMA_TERMS])
             # Gamma = H - E_1 - E_2 - E_3 has Gamma.x = d and square -2,
             # so the reflection adds d to a and to b_1, b_2, b_3
             cur[0] += d
@@ -320,7 +347,13 @@ def _k0_signs(model: LatticeModel, K: FormClass) -> tuple:
 
 
 def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
-    """Map xi by the sign isometry with the E-signs from _k0_signs."""
+    """Map xi by the sign isometry with the E-signs from _k0_signs.
+
+    Under K_0 every sign is +1 and xi itself comes back, so a normal form
+    kept on it serves the caller's later reductions of the same object.
+    """
+    if -1 not in signs:
+        return xi
     off = xi.model.e_offset
     coeffs = xi.coeffs[:off] + tuple(s * c for s, c in zip(signs, xi.coeffs[off:]))
     return HomClass(xi.model, coeffs)

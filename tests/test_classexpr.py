@@ -172,6 +172,102 @@ def test_json_decoders_reject_non_objects():
                 decode(bad)
 
 
+def test_json_decoders_name_missing_and_malformed_fields():
+    from latwist.decompose import matrix_from_json
+
+    model = {"type": "rational", "n": 1}
+    for bad in ({"model": model}, {"model": model, "coeffs": 3}, {"model": model, "coeffs": "1, 2"}):
+        for decode in (class_from_json, form_from_json):
+            with pytest.raises(ValueError, match="coeffs must be a list of coefficients"):
+                decode(bad)
+    for bad in ({"model": model}, {"model": model, "entries": None}):
+        with pytest.raises(ValueError, match="entries must be a list of rows"):
+            matrix_from_json(bad)
+    for decode in (class_from_json, form_from_json, matrix_from_json):
+        with pytest.raises(ValueError, match="model object must have a 'type' field"):
+            decode({"coeffs": [1, 0], "entries": [[1, 0], [0, 1]]})
+
+
+# JSON values as json.load returns them, with the shapes that have tripped
+# decoders: bools (an int subclass), floats, ints far past any machine
+# word, strings that look like numbers, and nested containers
+_JSON_SCALARS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(-5, 5),
+    st.integers(min_value=2**64, max_value=10**40),
+    st.integers(max_value=-(2**64), min_value=-(10**40)),
+    st.sampled_from(["1/2", "-4/6", "3/0", "2", "x", "", "1e3"]),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=8,
+)
+_MODEL_SIZES = st.one_of(st.integers(-1, 4), st.booleans(), st.floats(), st.just(10**30), st.just("3"))
+_MODELS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("rational")}, optional={"n": _MODEL_SIZES}),
+    st.fixed_dictionaries({"type": st.just("ruled")}, optional={"genus": _MODEL_SIZES, "n": _MODEL_SIZES}),
+    st.fixed_dictionaries({"type": st.sampled_from(["weird", "RATIONAL", 3])}),
+    _JSON_VALUES,
+)
+
+
+@st.composite
+def _fuzzed_objects(draw, key):
+    """A decoder input: mostly well-formed, then broken in one or more places."""
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["rational", "ruled"]))
+    model = {"type": "rational", "n": n} if kind == "rational" else {"type": "ruled", "genus": 1, "n": n}
+    rank = n + (1 if kind == "rational" else 2)
+    entry = st.one_of(st.integers(-3, 3), _JSON_SCALARS)
+    if key == "coeffs":
+        value = draw(st.lists(entry, min_size=rank, max_size=rank))
+    else:
+        # rows of the right length, or ragged ones
+        value = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank) | st.lists(entry, max_size=rank + 1),
+                              min_size=rank, max_size=rank))
+    obj = {"model": model, key: value}
+    if draw(st.booleans()):
+        obj["model"] = draw(_MODELS)
+    if draw(st.booleans()):
+        obj[key] = draw(_JSON_VALUES)
+    for k in draw(st.sets(st.sampled_from(["model", key]), max_size=2)):
+        del obj[k]
+    return obj
+
+
+@given(_fuzzed_objects("coeffs"))
+@settings(max_examples=200, deadline=None)
+def test_class_json_decoders_fuzz(obj):
+    # every malformed input is a ValueError (an input error, exit 2, at the
+    # command line); everything accepted round-trips
+    for decode in (class_from_json, form_from_json):
+        try:
+            x = decode(obj)
+        except ValueError:
+            continue
+        assert len(x.coeffs) == x.model.rank == len(obj["coeffs"])
+        assert model_to_json(x.model) == obj["model"]
+        assert decode(class_to_json(x)) == x
+
+
+@given(_fuzzed_objects("entries"))
+@settings(max_examples=200, deadline=None)
+def test_matrix_json_decoder_fuzz(obj):
+    from latwist.decompose import matrix_from_json, matrix_to_json
+
+    try:
+        M = matrix_from_json(obj)
+    except (ValueError, TypeError):
+        # TypeError only for a non-integer entry in rows of the right shape
+        return
+    assert [list(row) for row in M.entries] == obj["entries"]
+    assert all(type(v) is int for row in M.entries for v in row)
+    assert matrix_from_json(matrix_to_json(M)) == M
+
+
 # -- the integer parser against the Fraction-accumulating one it replaced -----
 
 def _reference_scan(text):

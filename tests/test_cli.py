@@ -44,6 +44,23 @@ def test_classify_ternary_reduction(capsys):
     assert data["word"]["length"] == 1
 
 
+@pytest.mark.parametrize("text", ["2H-E1-E2-E3-E4-E5", "2H-E1-E2-E3-E4-E5-E6", "5H-2E1-2E2-E3"])
+def test_classify_reduces_the_class_once(capsys, monkeypatch, text):
+    import latwist.reduction as reduction
+
+    calls = []
+    inner = reduction._cremona_reduce
+
+    def counted(xi):
+        calls.append(xi)
+        return inner(xi)
+
+    monkeypatch.setattr(reduction, "_cremona_reduce", counted)
+    code, data = run_json(capsys, ["classify", "--model", "rational:6", text])
+    assert code == 0 and data["class"] == text.replace("-", " - ")
+    assert len(calls) == 1
+
+
 def test_classify_characteristic(capsys):
     code, data = run_json(capsys, ["classify", "--model", "rational:3", "H-E1-E2-E3"])
     assert code == 0
@@ -145,6 +162,8 @@ def test_decompose_reports_malformed_matrix_files(tmp_path, capsys):
         ([[1, 0], [0, 1]], "matrix must be a JSON object"),
         ({"model": {"type": "rational", "n": 1}, "entries": "[[1, 0], [0, 1]]"}, "entries must be a list of rows"),
         ({"model": {"type": "rational", "n": 1}, "entries": [[1, 0], 3]}, "entries must be a list of rows"),
+        ({"model": {"type": "rational", "n": 1}}, "entries must be a list of rows"),
+        ({"entries": [[1, 0], [0, 1]]}, "model object must have a 'type' field"),
     )
     for bad, message in cases:
         path.write_text(json.dumps(bad))

@@ -108,6 +108,8 @@ def test_enumerate_n10_lists_only_exceptional_classes():
     assert pairing(pd_k0, pd_k0) == -1 and form_pairing(k0, pd_k0) == -1
     assert pd_k0 not in s
     assert not s.complete and s.degree_bound == 3
+    # the listing holds classes only, not the normal forms of its tests
+    assert not any(vars(xi).keys() - {"model", "coeffs"} for xi in s)
     assert all(is_exceptional(xi, k0) for xi in s)
     # the 1158 numerical solutions with |a| <= 3 include 11 that are not
     # exceptional: K_0 and the ten classes 3H + E_i - sum_{j != i} E_j

@@ -104,6 +104,56 @@ def test_validate_non_isometry():
     assert "pairing not preserved" in rep.failures
 
 
+def count_pairing_checks(monkeypatch):
+    import latwist.decompose as decompose
+
+    calls = []
+    inner = decompose._pairing_preserved
+
+    def counted(model, cols):
+        calls.append(model)
+        return inner(model, cols)
+
+    monkeypatch.setattr(decompose, "_pairing_preserved", counted)
+    return calls
+
+
+def test_kept_pairing_verdict_reports_on_every_call(monkeypatch):
+    calls = count_pairing_checks(monkeypatch)
+    m3 = R(3)
+    M = IsometryMatrix(m3, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+    for _ in range(3):
+        assert validate(M).failures[0] == "pairing not preserved"
+        with pytest.raises(ValueError, match="pairing not preserved"):
+            decompose_K(M)
+    assert len(calls) == 1
+    # the verdict leaves equality and hash alone, and a fresh copy is
+    # checked on its own
+    fresh = IsometryMatrix(m3, M.entries)
+    assert fresh == M and hash(fresh) == hash(M)
+    assert validate(fresh).failures[0] == "pairing not preserved"
+    assert len(calls) == 2
+
+
+def test_validate_then_decompose_checks_the_pairing_once(monkeypatch):
+    calls = count_pairing_checks(monkeypatch)
+    m4 = R(4)
+    M = word_matrix(m4, ["H-E1-E2-E3", "E2-E4"])
+    alpha = parse_form("3H-E1-E2-E3-E4", m4)
+    assert validate(M).ok
+    word = decompose_K(M)
+    assert word.matrix == M.entries
+    assert validate(M, m4.k0_form(), alpha).ok
+    assert decompose_K_alpha(M, alpha).matrix == M.entries
+    assert len(calls) == 1
+    # the K and alpha pullbacks still run on every call
+    uneven = parse_form("3H-E1-E2-E3-2E4", m4)
+    assert validate(M, m4.k0_form(), uneven).failures == ("alpha not preserved",)
+    with pytest.raises(ValueError, match="alpha not preserved"):
+        decompose_K_alpha(M, uneven)
+    assert len(calls) == 1
+
+
 def _dense_validate(M, K=None, alpha=None):
     """validate as written with the dense products M^T G M and G M^T G v,
     kept to check the column-pairing version against."""

@@ -318,6 +318,19 @@ def test_word_constructor_checks_generators():
         ReflectionWord(m, (R(3).E(1),))
     with pytest.raises(ValueError, match="reflection undefined for this square"):
         ReflectionWord(R(2), (R(2).unit(0) - R(2).E(1),))
+    # the checks read the square kept on the generator and compare models
+    # by identity first; both still reject on a repeat, and an equal model
+    # that is another instance passes
+    F = m.unit(1)
+    core = R(3).E(1) - R(3).E(2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reflection undefined for this square"):
+            ReflectionWord(m, (F,))
+        with pytest.raises(ValueError, match="incompatible lattice models"):
+            ReflectionWord(m, (core,))
+    other = LatticeModel(RATIONAL, 3)
+    assert other is not core.model
+    assert ReflectionWord(other, (core,)).matrix == reflection_matrix(core)
 
 
 def test_is_exceptional():
@@ -558,3 +571,78 @@ def test_reduction_matches_class_loop(xi):
     if capped:
         # the warning points at the caller, as before
         assert caught[0].filename == __file__
+
+
+# -- one reduction per class object --------------------------------------------
+
+
+def count_reductions(monkeypatch):
+    import latwist.reduction as reduction
+
+    calls = []
+    inner = reduction._cremona_reduce
+
+    def counted(xi):
+        calls.append(xi)
+        return inner(xi)
+
+    monkeypatch.setattr(reduction, "_cremona_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, exceptional, knull",
+    [("2H-E1-E2-E3-E4-E5", True, False), ("2H-E1-E2-E3-E4-E5-E6", False, True), ("E1-E2", False, True)],
+)
+def test_classification_and_reduction_share_one_reduction(monkeypatch, text, exceptional, knull):
+    m = R(6)
+    k0 = m.k0_form()
+    calls = count_reductions(monkeypatch)
+    xi = cls(text, m)
+    assert is_exceptional(xi, k0) is exceptional
+    assert is_K_null_spherical(xi, k0) is knull
+    nf = cremona_reduce(xi)
+    assert cremona_reduce(xi) is nf
+    assert calls == [xi] and calls[0] is xi
+    check_certificate(xi, nf)
+    # under a K_delta variant the routines reduce the sign-changed class,
+    # another object, so that reduction is not kept on the input
+    k_delta = FormClass(m, (-3, -1) + (1,) * 5)
+    y = HomClass(m, (xi.coeffs[0], -xi.coeffs[1]) + xi.coeffs[2:])
+    assert is_exceptional(y, k_delta) is exceptional
+    assert is_K_null_spherical(y, k_delta) is knull
+    assert len(calls) == 2 and calls[1] == xi and calls[1] is not xi
+    assert "_normal_form" not in vars(y)
+
+
+def test_kept_normal_form_leaves_equality_and_hash():
+    m = R(4)
+    xi = cls("5H-2E1-2E2-2E3-E4", m)
+    nf = cremona_reduce(xi)
+    fresh = HomClass(m, xi.coeffs)
+    assert xi == fresh and hash(xi) == hash(fresh)
+    assert {xi: 1}[fresh] == 1
+    assert cremona_reduce(fresh) == nf
+    assert repr(xi) == repr(fresh)
+
+
+def test_capped_reduction_is_not_kept_and_warns_on_every_call(monkeypatch):
+    calls = count_reductions(monkeypatch)
+    xi = HomClass(R(3), (-1, 2, 2, 2))
+    for expected_calls in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nf = cremona_reduce(xi)
+        assert nf.kind == KIND_IRREDUCIBLE
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+        assert len(calls) == expected_calls
+
+
+def test_uncapped_irreducible_is_kept(monkeypatch):
+    calls = count_reductions(monkeypatch)
+    xi = cls("E1+E2", R(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cremona_reduce(xi).kind == KIND_IRREDUCIBLE
+        assert cremona_reduce(xi).kind == KIND_IRREDUCIBLE
+    assert len(calls) == 1
