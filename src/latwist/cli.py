@@ -1,9 +1,23 @@
 """Command-line front end.
 
-Every library decision is exposed as a subcommand with text and JSON
-output.  Exit codes: 0 for Yes/ok, 1 for No, a violated precondition
-on otherwise well-formed input, or an unfactorable matrix, 2 for
-input errors.
+Every library decision is exposed as a subcommand.  Each handler
+returns an exit code and a JSON payload; ``--output json`` prints the
+payload with sorted keys, and the text output is derived from it by one
+renderer that walks the payload in insertion order:
+
+- a verdict key (``yes``, or cone's ``verdict``) prints as ``Yes``/``No``;
+- a word ``{"length", "generators"}`` prints as ``word length: N``, then
+  one ``  R(g)`` line per generator;
+- any other object is flattened into its parent;
+- a list prints ``key: len``, then one indented line per item; an
+  object item shows its scalar fields as ``k=v``, and an item with
+  nothing to show prints no line;
+- ``null`` is left out;
+- any other scalar prints as ``key: value``.
+
+Exit codes: 0 for Yes/ok, 1 for No, a violated precondition on
+otherwise well-formed input, or an unfactorable matrix, 2 for input
+errors.
 """
 
 import argparse
@@ -12,7 +26,7 @@ import json
 import sys
 
 from .classexpr import ParseError, parse_class, parse_form, print_class
-from .cone import CONE_NO, enumerate_exceptional, in_cone, is_lagrangian_spherical
+from .cone import CONE_NO, CONE_YES, enumerate_exceptional, in_cone, is_lagrangian_spherical
 from .decompose import (
     DecompositionError,
     decompose_K,
@@ -56,13 +70,6 @@ def _word_payload(word) -> dict:
     }
 
 
-def _word_lines(word) -> list:
-    lines = [f"word length: {len(word)}"]
-    for g in word.generators:
-        lines.append(f"  R({print_class(g)})")
-    return lines
-
-
 def cmd_classify(args) -> tuple:
     model = args.model
     x = parse_class(args.cls, model)
@@ -75,16 +82,13 @@ def cmd_classify(args) -> tuple:
         "exceptional": is_exceptional(x, k0),
         "knull": is_K_null_spherical(x, k0),
     }
-    lines = [f"{key}: {value}" for key, value in payload.items()]
     if model.kind == RATIONAL:
         nf = cremona_reduce(x)
         payload["normal_form"] = print_class(nf.representative)
         payload["kind"] = nf.kind
         payload["sign_flipped"] = nf.sign_flipped
         payload["word"] = _word_payload(nf.word)
-        lines.append(f"normal form: {print_class(nf.representative)} ({nf.kind})")
-        lines.extend(_word_lines(nf.word))
-    return 0, payload, lines
+    return 0, payload
 
 
 def cmd_lagrangian(args) -> tuple:
@@ -92,41 +96,28 @@ def cmd_lagrangian(args) -> tuple:
     x = parse_class(args.cls, model)
     tau = parse_form(args.form, model)
     res = is_lagrangian_spherical(x, tau)
-    payload = {
+    fields = {
         "yes": res.yes,
+        "reason": res.reason,
         "area": str(res.area),
         "characteristic": res.characteristic,
+        "kind": res.kind,
+        "word": None if res.word is None else _word_payload(res.word),
     }
-    if res.yes:
-        lines = ["Yes"]
-        if res.kind is not None:
-            payload["kind"] = res.kind
-            lines.append(f"kind: {res.kind}")
-        if res.word is not None:
-            payload["word"] = _word_payload(res.word)
-            lines.extend(_word_lines(res.word))
-        return 0, payload, lines
-    payload["reason"] = res.reason
-    return 1, payload, [f"No: {res.reason}"]
+    # a Yes has no reason, a No no certificate: unset fields are omitted
+    return (0 if res.yes else 1), {k: v for k, v in fields.items() if v is not None}
 
 
 def cmd_reduce(args) -> tuple:
     model = args.model
     x = parse_class(args.cls, model)
     nf = cremona_reduce(x)
-    payload = {
+    return 0, {
         "kind": nf.kind,
         "representative": print_class(nf.representative),
         "sign_flipped": nf.sign_flipped,
         "word": _word_payload(nf.word),
     }
-    lines = [
-        f"kind: {nf.kind}",
-        f"representative: {print_class(nf.representative)}",
-        f"sign flipped: {nf.sign_flipped}",
-    ]
-    lines.extend(_word_lines(nf.word))
-    return 0, payload, lines
 
 
 def cmd_decompose(args) -> tuple:
@@ -140,16 +131,14 @@ def cmd_decompose(args) -> tuple:
         raise ValueError("ruled decomposition requires --alpha")
     report = validate(M, model.k0_form(), alpha)
     if not report.ok:
-        payload = {"valid": False, "failures": list(report.failures)}
-        return 1, payload, ["invalid matrix: " + "; ".join(report.failures)]
+        return 1, {"valid": False, "failures": list(report.failures)}
     if model.kind == RULED:
         word = decompose_ruled(M, alpha)
     elif alpha is not None:
         word = decompose_K_alpha(M, alpha)
     else:
         word = decompose_K(M)
-    payload = {"valid": True, "word": _word_payload(word)}
-    return 0, payload, _word_lines(word)
+    return 0, {"valid": True, "word": _word_payload(word)}
 
 
 def _query(args) -> EnumQuery:
@@ -167,47 +156,29 @@ def cmd_enumerate(args) -> tuple:
     if args.kind == "exceptional" and args.bound is None:
         es = enumerate_exceptional(model, degree_bound=args.degree_bound)
         classes = list(es)
-        payload = {
-            "count": len(classes),
-            "complete": es.complete,
-            "classes": [print_class(x) for x in classes],
-        }
+        payload = {"count": len(classes), "complete": es.complete}
         if es.degree_bound is not None:
             payload["degree_bound"] = es.degree_bound
     else:
         if args.bound is None:
             raise ValueError("--bound required unless --kind exceptional")
         classes = enumerate_classes(_query(args), allow_large=args.allow_large)
-        payload = {
-            "count": len(classes),
-            "complete": False,
-            "coeff_bound": args.bound,
-            "classes": [print_class(x) for x in classes],
-        }
-    lines = [f"count: {len(classes)}"]
-    lines.extend(f"  {print_class(x)}" for x in classes)
-    return 0, payload, lines
+        payload = {"count": len(classes), "complete": False, "coeff_bound": args.bound}
+    payload["classes"] = [print_class(x) for x in classes]
+    return 0, payload
 
 
 def cmd_cone(args) -> tuple:
     model = args.model
     tau = parse_form(args.form, model)
     res = in_cone(tau)
+    no = res.verdict == CONE_NO
     payload = {"verdict": res.verdict}
+    if no:
+        payload["witness"] = None if res.witness is None else print_class(res.witness)
     if res.note:
         payload["note"] = res.note
-    if res.verdict == CONE_NO:
-        payload["witness"] = None if res.witness is None else print_class(res.witness)
-        lines = ["No"]
-        if res.witness is not None:
-            lines.append(f"witness: {print_class(res.witness)}")
-        if res.note:
-            lines.append(f"note: {res.note}")
-        return 1, payload, lines
-    lines = ["Yes"]
-    if res.note:
-        lines.append(f"note: {res.note}")
-    return 0, payload, lines
+    return int(no), payload
 
 
 def cmd_crosscheck(args) -> tuple:
@@ -223,13 +194,7 @@ def cmd_crosscheck(args) -> tuple:
         payload["seed"] = args.seed
     if args.sample is not None:
         payload["sample"] = args.sample
-    lines = [f"checked: {report.checked}", f"disagreements: {len(report.disagreements)}"]
-    for d in report.disagreements:
-        lines.append(
-            f"  {print_class(d.cls)} {d.operation}: library={d.library} oracle={d.oracle}"
-        )
-    code = 0 if report.ok else 1
-    return code, payload, lines
+    return (0 if report.ok else 1), payload
 
 
 class _UsageError(Exception):
@@ -256,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", type=parse_model_spec, required=True,
                         help='lattice model, "rational:6" or "ruled:h=2,n=3"')
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subsampling, echoed in output")
 
     parser = _Parser(
         prog="latwist",
@@ -311,20 +274,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive, required=True)
     p.add_argument("--depth", type=_positive, default=None)
     p.add_argument("--sample", type=_positive, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the --sample subset, echoed in output")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(handler=cmd_crosscheck)
 
     return parser
 
 
-def _emit(payload, lines, output, stream=None):
-    stream = stream or sys.stdout
+def _text_lines(payload: dict) -> list:
+    """The text form of a payload, by the rules in the module docstring."""
+    lines = []
+    for key, value in payload.items():
+        if value is None:
+            continue
+        if key in ("yes", "verdict"):
+            lines.append("Yes" if value in (True, CONE_YES) else "No")
+        elif isinstance(value, dict) and value.keys() == {"length", "generators"}:
+            lines.append(f"word length: {value['length']}")
+            lines += [f"  R({g})" for g in value["generators"]]
+        elif isinstance(value, dict):
+            lines += _text_lines(value)
+        elif isinstance(value, list):
+            lines.append(f"{key}: {len(value)}")
+            for item in value:
+                if isinstance(item, dict):
+                    item = " ".join(f"{k}={v}" for k, v in item.items()
+                                    if v is not None and not isinstance(v, (dict, list)))
+                if item != "":
+                    lines.append(f"  {item}")
+        else:
+            lines.append(f"{key}: {value}")
+    return lines
+
+
+def _emit(payload, output):
     if output == "json":
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
-        for line in lines:
-            stream.write(line + "\n")
+        for line in _text_lines(payload):
+            sys.stdout.write(line + "\n")
 
 
 def _wants_json(argv) -> bool:
@@ -353,7 +343,7 @@ def main(argv=None) -> int:
         _emit_error("json", "usage", exc)
         return 2
     try:
-        code, payload, lines = args.handler(args)
+        code, payload = args.handler(args)
     except DecompositionError as exc:
         _emit_error(args.output, "decomposition", exc)
         return 1
@@ -363,13 +353,13 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         _emit_error(args.output, "input", exc)
         return 2
-    _emit(payload, lines, args.output)
+    _emit(payload, args.output)
     return code
 
 
 def _emit_error(output, kind, exc):
     if output == "json":
-        _emit({"error": {"type": kind, "message": str(exc)}}, [], "json")
+        _emit({"error": {"type": kind, "message": str(exc)}}, "json")
     else:
         sys.stderr.write(f"error ({kind}): {exc}\n")
 

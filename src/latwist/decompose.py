@@ -115,10 +115,6 @@ class IsometryMatrix:
     def identity(model: LatticeModel) -> "IsometryMatrix":
         return IsometryMatrix(model, mat_identity(model.rank))
 
-    @staticmethod
-    def from_word(word: ReflectionWord) -> "IsometryMatrix":
-        return IsometryMatrix(word.model, word.matrix)
-
     def apply(self, xi: HomClass) -> HomClass:
         if xi.model != self.model:
             raise ValueError("incompatible lattice models")

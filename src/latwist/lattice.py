@@ -148,9 +148,6 @@ class HomClass:
         # hash read the fields only
         return _gram_product(self.model, self.coeffs, self.coeffs)
 
-    def e_coeffs(self) -> tuple:
-        return self.coeffs[self.model.e_offset:]
-
     def __add__(self, other):
         _check_same_model(self, other)
         return HomClass(self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

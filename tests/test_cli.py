@@ -289,6 +289,95 @@ def test_crosscheck_sampled_seed_echo(capsys):
     assert data["seed"] == 11 and data["sample"] == 5
 
 
+def test_seed_belongs_to_crosscheck_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--seed", "3", "--model", "rational:2", "H"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, data = run_json(capsys, ["classify", "--seed", "3", "--model", "rational:2", "H"])
+    assert code == 2 and data["error"]["type"] == "usage"
+    code, captured = run(
+        capsys,
+        ["crosscheck", "--model", "rational:6", "--kind", "knull", "--bound", "3",
+         "--sample", "5", "--seed", "11"],
+    )
+    assert code == 0 and "seed: 11" in captured.out.splitlines()
+
+
+def _expected_text(payload):
+    """The lines the text output must hold for a JSON payload: each
+    scalar as "key: value" (a verdict as Yes/No), each list as its
+    length and scalar items, each word as its R(...) lines."""
+    for key, value in payload.items():
+        if value is None:
+            continue
+        if key in ("yes", "verdict"):
+            yield "Yes" if value in (True, "yes") else "No"
+        elif isinstance(value, dict) and set(value) == {"length", "generators"}:
+            yield f"word length: {value['length']}"
+            yield from (f"  R({g})" for g in value["generators"])
+        elif isinstance(value, dict):
+            yield from _expected_text(value)
+        elif isinstance(value, list):
+            yield f"{key}: {len(value)}"
+            yield from (f"  {item}" for item in value if not isinstance(item, dict))
+        else:
+            yield f"{key}: {value}"
+
+
+def test_text_is_derived_from_the_payload(tmp_path, capsys):
+    swap = tmp_path / "swap.json"
+    swap.write_text(json.dumps({"model": {"type": "rational", "n": 3},
+                                "entries": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}))
+    flip = tmp_path / "flip.json"
+    flip.write_text(json.dumps({"model": {"type": "rational", "n": 2},
+                                "entries": [[1, 0, 0], [0, -1, 0], [0, 0, 1]]}))
+    commands = [
+        ["classify", "--model", "rational:6", "2H-E1-E2-E3-E4-E5-E6"],
+        ["classify", "--model", "ruled:h=1,n=2", "E1-E2"],
+        ["lagrangian", "--model", "rational:4", "--form", "3H-E1-E2-E3-E4", "E1-E2"],
+        ["lagrangian", "--model", "rational:2", "E1-E2", "--form", "3H-E1-2E2"],
+        ["reduce", "--model", "rational:5", "2H-E1-E2-E3-E4-E5"],
+        ["decompose", "--model", "rational:3", "--matrix", str(swap)],
+        ["decompose", "--model", "rational:2", "--matrix", str(flip)],
+        ["enumerate", "--model", "rational:9", "--kind", "exceptional", "--degree-bound", "1"],
+        ["enumerate", "--model", "rational:3", "--kind", "knull", "--bound", "1"],
+        ["cone", "--model", "rational:2", "--form", "2H-E1-E2"],
+        ["cone", "--model", "rational:1", "--form=-2H-E1"],
+        ["cone", "--model", "ruled:h=1,n=2", "--form", "2T+3F-E1-E2"],
+        ["crosscheck", "--model", "ruled:h=1,n=2", "--bound", "2", "--kind", "exceptional"],
+        ["crosscheck", "--model", "rational:6", "--kind", "knull", "--bound", "3",
+         "--sample", "5", "--seed", "11"],
+    ]
+    for argv in commands:
+        code, data = run_json(capsys, argv)
+        text_code, captured = run(capsys, argv)
+        lines = captured.out.splitlines()
+        assert text_code == code
+        missing = [line for line in _expected_text(data) if line not in lines]
+        assert missing == [], argv
+
+
+def test_crosscheck_disagreement_is_reported(capsys, monkeypatch):
+    import latwist.cli as cli
+    from latwist.oracle import CrosscheckReport, Disagreement
+
+    def fake(q, **kwargs):
+        x = parse_class("E1-E2", q.model)
+        return CrosscheckReport(q, (x,), (Disagreement(x, "knull", True, False),))
+
+    monkeypatch.setattr(cli, "crosscheck", fake)
+    argv = ["crosscheck", "--model", "rational:3", "--bound", "1", "--kind", "knull"]
+    code, captured = run(capsys, argv)
+    assert code == 1
+    assert "disagreements: 1" in captured.out.splitlines()
+    assert any("E1 - E2" in line and "operation=knull" in line
+               for line in captured.out.splitlines())
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    assert data["summary"]["disagreements"][0]["text"] == "E1 - E2"
+
+
 def test_parse_error_exit_code(capsys):
     code, captured = run(capsys, ["classify", "--model", "rational:2", "E7"])
     assert code == 2 and "error" in captured.err

@@ -149,6 +149,24 @@ def test_crosscheck_characteristic_and_ruled():
     assert r.ok and r.checked > 2
 
 
+@pytest.mark.parametrize("predicate", ["knull", "exceptional"])
+@pytest.mark.parametrize(
+    "model, checked",
+    [
+        (LatticeModel.ruled(1, 4), {"knull": 184, "exceptional": 100}),
+        (LatticeModel.ruled(2, 3), {"knull": 42, "exceptional": 51}),
+        (LatticeModel.ruled(3, 3), {"knull": 30, "exceptional": 28}),
+        (R(9), {"knull": 408, "exceptional": 171}),
+    ],
+    ids=["ruled(1,4)", "ruled(2,3)", "ruled(3,3)", "rational(9)"],
+)
+def test_crosscheck_ruled_and_n9(model, checked, predicate):
+    # library against BFS on every class of coefficients in [-2, 2]
+    # with the predicate's square and K-pairing
+    r = crosscheck(EnumQuery(model, 2, predicate=predicate))
+    assert r.ok and r.checked == checked[predicate]
+
+
 def test_crosscheck_sampling():
     q = EnumQuery(R(6), 3, predicate="knull")
     r1 = crosscheck(q, sample=10, seed=42)

@@ -36,3 +36,32 @@ def test_no_unused_imports_in_the_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    # a private module-level function or class that nothing in the
+    # package names is a leftover of deleted code; a reference from
+    # inside its own body (recursion) does not count
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    defined = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((path, node))
+    names = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                names.append((path, node.lineno, node.attr))
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in defined
+        if not any(
+            name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, name in names
+        )
+    ]
+    assert len(defined) >= 50
+    assert unreferenced == []
