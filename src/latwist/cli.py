@@ -190,10 +190,10 @@ def cmd_crosscheck(args) -> tuple:
         seed=args.seed,
     )
     payload = report.to_json()
-    if args.seed is not None:
-        payload["seed"] = args.seed
     if args.sample is not None:
         payload["sample"] = args.sample
+        if args.seed is not None:
+            payload["seed"] = args.seed
     return (0 if report.ok else 1), payload
 
 
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_positive, default=None)
     p.add_argument("--sample", type=_positive, default=None)
     p.add_argument("--seed", type=int, default=None,
-                   help="seed for the --sample subset, echoed in output")
+                   help="seed for the --sample subset, echoed with --sample")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(handler=cmd_crosscheck)
 

@@ -170,7 +170,8 @@ def _cone_decide(model, num, K, closed):
     square and positive (``closed``: nonnegative) area on every
     exceptional class.  The conditions do not change when the form is
     scaled, so a form's numerators stand for it.  A No of positive square
-    has a witness unless rational n <= 1 and a <= 0.
+    has a witness unless rational n <= 1 and a <= 0, or ruled n = 0 and
+    t, f < 0.
 
     Returns (ConeResult, moves): the walk's reflections along
     H - E_{i+1} - E_{j+1} - E_{k+1} as 0-based triples (i, j, k) in order,
@@ -190,6 +191,10 @@ def _cone_decide(model, num, K, closed):
         return area < 0 or (area == 0 and not closed)
 
     if model.kind == RULED:
+        if model.n == 0 and (num[0] <= 0 or num[1] <= 0):
+            # with no exceptional class the square alone admits -T-F;
+            # from n = 1 on the areas of E_1 and F - E_1 rule it out
+            return ConeResult(CONE_NO, None, "outside the forward cone"), moves
         for E in _ruled_exceptional(model):
             if violates(_gram_product(model, num, E.coeffs)):
                 return ConeResult(CONE_NO, E, None), moves
@@ -252,7 +257,8 @@ def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
 def in_cone(tau: FormClass, K=None) -> ConeResult:
     """Whether tau^2 > 0 and tau(E) > 0 for every exceptional class E.
 
-    The cone is open, and rational forms need a > 0 (the forward cone).
+    The cone is open, and rational forms need a > 0, ruled forms at n = 0
+    t > 0 and f > 0 (the forward cone).
     Ruled verdicts check exactly these conditions and say so in the note.
     """
     if K is None:

@@ -50,6 +50,15 @@ changes only by reflections.  The final re-check still rebuilds the
 product from the generators alone and compares it with the input, never
 with the running matrix.
 
+Checks once, integer areas.  Each check runs once per matrix: the
+IsometryMatrix keeps its pairing verdict and, by the form's numerators,
+its K and alpha pullback verdicts, so a validate followed by a
+decompose_* call computes each pullback once.  Every alpha-area test and
+the ruled choice of the least-area class read the integer gram product
+of alpha's numerators with the core: alpha's denominator is positive,
+so the zero tests and the order are those of the exact areas, and no
+Fraction is built.
+
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
 lies outside the subgroup the twist generators span.
@@ -73,7 +82,6 @@ from .lattice import (
     _mat_reflect,
     _mat_reflect_right,
     _sparse_class,
-    form_pairing,
     mat_identity,
     mat_transpose,
     mat_vec,
@@ -91,10 +99,10 @@ class DecompositionError(RuntimeError):
 class IsometryMatrix:
     """An integer matrix acting on coefficient column vectors.
 
-    The matrix keeps its columns and its verdict on M^T G M = G once
-    computed, so validate and the entry check of a decompose_* routine
-    run that O(r^3) check once per matrix; equality and hash read the
-    fields only.
+    The matrix keeps its columns, its verdict on M^T G M = G and, by the
+    form's numerators, its verdict on whether the pullback fixes a form,
+    so validate and the entry check of a decompose_* routine run each
+    check once per matrix; equality and hash read the fields only.
     """
 
     model: LatticeModel
@@ -111,10 +119,6 @@ class IsometryMatrix:
                     raise TypeError("matrix entries must be integers")
         object.__setattr__(self, "entries", entries)
 
-    @staticmethod
-    def identity(model: LatticeModel) -> "IsometryMatrix":
-        return IsometryMatrix(model, mat_identity(model.rank))
-
     def apply(self, xi: HomClass) -> HomClass:
         if xi.model != self.model:
             raise ValueError("incompatible lattice models")
@@ -127,6 +131,20 @@ class IsometryMatrix:
     @cached_property
     def _preserves_pairing(self) -> bool:
         return _pairing_preserved(self.model, self._cols)
+
+    @cached_property
+    def _fixed_forms(self) -> dict:
+        # num -> whether the pullback fixes the form num/den; the pullback
+        # is linear, so the numerators decide it, and a form rebuilt per
+        # call (model.k0_form()) still finds its verdict
+        return {}
+
+    def _fixes(self, form) -> bool:
+        verdicts = self._fixed_forms
+        fixed = verdicts.get(form.num)
+        if fixed is None:
+            fixed = verdicts[form.num] = _pullback(self.model, self._cols, form.num) == form.num
+        return fixed
 
 
 class ValidationReport(NamedTuple):
@@ -159,20 +177,19 @@ def _pairing_preserved(model, cols) -> bool:
 def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> ValidationReport:
     """Check pairing preservation, K-preservation, and alpha-preservation.
 
-    The pairing verdict is kept on M, so a later validate of the same
-    matrix, or the one inside decompose_*, does not repeat that O(r^3)
-    check; the K and alpha pullbacks, O(r^2), run on every call.
+    Every verdict is kept on M, the pullback ones by the form's
+    numerators, so a later validate of the same matrix, or the one inside
+    decompose_*, repeats neither the O(r^3) pairing check nor an O(r^2)
+    pullback.
     """
-    model = M.model
     if K is None:
-        K = model.k0_form()
+        K = M.model.k0_form()
     failures = []
-    cols = M._cols
     if not M._preserves_pairing:
         failures.append("pairing not preserved")
-    if _pullback(model, cols, K.num) != K.num:
+    if not M._fixes(K):
         failures.append("K not preserved")
-    if alpha is not None and _pullback(model, cols, alpha.num) != alpha.num:
+    if alpha is not None and not M._fixes(alpha):
         failures.append("alpha not preserved")
     return ValidationReport(ok=not failures, failures=tuple(failures))
 
@@ -304,13 +321,13 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
 
     gens = []
     for g in _staged_reduction(model, M_prime):
-        if form_pairing(alpha_prime, g) != 0:
+        if _gram_product(model, alpha_prime.num, g.coeffs) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         for f in reversed(frame):
             g = reflect(f, g)
         gens.append(g)
     for g in gens:
-        if form_pairing(alpha, g) != 0:
+        if _gram_product(model, alpha.num, g.coeffs) != 0:
             raise DecompositionError("pulled-back generator with nonzero alpha-area")
     return _finish(model, M, gens)
 
@@ -348,7 +365,7 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
 
     def push(g):
         nonlocal cur
-        if form_pairing(alpha, g) != 0:
+        if _gram_product(model, alpha.num, g.coeffs) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         gens.append(g)
         cur = _mat_reflect(g, cur)
@@ -359,7 +376,8 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         for j in remaining:
             pool[core(0, (j, 1))] = (j, 0, 1)
             pool[core(1, (j, -1))] = (j, 1, -1)
-        e = min(pool, key=lambda x: (form_pairing(alpha, x), x.coeffs))
+        # alpha's denominator is positive, so its numerators keep the order
+        e = min(pool, key=lambda x: (_gram_product(model, alpha.num, x.coeffs), x.coeffs))
         j, f, s = pool[e]
         c = img(e)
         if c not in pool:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add, mul, neg, sub
 
 RATIONAL = "rational"
 RULED = "ruled"
@@ -282,7 +283,7 @@ def _gram_product(model: LatticeModel, u, v) -> int:
         head = u[0] * v[0]
     else:
         head = u[0] * v[1] + u[1] * v[0]
-    return head - sum(a * b for a, b in zip(u[off:], v[off:]))
+    return head - sum(map(mul, u[off:], v[off:]))
 
 
 def pairing(x: HomClass, y: HomClass) -> int:
@@ -368,13 +369,8 @@ def mat_identity(rank: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 
-def mat_mul(a: tuple, b: tuple) -> tuple:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def mat_vec(a: tuple, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_transpose(a: tuple) -> tuple:
@@ -388,18 +384,27 @@ def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
     the coefficients are read from the rows of a in the support of
     G gamma and only the rows in the support of gamma are rewritten; the
     other row tuples are shared.  For a twist core both supports have at
-    most four entries, so the arithmetic is O(k) for k columns.  The
-    entries of a are not checked: callers start from the identity or from
-    a checked IsometryMatrix and change it only by reflections.
+    most four entries, so the arithmetic is O(k) for k columns, and the
+    dot row and each rewritten row are built by mapping add or sub over
+    whole rows; a factor of +-1 needs no multiplication.  The entries of
+    a are not checked: callers start from the identity or from a checked
+    IsometryMatrix and change it only by reflections.
     """
     q, support, dual = _reflection(gamma)
-    dots = [0] * len(a[0])
+    dots = None
     for i, d in dual:
-        dots = [u + d * x for u, x in zip(dots, a[i])]
-    rows = [tuple(row) for row in a]
+        term = a[i] if d == 1 else map(neg, a[i]) if d == -1 else map(d.__mul__, a[i])
+        dots = term if dots is None else map(add, dots, term)
+    dots = tuple(dots)
+    rows = list(a)
     for i, g in support:
         m = q * g
-        rows[i] = tuple(x - m * u for x, u in zip(rows[i], dots))
+        if m == 1:
+            rows[i] = tuple(map(sub, rows[i], dots))
+        elif m == -1:
+            rows[i] = tuple(map(add, rows[i], dots))
+        else:
+            rows[i] = tuple(map(sub, rows[i], map(m.__mul__, dots)))
     return tuple(rows)
 
 

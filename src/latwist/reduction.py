@@ -109,14 +109,6 @@ class ReflectionWord:
             raise ValueError("incompatible lattice models")
         return HomClass(self.model, mat_vec(self.matrix, x.coeffs))
 
-    def inverse(self) -> "ReflectionWord":
-        return ReflectionWord(self.model, tuple(reversed(self.generators)))
-
-    def __mul__(self, other: "ReflectionWord") -> "ReflectionWord":
-        if other.model != self.model:
-            raise ValueError("incompatible lattice models")
-        return ReflectionWord(self.model, self.generators + other.generators)
-
     def __len__(self):
         return len(self.generators)
 

@@ -8,7 +8,7 @@ import pytest
 
 from latwist.cli import main, parse_model_spec
 from latwist.decompose import IsometryMatrix, matrix_to_json
-from latwist.lattice import LatticeModel, form_pairing
+from latwist.lattice import LatticeModel, form_pairing, mat_identity
 from latwist.reduction import ReflectionWord
 from latwist.classexpr import parse_class, parse_form
 
@@ -117,7 +117,7 @@ def test_reduce(capsys):
 def test_decompose_identity(tmp_path, capsys):
     m = LatticeModel.rational(4)
     path = tmp_path / "id.json"
-    path.write_text(json.dumps(matrix_to_json(IsometryMatrix.identity(m))))
+    path.write_text(json.dumps(matrix_to_json(IsometryMatrix(m, mat_identity(m.rank)))))
     code, data = run_json(capsys, ["decompose", "--model", "rational:4", "--matrix", str(path)])
     assert code == 0
     assert data["word"]["length"] == 0
@@ -126,7 +126,7 @@ def test_decompose_identity(tmp_path, capsys):
 def test_decompose_model_mismatch(tmp_path, capsys):
     m = LatticeModel.rational(4)
     path = tmp_path / "id.json"
-    path.write_text(json.dumps(matrix_to_json(IsometryMatrix.identity(m))))
+    path.write_text(json.dumps(matrix_to_json(IsometryMatrix(m, mat_identity(m.rank)))))
     code, captured = run(capsys, ["decompose", "--model", "rational:3", "--matrix", str(path)])
     assert code == 2
 
@@ -211,7 +211,7 @@ def test_decompose_alpha_at_n10(tmp_path, capsys):
 def test_decompose_ruled_requires_alpha(tmp_path, capsys):
     m = LatticeModel.ruled(1, 2)
     path = tmp_path / "rid.json"
-    path.write_text(json.dumps(matrix_to_json(IsometryMatrix.identity(m))))
+    path.write_text(json.dumps(matrix_to_json(IsometryMatrix(m, mat_identity(m.rank)))))
     code, captured = run(capsys, ["decompose", "--model", "ruled:h=1,n=2", "--matrix", str(path)])
     assert code == 2
     code, data = run_json(
@@ -262,6 +262,13 @@ def test_cone_verdicts(capsys):
     assert code == 0 and data == {"verdict": "yes"}
     code, data = run_json(capsys, ["cone", "--model", "rational:1", "--form=-2H-E1"])
     assert code == 1 and data["witness"] is None and data["note"] == "outside the forward cone"
+    for h in (1, 2):
+        code, captured = run(capsys, ["cone", "--model", f"ruled:h={h},n=0", "--form=-T-F"])
+        assert code == 1 and captured.out.startswith("No")
+        code, data = run_json(capsys, ["cone", "--model", f"ruled:h={h},n=0", "--form=-2T-3F"])
+        assert code == 1 and data["note"] == "outside the forward cone"
+        code, data = run_json(capsys, ["cone", "--model", f"ruled:h={h},n=0", "--form", "T+F"])
+        assert code == 0 and data["verdict"] == "yes"
     # the cone decision takes no degree bound
     with pytest.raises(SystemExit) as exc:
         main(["cone", "--model", "rational:9", "--form", "4H-E1", "--degree-bound", "1"])
@@ -287,6 +294,15 @@ def test_crosscheck_sampled_seed_echo(capsys):
     assert code == 0
     assert data["summary"]["checked"] == 5
     assert data["seed"] == 11 and data["sample"] == 5
+
+
+def test_crosscheck_seed_is_echoed_only_with_sample(capsys):
+    # without --sample no subset is drawn, so there is no seeded run to report
+    argv = ["crosscheck", "--model", "rational:3", "--bound", "2", "--kind", "exceptional", "--seed", "5"]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and "seed" not in data and "sample" not in data
+    code, captured = run(capsys, argv)
+    assert code == 0 and not any(line.startswith("seed") for line in captured.out.splitlines())
 
 
 def test_seed_belongs_to_crosscheck_only(capsys):

@@ -206,6 +206,17 @@ def test_in_cone_ruled_note():
     assert in_cone(parse_form("T+3F-E1-E2", m)).verdict == CONE_NO
 
 
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("text, yes", [("-T-F", False), ("-2T-3F", False), ("T+F", True)])
+def test_ruled_n0_cone_is_the_forward_cone(h, text, yes):
+    # with no exceptional class a positive square alone admits backward forms
+    m = LatticeModel.ruled(h, 0)
+    res = in_cone(parse_form(text, m))
+    assert bool(res) == yes
+    if not yes:
+        assert res.witness is None and res.note == "outside the forward cone"
+
+
 def test_lagrangian_spherical_examples():
     m3 = R(3)
     res = is_lagrangian_spherical(
@@ -360,12 +371,15 @@ def _scan(tau, K, closed):
     """Reference cone test: scan the complete exceptional set.
 
     Valid for rational n <= 8 and for ruled models.  Rational forms with
-    n <= 1 must also lie in the forward cone a > 0.
+    n <= 1 must also lie in the forward cone a > 0, and ruled forms with
+    n = 0 in the forward cone t > 0, f > 0.
     """
     m = tau.model
     if form_pairing(tau, tau) <= 0:
         return False
     if m.kind == "rational" and m.n <= 1 and tau.coeffs[0] <= 0:
+        return False
+    if m.kind == "ruled" and m.n == 0 and min(tau.coeffs) <= 0:
         return False
     for E in enumerate_exceptional(m, K):
         area = form_pairing(tau, E)

@@ -28,7 +28,6 @@ from latwist.lattice import (
     LatticeModel,
     form_pairing,
     mat_identity,
-    mat_mul,
     mat_transpose,
     mat_vec,
     pairing,
@@ -36,6 +35,8 @@ from latwist.lattice import (
     reflection_matrix,
 )
 from latwist.reduction import ReflectionWord
+
+from dense import mat_mul
 
 
 def R(n):
@@ -77,7 +78,7 @@ def test_validate_examples():
     alpha = parse_form("3H-E1-E2-E3", m3)
     M = word_matrix(m3, ["E1-E2"])
     assert validate(M, m3.k0_form(), alpha).ok
-    assert validate(IsometryMatrix.identity(m3)).ok
+    assert validate(IsometryMatrix(m3, mat_identity(m3.rank))).ok
     flip = IsometryMatrix(m3, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     rep = validate(flip)
     assert not rep.ok
@@ -146,12 +147,47 @@ def test_validate_then_decompose_checks_the_pairing_once(monkeypatch):
     assert validate(M, m4.k0_form(), alpha).ok
     assert decompose_K_alpha(M, alpha).matrix == M.entries
     assert len(calls) == 1
-    # the K and alpha pullbacks still run on every call
+    # a kept failing pullback verdict still reports on every call
     uneven = parse_form("3H-E1-E2-E3-2E4", m4)
     assert validate(M, m4.k0_form(), uneven).failures == ("alpha not preserved",)
     with pytest.raises(ValueError, match="alpha not preserved"):
         decompose_K_alpha(M, uneven)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("routine", ["K", "K_alpha", "ruled"])
+def test_validate_then_decompose_pulls_back_each_form_once(monkeypatch, routine):
+    import latwist.decompose as decompose
+
+    if routine == "ruled":
+        m = LatticeModel.ruled(1, 3)
+        alpha = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", m)
+        M = word_matrix(m, ["E1-E3", "F-E1-E2", "E1-E3"])
+    else:
+        m = R(5)
+        alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m)
+        M = word_matrix(m, ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
+    if routine == "K":
+        alpha = None
+    calls = []
+    inner = decompose._pullback
+
+    def counted(model, cols, num):
+        calls.append(num)
+        return inner(model, cols, num)
+
+    monkeypatch.setattr(decompose, "_pullback", counted)
+    # each call builds a new K_0 form, as a caller asking the model does
+    assert validate(M, m.k0_form(), alpha).ok
+    if routine == "K":
+        word = decompose_K(M)
+    elif routine == "K_alpha":
+        word = decompose_K_alpha(M, alpha)
+    else:
+        word = decompose_ruled(M, alpha)
+    assert validate(M, m.k0_form(), alpha).ok
+    assert calls == [m.k0_form().num] + ([] if alpha is None else [alpha.num])
+    assert word.matrix == M.entries
 
 
 def _dense_validate(M, K=None, alpha=None):
@@ -340,7 +376,7 @@ def small_n_cases(draw):
     if m.n == 2 and draw(st.booleans()):
         coeffs[2] = coeffs[1]  # tied areas, so E1 - E2 is null
     alpha = FormClass(m, [Fraction(c, q) for c in coeffs])
-    M = IsometryMatrix.identity(m)
+    M = IsometryMatrix(m, mat_identity(m.rank))
     if m.n == 2 and coeffs[1] == coeffs[2] and draw(st.booleans()):
         M = word_matrix(m, ["E1-E2"])
     return M, alpha
@@ -362,7 +398,7 @@ def test_k_alpha_small_n_needs_alpha_in_the_cone(case):
 
 def test_decompose_identity_and_generator():
     m4 = R(4)
-    assert len(decompose_K(IsometryMatrix.identity(m4))) == 0
+    assert len(decompose_K(IsometryMatrix(m4, mat_identity(m4.rank)))) == 0
     g = parse_class("H-E1-E2-E3", m4)
     M = IsometryMatrix(m4, reflection_matrix(g))
     w = decompose_K(M)
@@ -387,7 +423,7 @@ def test_decompose_rejects_invalid():
     with pytest.raises(ValueError, match="K not preserved"):
         decompose_K(flip)
     with pytest.raises(ValueError, match="rational"):
-        decompose_K(IsometryMatrix.identity(LatticeModel.ruled(1, 1)))
+        decompose_K(IsometryMatrix(LatticeModel.ruled(1, 1), mat_identity(3)))
 
 
 def test_decompose_round_trip_random():
@@ -471,7 +507,7 @@ def test_decompose_k_alpha_uneven_areas():
 def test_decompose_ruled_trivial_and_generator():
     m = LatticeModel.ruled(2, 1)
     alpha = parse_form("2T+5F-E1", m)
-    assert len(decompose_ruled(IsometryMatrix.identity(m), alpha)) == 0
+    assert len(decompose_ruled(IsometryMatrix(m, mat_identity(m.rank)), alpha)) == 0
     m2 = LatticeModel.ruled(1, 2)
     alpha2 = parse_form("2T+2F-E1-E2", m2)
     g = parse_class("F-E1-E2", m2)
@@ -518,7 +554,7 @@ def test_decompose_ruled_fiber_not_preserved():
 def test_decompose_ruled_n0():
     m = LatticeModel.ruled(1, 0)
     alpha = FormClass(m, (1, 1))
-    assert len(decompose_ruled(IsometryMatrix.identity(m), alpha)) == 0
+    assert len(decompose_ruled(IsometryMatrix(m, mat_identity(m.rank)), alpha)) == 0
 
 
 def test_matrix_json_round_trip():

@@ -28,10 +28,11 @@ from latwist.lattice import (
     HomClass,
     LatticeModel,
     form_pairing,
-    mat_mul,
     reflection_matrix,
 )
 from latwist.reduction import ReflectionWord
+
+from dense import mat_mul
 
 
 def R(n):
@@ -284,20 +285,11 @@ def test_factorizations_run_no_dense_products(monkeypatch):
     rng = random.Random(5)
     a = tuple(tuple(rng.randint(-9, 9) for _ in range(13)) for _ in range(13))
 
-    products = []
-    dense = lattice.mat_mul
-
-    def counting_mat_mul(*args):
-        products.append(args)
-        return dense(*args)
-
-    # every module that imported the function holds its own reference
-    for name, module in list(sys.modules.items()):
-        if name.startswith("latwist") and getattr(module, "mat_mul", None) is dense:
-            monkeypatch.setattr(module, "mat_mul", counting_mat_mul)
+    # the dense product lives in the tests only, so no module of the
+    # package can reach it
+    assert [name for name, module in sys.modules.items()
+            if name.startswith("latwist") and hasattr(module, "mat_mul")] == []
     words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_ruled(Mr, alpha_r))
-    monkeypatch.undo()
-    assert products == []
     for word, matrix in zip(words, (M, M, Mr)):
         assert word.matrix == matrix.entries
 
@@ -314,3 +306,36 @@ def test_factorizations_run_no_dense_products(monkeypatch):
     assert builds == []
     assert left == mat_mul(reflection_matrix(gamma), a)
     assert right == mat_mul(a, reflection_matrix(gamma))
+
+
+# -- integer areas in the factorizations --------------------------------------
+
+def test_factorizations_never_reach_form_pairing(monkeypatch):
+    m5, m2, mr = R(5), R(2), LatticeModel.ruled(1, 3)
+    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
+    M = _word_matrix(m5, ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
+    alpha2 = parse_form("5/2 H - 1/2 E1 - 1/2 E2", m2)
+    M2 = _word_matrix(m2, ["E1-E2"])
+    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
+    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
+
+    calls = []
+    inner = lattice.form_pairing
+
+    def counting_form_pairing(*args):
+        calls.append(args)
+        return inner(*args)
+
+    # every module that imported the function holds its own reference
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latwist") and getattr(module, "form_pairing", None) is inner:
+            monkeypatch.setattr(module, "form_pairing", counting_form_pairing)
+    words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_K_alpha(M2, alpha2),
+             decompose_ruled(Mr, alpha_r))
+    assert calls == []
+    # the wrapper is in place: the Lagrangian criterion still reads an area
+    is_lagrangian_spherical(parse_class("H - E1 - E2 - E3", m5), alpha)
+    monkeypatch.undo()
+    assert calls != []
+    for word, matrix in zip(words, (M, M, M2, Mr)):
+        assert word.matrix == matrix.entries

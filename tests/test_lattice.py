@@ -1,5 +1,6 @@
 """Pairing, reflection, and characteristic tests for both lattice models."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,15 +14,17 @@ from latwist.lattice import (
     LatticeModel,
     form_pairing,
     is_characteristic,
+    _gram_product,
     _mat_reflect,
     _mat_reflect_right,
-    mat_mul,
     mat_transpose,
     mat_vec,
     pairing,
     reflect,
     reflection_matrix,
 )
+
+from dense import mat_mul
 
 
 def R(n):
@@ -302,3 +305,44 @@ def test_mat_reflect_matches_dense_product(mg, data):
     assert _mat_reflect(g, a) == mat_mul(dense_reflection(g), a)
     b = mat_transpose(a)
     assert _mat_reflect_right(g, b) == mat_mul(b, dense_reflection(g))
+
+
+def _axes_of_every_square(m):
+    """One admissible axis for each of the squares 1, -1, 2, -2."""
+    if m.kind == "rational":
+        H, E1, E2 = m.unit(0), m.E(1), m.E(2)
+        return {1: H, -1: E1, 2: 2 * H - E1 - E2, -2: E1 - E2}
+    T, F, E1 = m.unit(0), m.unit(1), m.E(1)
+    return {1: T + F - E1, -1: E1, 2: T + F, -2: T - F}
+
+
+@pytest.mark.parametrize(
+    "m", [R(2), R(6), R(10), LatticeModel.ruled(1, 1), LatticeModel.ruled(2, 4)], ids=repr
+)
+def test_kernels_match_dense_references_beyond_64_bits(m):
+    # entries past 2**63 so that no fixed-width shortcut could pass
+    rng = random.Random(f"{m!r}")
+    big = 2**70
+    seeds = admissible_seeds(m)
+
+    def rand_rows(rows, cols):
+        return tuple(tuple(rng.randint(-big, big) for _ in range(cols)) for _ in range(rows))
+
+    def column(v):
+        return tuple((x,) for x in v)
+
+    for square, axis in _axes_of_every_square(m).items():
+        assert axis.square() == square
+        for _ in range(6):
+            g = axis
+            for _ in range(rng.randint(0, 4)):
+                g = reflect(rng.choice(seeds), g)
+            a = rand_rows(m.rank, rng.randint(1, m.rank + 2))
+            dense = dense_reflection(g)
+            assert reflection_matrix(g) == dense
+            assert _mat_reflect(g, a) == mat_mul(dense, a)
+            b = mat_transpose(a)
+            assert _mat_reflect_right(g, b) == mat_mul(b, dense)
+            (u, v), sq = rand_rows(2, m.rank), rand_rows(m.rank, m.rank)
+            assert _gram_product(m, u, v) == mat_mul((u,), mat_mul(m.gram, column(v)))[0][0]
+            assert mat_vec(sq, v) == tuple(row[0] for row in mat_mul(sq, column(v)))
