@@ -33,8 +33,9 @@ for x in enumerate_exceptional(ruled):
 
 # Beyond n=8 the sets are infinite; enumeration needs an explicit
 # degree bound and says so in the result.  Not every class of square -1
-# and canonical pairing -1 is exceptional there (K_0 itself at n=10), so
-# the listing keeps only the classes that reduce to some E_i.
+# and canonical pairing -1 is exceptional there (K_0 itself at n=10), but
+# the listing never meets one: it walks the twist orbit of E_n upward,
+# raising the H-coefficient up to the bound, so it holds only images of E_n.
 model10 = LatticeModel.rational(10)
 es = enumerate_exceptional(model10, degree_bound=3)
 print(f"n=10, degree <= 3: {len(es)} classes, complete={es.complete}")

@@ -2,19 +2,20 @@
 
 Cone membership is decided for every n by Cremona reduction of the form
 (the reduced-class criterion of Li-Li and Karshon-Kessler); a No names an
-exceptional class of nonpositive area.  Rational exceptional classes are
-enumerated by solving sum b_i = 3a - 1, sum b_i^2 = a^2 + 1 for
-xi = aH - sum b_i E_i: completely for n <= 8, where Cauchy-Schwarz confines
-a to a finite window, and for n >= 9 up to a caller-supplied bound on |a|,
-keeping the solutions that is_exceptional confirms.  Ruled models have the
-closed-form exceptional set {E_i, F - E_i}.
+exceptional class of nonpositive area.  The rational exceptional classes
+form the twist orbit of E_n (and of H - E_1 - E_2 at n = 2) and are listed
+by walking it upward over sorted forms of aH - sum b_i E_i, by the ternary
+twists that raise a; the walk reaches every class, since a Cremona
+reduction lowers a down to some E_i.  The orbit closes for n <= 8; for
+n >= 9 the walk stops at a caller-supplied bound on a.  Ruled models have
+the closed-form exceptional set {E_i, F - E_i}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .lattice import (
@@ -34,7 +35,6 @@ from .reduction import (
     _conjugate_to_k0,
     _k0_signs,
     _spherical_normal_form,
-    is_exceptional,
     is_K_null_spherical,
 )
 
@@ -69,38 +69,45 @@ class ExceptionalSet:
         return xi in self.classes
 
 
-def _b_vectors(n, total, square):
-    """All integer vectors of length n with the given sum and sum of squares."""
-    out = []
+def _upward_orbit(n, bound):
+    """The sorted forms (a, b_1 >= ... >= b_n) of the classes
+    aH - sum b_i E_i reached from E_n by ternary twists that raise a and
+    keep it at most ``bound`` (None: no cap).
 
-    def rec(pos, s, q, prefix):
-        r = n - pos
-        if r == 0:
-            if s == 0 and q == 0:
-                out.append(tuple(prefix))
-            return
-        if s * s > r * q:
-            return
-        lim = isqrt(q)
-        for v in range(-lim, lim + 1):
-            q2 = q - v * v
-            s2 = s - v
-            if s2 * s2 > (r - 1) * q2:
-                continue
-            prefix.append(v)
-            rec(pos + 1, s2, q2, prefix)
-            prefix.pop()
+    The twist along H - E_i - E_j - E_k adds d = a - b_i - b_j - b_k to
+    a and to the three b's; it is taken once per distinct value triple.
+    """
+    starts = [(0,) * n + (-1,)] if n else []
+    if n == 2:
+        starts.append((1, 1, 1))
+    seen = {s for s in starts if bound is None or s[0] <= bound}
+    todo = list(seen)
+    while todo:
+        a, *b = todo.pop()
+        for triple in set(combinations(b, 3)):
+            d = a - sum(triple)
+            if d > 0 and (bound is None or a + d <= bound):
+                rest = list(b)
+                for v in triple:
+                    rest.remove(v)
+                state = (a + d, *sorted(rest + [v + d for v in triple], reverse=True))
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return seen
 
-    if square >= 0:
-        rec(0, total, square, [])
+
+def _orderings(values):
+    """The distinct orderings of ``values``: inserted in sorted order,
+    each copy of a value only after the copies of it already placed."""
+    out = [()]
+    for v in sorted(values):
+        out = [
+            p[:i] + (v,) + p[i:]
+            for p in out
+            for i in range(len(p) - p[::-1].index(v) if v in p else 0, len(p) + 1)
+        ]
     return out
-
-
-def _rational_a_window(n):
-    # roots of (9-n)a^2 - 6a + (1-n) <= 0, the Cauchy-Schwarz feasibility window
-    disc = 9 + (9 - n) * (n - 1)
-    root = isqrt(disc) if disc >= 0 else 0
-    return -((root - 3) // (9 - n)), (3 + root) // (9 - n)
 
 
 def _ruled_exceptional(model):
@@ -112,9 +119,10 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
     """The set of exceptional classes for K (default K_0).
 
     K passes the one check of _k0_signs before anything is listed; the
-    classes are solved in the frame where K is K_0 and carried back by
-    K's signs.  Rational models with n >= 9 require ``degree_bound``; the
-    set then holds the exceptional classes with |a| <= degree_bound only.
+    classes are walked in the frame where K is K_0 (_upward_orbit) and
+    carried back by K's signs.  Rational models with n >= 9 require
+    ``degree_bound``; the set then holds the exceptional classes with
+    |a| <= degree_bound only.  No class is reduced: the walk only climbs.
     """
     if K is None:
         K = model.k0_form()
@@ -124,26 +132,15 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
         classes, complete = _ruled_exceptional(model), True
     else:
         complete = n <= 8
-        if complete:
-            a_lo, a_hi = _rational_a_window(n)
-        elif degree_bound is None:
+        if not complete and degree_bound is None:
             raise ValueError("degree_bound required for rational models with n >= 9")
-        else:
-            a_lo, a_hi = -degree_bound, degree_bound
-        k0 = model.k0_form()
-        classes = []
-        for a in range(a_lo, a_hi + 1):
-            if (3 * a - 1) ** 2 > n * (a * a + 1):
-                continue
-            for b in _b_vectors(n, 3 * a - 1, a * a + 1):
-                xi = HomClass(model, (a,) + tuple(-v for v in b))
-                # from n = 9 on not every solution is exceptional (K_0 at n = 10);
-                # the test runs on a copy, so the listed class does not keep
-                # the normal form that cremona_reduce leaves on it
-                if complete or is_exceptional(HomClass(model, xi.coeffs), k0):
-                    classes.append(_conjugate_to_k0(xi, signs))
+        classes = [
+            _conjugate_to_k0(HomClass(model, (a,) + c), signs)
+            for a, *b in _upward_orbit(n, None if complete else degree_bound)
+            for c in _orderings([-v for v in b])
+        ]
     for xi in classes:
-        if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
+        if pairing(xi, xi) != -1 or _gram_product(model, K.num, xi.coeffs) != -1:
             raise ArithmeticError(f"enumerated class {xi.coeffs} fails square or K-pairing")
     return ExceptionalSet(
         model=model,

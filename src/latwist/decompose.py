@@ -212,22 +212,23 @@ def _finish(model, M, gens):
 def _class_reduction_gens(model, v, i):
     """Chronological twists carrying v to E_i, supported on indices >= i.
 
-    v must be an exceptional class orthogonal to E_1, ..., E_{i-1}.
+    v is the coefficient list of an exceptional class orthogonal to
+    E_1, ..., E_{i-1}; a twist that pairs with it to d adds d to v_0
+    and takes d from the three chosen v_j, in place.
     """
     n = model.n
     gens = []
-    while v.coeffs[0] != 0:
-        if v.coeffs[0] < 0:
+    while v[0] != 0:
+        top = sorted(range(i, n + 1), key=v.__getitem__)[:3]
+        d = v[0] + sum(v[j] for j in top)
+        if v[0] < 0 or len(top) < 3 or d >= 0:
             raise DecompositionError("residual not resolvable")
-        top = sorted(range(i, n + 1), key=lambda j: v.coeffs[j])[:3]
-        if len(top) < 3:
-            raise DecompositionError("residual not resolvable")
-        if v.coeffs[0] + sum(v.coeffs[j] for j in top) >= 0:
-            raise DecompositionError("residual not resolvable")
-        g = _sparse_class(model, ((0, 1),) + tuple((j, -1) for j in sorted(top)))
-        gens.append(g)
-        v = reflect(g, v)
-    target = next((j for j in range(i, n + 1) if v == _sparse_class(model, ((j, 1),))), None)
+        gens.append(_sparse_class(model, ((0, 1),) + tuple((j, -1) for j in sorted(top))))
+        v[0] += d
+        for j in top:
+            v[j] -= d
+    v = tuple(v)
+    target = next((j for j in range(i, n + 1) if v == _sparse_class(model, ((j, 1),)).coeffs), None)
     if target is None:
         raise DecompositionError("residual not resolvable")
     if target != i:
@@ -246,16 +247,13 @@ def _staged_reduction(model, entries):
     cur = entries
     gens = []
     for i in range(1, n - 1):
-        v = HomClass(model, tuple(row[i] for row in cur))
-        for g in _class_reduction_gens(model, v, i):
+        for g in _class_reduction_gens(model, [row[i] for row in cur], i):
             gens.append(g)
             cur = _mat_reflect(g, cur)
-    if n >= 2:
-        last = HomClass(model, tuple(row[n] for row in cur))
-        if last == _sparse_class(model, ((n - 1, 1),)):
-            g = _sparse_class(model, ((n - 1, 1), (n, -1)))
-            gens.append(g)
-            cur = _mat_reflect(g, cur)
+    if n >= 2 and tuple(row[n] for row in cur) == _sparse_class(model, ((n - 1, 1),)).coeffs:
+        g = _sparse_class(model, ((n - 1, 1), (n, -1)))
+        gens.append(g)
+        cur = _mat_reflect(g, cur)
     if cur != mat_identity(model.rank):
         raise DecompositionError("residual not resolvable")
     return gens

@@ -365,7 +365,9 @@ def is_characteristic(xi: HomClass) -> bool:
 # Small exact matrix helpers shared by the word and isometry types.
 # Matrices are tuples of row tuples acting on column coefficient vectors.
 
+@lru_cache(maxsize=64)
 def mat_identity(rank: int) -> tuple:
+    # built once per rank; its rows are tuples, so sharing it is safe
     return tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
 
 

@@ -29,7 +29,6 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
-    form_pairing,
     mat_identity,
     mat_vec,
     pairing,
@@ -324,9 +323,10 @@ def _k0_signs(model: LatticeModel, K: FormClass) -> tuple:
     """The canonical-class check of every routine that takes a K.
 
     Rational K may be K_0 or a K_delta variant -3H + sum +-E_i; ruled K
-    must be K_0.  Returns the E-coefficients of K, which for those
-    classes are the signs of the isometry carrying K to K_0 (all +1 for
-    K_0); raises ValueError for any other K, or for a K of another model.
+    must be K_0, so a K that passes has denominator 1 and pairs as K.num.
+    Returns the E-coefficients of K, which for those classes are the
+    signs of the isometry carrying K to K_0 (all +1 for K_0); raises
+    ValueError for any other K, or for a K of another model.
     """
     if K.model != model:
         raise ValueError("incompatible lattice models")
@@ -359,7 +359,7 @@ def is_exceptional(xi: HomClass, K: FormClass) -> bool:
     are exactly E_i and F-E_i.
     """
     signs = _k0_signs(xi.model, K)
-    if pairing(xi, xi) != -1 or form_pairing(K, xi) != -1:
+    if pairing(xi, xi) != -1 or _gram_product(xi.model, K.num, xi.coeffs) != -1:
         return False
     if xi.model.kind == RULED:
         t, f = xi.coeffs[0], xi.coeffs[1]
@@ -379,7 +379,7 @@ def is_K_null_spherical(xi: HomClass, K: FormClass) -> bool:
     """
     signs = _k0_signs(xi.model, K)
     if xi.model.kind == RULED:
-        if pairing(xi, xi) != -2 or form_pairing(K, xi) != 0:
+        if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
             return False
         t, f = xi.coeffs[0], xi.coeffs[1]
         nonzero = [c for c in xi.coeffs[2:] if c]

@@ -27,6 +27,7 @@ from latwist.lattice import (
     pairing,
     reflect,
 )
+from latwist import reduction
 from latwist.reduction import is_exceptional, is_K_null_spherical
 
 DEL_PEZZO_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -108,7 +109,7 @@ def test_enumerate_n10_lists_only_exceptional_classes():
     assert pairing(pd_k0, pd_k0) == -1 and form_pairing(k0, pd_k0) == -1
     assert pd_k0 not in s
     assert not s.complete and s.degree_bound == 3
-    # the listing holds classes only, not the normal forms of its tests
+    # the listing reduces no class, so its classes keep no normal form
     assert not any(vars(xi).keys() - {"model", "coeffs"} for xi in s)
     assert all(is_exceptional(xi, k0) for xi in s)
     # the 1158 numerical solutions with |a| <= 3 include 11 that are not
@@ -117,13 +118,24 @@ def test_enumerate_n10_lists_only_exceptional_classes():
 
 
 def test_enumerate_n10_degree_3_within_budget():
-    # every candidate goes through is_exceptional, which reads the kind
-    # of a reduction but never the matrix of its word
+    # the upward walk from E_10 reaches each sorted form once and expands
+    # it into its orderings; no class is reduced or tested
     m = R(10)
     start = time.monotonic()
     s = enumerate_exceptional(m, degree_bound=3)
     assert time.monotonic() - start < 2
     assert len(s) == 1147
+
+
+def test_enumeration_reduces_no_class(monkeypatch):
+    # the walk climbs from E_n and never runs a Cremona reduction, at
+    # n <= 8 and past the del Pezzo range alike
+    def refuse(xi):
+        raise AssertionError(f"the listing reduced {xi.coeffs}")
+
+    monkeypatch.setattr(reduction, "_cremona_reduce", refuse)
+    assert len(enumerate_exceptional(R(8))) == 240
+    assert len(enumerate_exceptional(R(10), degree_bound=3)) == 1147
 
 
 def test_in_cone_examples():

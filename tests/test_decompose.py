@@ -446,6 +446,25 @@ def test_decompose_round_trip_random():
                 assert form_pairing(k0, g) == 0
 
 
+def test_staged_reduction_builds_no_class_per_step(monkeypatch):
+    # each column is stepped as an integer list, and the identity the
+    # residual is compared with is built once per rank
+    import latwist.decompose as decompose
+
+    m = R(7)
+    rng = random.Random(3)
+    gens = rational_generators(m)
+    M = IsometryMatrix(m, ReflectionWord(m, tuple(rng.choice(gens) for _ in range(12))).matrix)
+
+    def refuse(*args):
+        raise AssertionError("a reduction step built a class")
+
+    monkeypatch.setattr(decompose, "reflect", refuse)
+    monkeypatch.setattr(decompose, "HomClass", refuse)
+    assert decompose_K(M).matrix == M.entries
+    assert mat_identity(m.rank) is mat_identity(m.rank)
+
+
 def test_decompose_k_alpha_transposition():
     m3 = R(3)
     alpha = -m3.k0_form()

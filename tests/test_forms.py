@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class, parse_form
-from latwist.cone import CONE_NO, CONE_YES, in_cone, is_lagrangian_spherical
+from latwist.cone import CONE_NO, CONE_YES, enumerate_exceptional, in_cone, is_lagrangian_spherical
 from latwist.decompose import (
     IsometryMatrix,
     decompose_K,
@@ -30,7 +30,7 @@ from latwist.lattice import (
     form_pairing,
     reflection_matrix,
 )
-from latwist.reduction import ReflectionWord
+from latwist.reduction import ReflectionWord, is_exceptional, is_K_null_spherical
 
 from dense import mat_mul
 
@@ -310,15 +310,8 @@ def test_factorizations_run_no_dense_products(monkeypatch):
 
 # -- integer areas in the factorizations --------------------------------------
 
-def test_factorizations_never_reach_form_pairing(monkeypatch):
-    m5, m2, mr = R(5), R(2), LatticeModel.ruled(1, 3)
-    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
-    M = _word_matrix(m5, ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
-    alpha2 = parse_form("5/2 H - 1/2 E1 - 1/2 E2", m2)
-    M2 = _word_matrix(m2, ["E1-E2"])
-    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
-    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
-
+def _count_form_pairing(monkeypatch):
+    """The list that every later form_pairing call inside the package appends to."""
     calls = []
     inner = lattice.form_pairing
 
@@ -330,6 +323,19 @@ def test_factorizations_never_reach_form_pairing(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("latwist") and getattr(module, "form_pairing", None) is inner:
             monkeypatch.setattr(module, "form_pairing", counting_form_pairing)
+    return calls
+
+
+def test_factorizations_never_reach_form_pairing(monkeypatch):
+    m5, m2, mr = R(5), R(2), LatticeModel.ruled(1, 3)
+    alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
+    M = _word_matrix(m5, ["H-E1-E2-E3", "E3-E4", "E1-E2", "H-E1-E2-E4", "E4-E5"])
+    alpha2 = parse_form("5/2 H - 1/2 E1 - 1/2 E2", m2)
+    M2 = _word_matrix(m2, ["E1-E2"])
+    alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
+    Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
+
+    calls = _count_form_pairing(monkeypatch)
     words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_K_alpha(M2, alpha2),
              decompose_ruled(Mr, alpha_r))
     assert calls == []
@@ -339,3 +345,19 @@ def test_factorizations_never_reach_form_pairing(monkeypatch):
     assert calls != []
     for word, matrix in zip(words, (M, M, M2, Mr)):
         assert word.matrix == matrix.entries
+
+
+def test_k_pairing_checks_never_reach_form_pairing(monkeypatch):
+    # a K that passes _k0_signs has denominator 1, so the exceptional and
+    # K-null checks and the listing's re-check pair on its numerators
+    m9, mr = R(9), LatticeModel.ruled(2, 3)
+    k_delta = parse_form("-3H + E1 - E2 + E3 + E4 - E5 + E6 + E7 + E8 - E9", m9)
+    calls = _count_form_pairing(monkeypatch)
+    for K in (m9.k0_form(), k_delta):
+        assert is_exceptional(parse_class("H - E1 - E2", m9), K) == (K == m9.k0_form())
+        assert len(enumerate_exceptional(m9, K, degree_bound=2)) == 9 + 36 + 126
+    k0r = mr.k0_form()
+    assert is_exceptional(parse_class("F - E2", mr), k0r)
+    assert is_K_null_spherical(parse_class("F - E1 - E3", mr), k0r)
+    assert len(enumerate_exceptional(mr)) == 6
+    assert calls == []

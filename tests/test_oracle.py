@@ -3,7 +3,8 @@
 import pytest
 
 from latwist.classexpr import parse_class
-from latwist.lattice import LatticeModel, form_pairing, is_characteristic, pairing
+from latwist.cone import enumerate_exceptional
+from latwist.lattice import FormClass, HomClass, LatticeModel, form_pairing, is_characteristic, pairing
 from latwist.oracle import (
     EnumQuery,
     bfs_is_exceptional,
@@ -165,6 +166,30 @@ def test_crosscheck_ruled_and_n9(model, checked, predicate):
     # with the predicate's square and K-pairing
     r = crosscheck(EnumQuery(model, 2, predicate=predicate))
     assert r.ok and r.checked == checked[predicate]
+
+
+@pytest.mark.parametrize("n, bound", [(9, 2), (9, 3), (10, 2)])
+def test_bounded_listing_matches_bfs(n, bound):
+    # every exceptional class but E_i has 0 <= b_i <= a, so the classes
+    # with a <= bound are exactly those with coefficients in [-bound, bound]
+    m = R(n)
+    scan = enumerate_classes(EnumQuery(m, bound, predicate="exceptional"))
+    expected = [x for x in scan if bfs_is_exceptional(x)]
+    assert list(enumerate_exceptional(m, degree_bound=bound)) == expected
+
+
+def test_bounded_k_delta_listing_matches_bfs():
+    # a K_delta listing is the BFS-checked K_0 listing with K's E-signs
+    m = R(9)
+    signs = (1, -1, 1, 1, -1, -1, 1, -1, 1)
+    scan = enumerate_classes(EnumQuery(m, 3, predicate="exceptional"))
+    flipped = [
+        HomClass(m, x.coeffs[:1] + tuple(s * c for s, c in zip(signs, x.coeffs[1:])))
+        for x in scan
+        if bfs_is_exceptional(x)
+    ]
+    es = enumerate_exceptional(m, FormClass(m, (-3,) + signs), degree_bound=3)
+    assert list(es) == sorted(flipped, key=lambda x: x.coeffs)
 
 
 def test_crosscheck_sampling():
