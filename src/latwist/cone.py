@@ -23,8 +23,8 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
+    _class_table,
     _gram_product,
-    _sparse_class,
     form_pairing,
     is_characteristic,
     pairing,
@@ -34,6 +34,7 @@ from .reduction import (
     ReflectionWord,
     _conjugate_to_k0,
     _k0_signs,
+    _ruled_exceptional,
     _spherical_normal_form,
     is_K_null_spherical,
 )
@@ -108,11 +109,6 @@ def _orderings(values):
             for i in range(len(p) - p[::-1].index(v) if v in p else 0, len(p) + 1)
         ]
     return out
-
-
-def _ruled_exceptional(model):
-    F = model.unit(1)
-    return [E for i in range(1, model.n + 1) for E in (model.E(i), F - model.E(i))]
 
 
 def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
@@ -225,10 +221,11 @@ def _cone_decide(model, num, K, closed):
         for m in triple:
             b[m] += d
         moves.append(triple)
-    # reflections permute the exceptional classes; undo them on the witness
+    # reflections permute the exceptional classes; undo them on the witness.
+    # A move lists its triple by b-order, so the table key sorts it.
+    classes = _class_table(model)
     for triple in reversed(moves):
-        gamma = _sparse_class(model, ((0, 1),) + tuple((m + 1, -1) for m in triple))
-        witness = reflect(gamma, witness)
+        witness = reflect(classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(triple))], witness)
     # the sign change is an involution, so it also carries K_0 back to K
     witness = _conjugate_to_k0(witness, signs)
     if not violates(_gram_product(model, num, witness.coeffs)):
@@ -344,9 +341,10 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
         raise ValueError("form fails the cone conditions")
     pd_k = HomClass(model, K.num)
     B = A - pd_k
-    if pairing(A, A) <= 0 or form_pairing(tau, A) <= 0:
+    # tau's denominator is positive, so its numerators give the area signs
+    if pairing(A, A) <= 0 or _gram_product(model, tau.num, A.coeffs) <= 0:
         return False
-    if pairing(B, B) < 0 or form_pairing(tau, B) <= 0:
+    if pairing(B, B) < 0 or _gram_product(model, tau.num, B.coeffs) <= 0:
         return False
     # A^2 > 0 here, so the closed cone test reduces to A.E >= 0
     return bool(_cone_decide(model, A.coeffs, K, closed=True)[0])

@@ -81,11 +81,10 @@ from .lattice import (
     _gram_product,
     _mat_reflect,
     _mat_reflect_right,
-    _sparse_class,
+    _class_table,
     mat_identity,
     mat_transpose,
     mat_vec,
-    pairing,
     reflect,
 )
 from .reduction import ReflectionWord
@@ -209,30 +208,31 @@ def _finish(model, M, gens):
     return word
 
 
-def _class_reduction_gens(model, v, i):
+def _class_reduction_gens(classes, v, i):
     """Chronological twists carrying v to E_i, supported on indices >= i.
 
     v is the coefficient list of an exceptional class orthogonal to
     E_1, ..., E_{i-1}; a twist that pairs with it to d adds d to v_0
-    and takes d from the three chosen v_j, in place.
+    and takes d from the three chosen v_j, in place.  The twists come
+    from ``classes``, the model's class table.
     """
-    n = model.n
+    n = classes.model.n
     gens = []
     while v[0] != 0:
         top = sorted(range(i, n + 1), key=v.__getitem__)[:3]
         d = v[0] + sum(v[j] for j in top)
         if v[0] < 0 or len(top) < 3 or d >= 0:
             raise DecompositionError("residual not resolvable")
-        gens.append(_sparse_class(model, ((0, 1),) + tuple((j, -1) for j in sorted(top))))
+        gens.append(classes[((0, 1),) + tuple((j, -1) for j in sorted(top))])
         v[0] += d
         for j in top:
             v[j] -= d
-    v = tuple(v)
-    target = next((j for j in range(i, n + 1) if v == _sparse_class(model, ((j, 1),)).coeffs), None)
-    if target is None:
+    # v is E_target when its n + 1 entries are one 1 and n zeros
+    target = v.index(1) if v.count(1) == 1 and v.count(0) == n else 0
+    if target < i:
         raise DecompositionError("residual not resolvable")
     if target != i:
-        gens.append(_sparse_class(model, ((i, 1), (target, -1))))
+        gens.append(classes[(i, 1), (target, -1)])
     return gens
 
 
@@ -244,17 +244,20 @@ def _staged_reduction(model, entries):
     are involutions.
     """
     n = model.n
+    classes = _class_table(model)
+    identity = mat_identity(model.rank)
     cur = entries
     gens = []
     for i in range(1, n - 1):
-        for g in _class_reduction_gens(model, [row[i] for row in cur], i):
+        for g in _class_reduction_gens(classes, [row[i] for row in cur], i):
             gens.append(g)
             cur = _mat_reflect(g, cur)
-    if n >= 2 and tuple(row[n] for row in cur) == _sparse_class(model, ((n - 1, 1),)).coeffs:
-        g = _sparse_class(model, ((n - 1, 1), (n, -1)))
+    # row n - 1 of the identity is the coefficient vector of E_{n-1}
+    if n >= 2 and tuple(row[n] for row in cur) == identity[n - 1]:
+        g = classes[(n - 1, 1), (n, -1)]
         gens.append(g)
         cur = _mat_reflect(g, cur)
-    if cur != mat_identity(model.rank):
+    if cur != identity:
         raise DecompositionError("residual not resolvable")
     return gens
 
@@ -280,7 +283,8 @@ def _chamber_frame(model, alpha):
     res, moves = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
     if not res:
         return None
-    frame = [_sparse_class(model, ((0, 1),) + tuple((m + 1, -1) for m in sorted(t))) for t in moves]
+    classes = _class_table(model)
+    frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
     dual = HomClass(model, alpha.num)
     for f in frame:
         dual = reflect(f, dual)
@@ -290,7 +294,7 @@ def _chamber_frame(model, alpha):
         q = min(range(p, model.n), key=keys.__getitem__)
         if q != p:
             keys[p], keys[q] = keys[q], keys[p]
-            frame.append(_sparse_class(model, ((p + 1, 1), (q + 1, -1))))
+            frame.append(classes[(p + 1, 1), (q + 1, -1)])
     num = (dual.coeffs[0],) + tuple(-b for b, _ in keys)
     return frame, FormClass._from_num(model, num, alpha.den)
 
@@ -340,17 +344,18 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         raise ValueError("incompatible lattice models")
     _require_valid(M, model.k0_form(), alpha)
     n = model.n
+    classes = _class_table(model)
+    identity = mat_identity(model.rank)
 
     def core(f, *e_terms):
-        # the class f F + sum s E_j over the pairs (j, s)
+        # the class f F + sum s E_j over the pairs (j, s), keyed in index order
         terms = ((1, f),) if f else ()
-        return _sparse_class(model, terms + tuple((j + 1, s) for j, s in e_terms))
+        return classes[terms + tuple(sorted((j + 1, s) for j, s in e_terms))]
 
-    F = core(1)
-    if M.apply(F) != F:
+    if M._cols[1] != identity[1]:  # column F is the image of F
         raise DecompositionError("fiber class not preserved")
     if n == 0:
-        if M.entries != mat_identity(model.rank):
+        if M.entries != identity:
             raise DecompositionError("no twists available")
         return ReflectionWord(model, ())
 
@@ -358,8 +363,9 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     gens = []
     remaining = list(range(1, n + 1))
 
-    def img(xi):
-        return HomClass(model, mat_vec(cur, xi.coeffs))
+    def img(j, f, s):
+        # f F + s E_j maps to f (column F) + s (column E_j)
+        return tuple(f * row[1] + s * row[j + 1] for row in cur)
 
     def push(g):
         nonlocal cur
@@ -368,21 +374,23 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
         gens.append(g)
         cur = _mat_reflect(g, cur)
 
-    while remaining:
-        # E_j and F - E_j, each as (j, f, s) for f F + s E_j
-        pool = {}
-        for j in remaining:
-            pool[core(0, (j, 1))] = (j, 0, 1)
-            pool[core(1, (j, -1))] = (j, 1, -1)
-        # alpha's denominator is positive, so its numerators keep the order
-        e = min(pool, key=lambda x: (_gram_product(model, alpha.num, x.coeffs), x.coeffs))
+    # E_j and F - E_j by coefficients, each as (j, f, s) for f F + s E_j.
+    # Their areas never change, so one sort by (area, coefficients) gives
+    # each pass's least-area class: the first one whose index remains.
+    # alpha's denominator is positive, so its numerators keep the order.
+    pool = {core(f, (j, s)).coeffs: (j, f, s) for j in remaining for f, s in ((0, 1), (1, -1))}
+    for e in sorted(pool, key=lambda x: (_gram_product(model, alpha.num, x), x)):
         j, f, s = pool[e]
-        c = img(e)
-        if c not in pool:
+        if j not in remaining:
+            continue
+        c = img(j, f, s)
+        hit = pool.get(c)
+        if hit is None or hit[0] not in remaining:
             raise DecompositionError("residual not resolvable")
         if c != e:
-            if pairing(c, e) == 0:
-                k, fc, sc = pool[c]
+            k, fc, sc = hit
+            if k != j:
+                # c is orthogonal to e
                 push(core(f - fc, (j, s), (k, -sc)))  # e - c
             else:
                 # c is the fiber complement of e; route through a spare index
@@ -392,10 +400,10 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
                 k = spare[0]
                 push(core(-f, (k, 1), (j, -s)))  # E_k - e
                 push(core(1 - f, (k, -1), (j, -s)))  # F - E_k - e
-            if img(e) != e:
+            if img(j, f, s) != e:
                 raise DecompositionError("residual not resolvable")
         remaining.remove(j)
-    if cur != mat_identity(model.rank):
+    if cur != identity:
         raise DecompositionError("residual not resolvable")
     return _finish(model, M, gens)
 

@@ -242,10 +242,13 @@ class FormClass:
 
 
 class _ClassTable(dict):
-    """The shared classes of one model, keyed by their (index, coeff) terms.
+    """The shared classes of one model, keyed by their nonzero
+    (index, coeff) terms in index order, so each class has one key.
 
     A missing key builds its class on first lookup, so a loop that holds
-    the table reads each generator with one dict lookup.
+    the table reads each generator with one dict lookup, builds no class
+    per step, and the square kept on each class is computed once per
+    process.
     """
 
     def __init__(self, model: LatticeModel):
@@ -264,16 +267,6 @@ class _ClassTable(dict):
 def _class_table(model: LatticeModel) -> _ClassTable:
     # one model instance per value, so the shared classes share its gram
     return _ClassTable(model)
-
-
-def _sparse_class(model: LatticeModel, terms: tuple) -> HomClass:
-    """The class sum of c·basis[i] over the pairs (i, c) in terms.
-
-    Each class is built once per model and then shared, so the loops
-    that take twist cores and basis classes from here build no class
-    per step, and the square kept on each is computed once per process.
-    """
-    return _class_table(model)[terms]
 
 
 def _gram_product(model: LatticeModel, u, v) -> int:

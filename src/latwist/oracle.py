@@ -131,9 +131,10 @@ def _is_characteristic_direct(x: HomClass) -> bool:
 def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     """All classes within the coefficient bound matching the query.
 
-    Scans are sharded over the head coordinates (H, or T and F), each
-    shard generated in lexicographic order, so the merged output is
-    sorted by coefficient tuple and fully deterministic.
+    One sequential loop over the head coordinates (H, or T and F) in
+    increasing order, each completed by its E-tails in lexicographic
+    order, so the output is sorted by coefficient tuple and fully
+    deterministic.
     """
     if q.coeff_bound > SAFETY_LIMIT and not allow_large:
         raise ValueError("bound exceeds safety limit")
@@ -338,7 +339,7 @@ class CrosscheckReport:
                 "k_pairing": q.k_pairing,
                 "predicate": q.predicate,
             },
-            "classes": [class_to_json(x) for x in self.classes],
+            "classes": [{**class_to_json(x), "text": print_class(x)} for x in self.classes],
             "summary": {
                 "checked": self.checked,
                 "disagreements": [

@@ -145,28 +145,14 @@ def gt_dimension(e: HomClass, K: FormClass) -> Fraction:
     return Fraction(-k + pairing(e, e) * K.den, 2 * K.den)
 
 
-def _sorted_b(coeffs):
-    """H-coefficient and the b_i of a = aH - sum b_i E_i, b descending."""
-    return coeffs[0], sorted((-c for c in coeffs[1:]), reverse=True)
-
-
-def _defect(a, b):
-    # absent b_2, b_3 count as zero when n < 3
-    return a - sum(b[:3])
-
-
-def _is_reduced(coeffs) -> bool:
-    a, b = _sorted_b(coeffs)
-    if a < 0 or (b and b[-1] < 0):
-        return False
-    return _defect(a, b) >= 0
-
-
 def is_reduced(xi: HomClass) -> bool:
     """a >= 0, all b_i >= 0, and a >= b_1 + b_2 + b_3 after sorting."""
     if xi.model.kind != RATIONAL:
         raise ValueError("reduced form defined for rational model only")
-    return _is_reduced(xi.coeffs)
+    # the E-coefficients -b_i ascending put the largest b_i first
+    a, *c = xi.coeffs
+    c.sort()
+    return a >= 0 and (not c or c[-1] <= 0) and a + sum(c[:3]) >= 0
 
 
 def _match_terminal(coeffs, n):
@@ -248,9 +234,11 @@ def _cremona_reduce(xi: HomClass) -> tuple:
 
     The loop runs on the coefficient list, applying each reflection on
     its support: a transposition swaps two coefficients, and Gamma moves
-    only a and b_1, b_2, b_3.  The generators come from the model's
-    shared class table, fetched once per call, so the loop builds one
-    class, the representative.
+    only a and b_1, b_2, b_3.  After the transpositions the coefficients
+    cur[1:] = -b ascend, so the defect and the least b_i are read off
+    cur[1:4] and cur[n] without another sort.  The generators come from
+    the model's shared class table, fetched once per call, so the loop
+    builds one class, the representative.
     """
     model = xi.model
     classes = _class_table(model)
@@ -297,13 +285,15 @@ def _cremona_reduce(xi: HomClass) -> tuple:
             if best != pos:
                 applied.append(classes[(pos, 1), (best, -1)])
                 cur[pos], cur[best] = cur[best], cur[pos]
-        if _is_reduced(cur):
-            return finish(KIND_REDUCED)
-        b = [-c for c in cur[1:]]
-        d = _defect(a, b)
-        if a > 0 and b and b[-1] < 0 and d >= 0:
-            return finish(KIND_NEGATIVE)
-        if d < 0 and n >= 3:
+        # d = a - b_1 - b_2 - b_3, absent b_2, b_3 counting as zero when
+        # n < 3; -cur[n] is the least b_i (none when n = 0)
+        d = a + sum(cur[1:4])
+        if d >= 0:
+            if n == 0 or cur[n] <= 0:
+                return finish(KIND_REDUCED)
+            if a > 0:
+                return finish(KIND_NEGATIVE)
+        elif n >= 3:
             if gamma_count >= gamma_cap:
                 return finish(KIND_IRREDUCIBLE, capped=True)
             gamma_count += 1
@@ -351,32 +341,39 @@ def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
     return HomClass(xi.model, coeffs)
 
 
-def is_exceptional(xi: HomClass, K: FormClass) -> bool:
+def _ruled_exceptional(model: LatticeModel) -> list:
+    """E_i, then F - E_i, for i = 1, ..., n: the exceptional classes of a
+    ruled model under K_0, from the model's shared class table."""
+    classes = _class_table(model)
+    return [x for i in range(2, model.n + 2) for x in (classes[((i, 1),)], classes[(1, 1), (i, -1)])]
+
+
+def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at n=2).
 
-    K passes the one check of _k0_signs: rational K may be K_0 or any
-    K_delta variant, ruled K must be K_0, where the exceptional classes
-    are exactly E_i and F-E_i.
+    K (default K_0) passes the one check of _k0_signs: rational K may be
+    K_0 or any K_delta variant, ruled K must be K_0, where the
+    exceptional classes are exactly those of _ruled_exceptional.
     """
+    if K is None:
+        K = xi.model.k0_form()
     signs = _k0_signs(xi.model, K)
     if pairing(xi, xi) != -1 or _gram_product(xi.model, K.num, xi.coeffs) != -1:
         return False
     if xi.model.kind == RULED:
-        t, f = xi.coeffs[0], xi.coeffs[1]
-        nonzero = [c for c in xi.coeffs[2:] if c]
-        if t != 0 or len(nonzero) != 1:
-            return False
-        return (f, nonzero[0]) in ((0, 1), (1, -1))
+        return xi in _ruled_exceptional(xi.model)
     nf = cremona_reduce(_conjugate_to_k0(xi, signs))
     return nf.kind in (KIND_EXC_EI, KIND_EXC_HEIEJ) and not nf.sign_flipped
 
 
-def is_K_null_spherical(xi: HomClass, K: FormClass) -> bool:
+def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     """Square -2, K-pairing 0, and equivalence to a binary or ternary class.
 
-    Rational K may be K_0 or any K_delta variant; ruled K must be K_0,
-    where the list is +-(F-E_i-E_j) and +-(E_i-E_j).
+    Rational K may be K_0 (the default) or any K_delta variant; ruled K
+    must be K_0, where the list is +-(F-E_i-E_j) and +-(E_i-E_j).
     """
+    if K is None:
+        K = xi.model.k0_form()
     signs = _k0_signs(xi.model, K)
     if xi.model.kind == RULED:
         if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:

@@ -285,6 +285,20 @@ def test_crosscheck_clean(capsys):
     assert data["summary"]["disagreements"] == []
 
 
+def test_crosscheck_names_each_class(capsys):
+    argv = ["crosscheck", "--model", "rational:3", "--kind", "exceptional", "--bound", "2"]
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    texts = [c["text"] for c in data["classes"]]
+    assert texts == ["E3", "E2", "E1", "H - E1 - E2", "H - E1 - E3", "H - E2 - E3"]
+    m = LatticeModel.rational(3)
+    assert [list(parse_class(t, m).coeffs) for t in texts] == [c["coeffs"] for c in data["classes"]]
+    code, captured = run(capsys, argv)
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert [line for line in lines if "text=" in line] == [f"  text={t}" for t in texts]
+
+
 def test_crosscheck_sampled_seed_echo(capsys):
     code, data = run_json(
         capsys,

@@ -19,6 +19,7 @@ from latwist.cone import (
     is_lagrangian_spherical,
 )
 from latwist.lattice import (
+    _class_table,
     FormClass,
     HomClass,
     LatticeModel,
@@ -26,9 +27,11 @@ from latwist.lattice import (
     mat_vec,
     pairing,
     reflect,
+    reflection_matrix,
 )
+from latwist.decompose import IsometryMatrix, decompose_ruled
 from latwist import reduction
-from latwist.reduction import is_exceptional, is_K_null_spherical
+from latwist.reduction import cremona_reduce, is_exceptional, is_K_null_spherical
 
 DEL_PEZZO_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
@@ -350,6 +353,23 @@ def test_inflation_examples():
     assert inflation_admissible(H, tau)
     assert not inflation_admissible(m1.E(1), tau)
     assert not inflation_admissible(parse_class("H-E1", m1), tau)
+
+
+def test_class_table_holds_each_class_under_one_key():
+    # a cone walk lists each move's triple by b-order, and the ruled
+    # factorization takes E_3 before E_1 here; the table they share with
+    # the Cremona loop keys each class by its nonzero terms in index order
+    m = R(5)
+    assert not in_cone(parse_form("8H-3E1-4E2-3E3-3E4-3E5", m))
+    cremona_reduce(parse_class("2H-E1-E2-E3-E4-E5", m))
+    mr = LatticeModel.ruled(1, 3)
+    M = IsometryMatrix(mr, reflection_matrix(parse_class("E1-E3", mr)))
+    assert decompose_ruled(M, FormClass(mr, (2, 5, -1, -1, -1))).matrix == M.entries
+    for model in (m, mr):
+        table = _class_table(model)
+        for key, x in table.items():
+            assert key == tuple((i, c) for i, c in enumerate(x.coeffs) if c)
+        assert len(set(table.values())) == len(table)
 
 
 def test_inflation_negative_e_pairing():

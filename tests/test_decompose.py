@@ -559,6 +559,31 @@ def test_decompose_ruled_round_trip():
                     assert form_pairing(alpha, g) == 0
 
 
+def test_decompose_ruled_builds_no_class_per_image(monkeypatch):
+    # the pool comes from the class table once, and each image is read
+    # off two columns of the running matrix, so a warm table means that
+    # a factorization builds no class at all
+    m = LatticeModel.ruled(1, 4)
+    alpha = FormClass(m, (2, 5) + (-1,) * m.n)
+    rng = random.Random(5)
+    gens = ruled_generators(m)
+    entries = ReflectionWord(m, tuple(rng.choice(gens) for _ in range(12))).matrix
+    assert decompose_ruled(IsometryMatrix(m, entries), alpha).matrix == entries
+    M = IsometryMatrix(m, entries)
+    builds = []
+    check = HomClass.__post_init__
+
+    def counting_post_init(self):
+        builds.append(self.coeffs)
+        check(self)
+
+    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    word = decompose_ruled(M, alpha)
+    monkeypatch.undo()
+    assert builds == []
+    assert len(word) > 0 and word.matrix == entries
+
+
 def test_decompose_ruled_fiber_not_preserved():
     # a genuine K_0-preserving isometry moving the fiber class; no twist
     # word can reach it because every generator fixes F

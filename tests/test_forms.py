@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class, parse_form
-from latwist.cone import CONE_NO, CONE_YES, enumerate_exceptional, in_cone, is_lagrangian_spherical
+from latwist.cone import (
+    CONE_NO,
+    CONE_YES,
+    enumerate_exceptional,
+    in_cone,
+    inflation_admissible,
+    is_lagrangian_spherical,
+)
 from latwist.decompose import (
     IsometryMatrix,
     decompose_K,
@@ -345,6 +352,28 @@ def test_factorizations_never_reach_form_pairing(monkeypatch):
     assert calls != []
     for word, matrix in zip(words, (M, M, M2, Mr)):
         assert word.matrix == matrix.entries
+
+
+def test_inflation_areas_never_reach_form_pairing(monkeypatch):
+    # tau's denominator is positive, so the two area tests read the signs
+    # of the integer gram product of its numerators
+    m2, m3 = R(2), R(3)
+    tau2 = parse_form("3H-E1-E2", m2)
+    tau3 = parse_form("5/2 H - 1/2 E1 - 1/2 E2 - 1/3 E3", m3)
+    cases = [
+        (parse_class("2H-E1", m2), tau2, True),
+        (parse_class("2H-3E1", m2), tau2, False),
+        (parse_class("-H", m2), tau2, False),
+        (parse_class("H", m3), tau3, True),
+        (parse_class("3H-E1-E2-E3", m3), tau3, True),
+        (parse_class("-2H+E1", m3), tau3, False),
+        (parse_class("E1", m3), tau3, False),
+    ]
+    calls = _count_form_pairing(monkeypatch)
+    verdicts = [inflation_admissible(A, tau) for A, tau, _ in cases]
+    monkeypatch.undo()
+    assert calls == []
+    assert verdicts == [expected for _, _, expected in cases]
 
 
 def test_k_pairing_checks_never_reach_form_pairing(monkeypatch):

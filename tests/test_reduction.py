@@ -2,9 +2,10 @@
 
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
@@ -34,6 +35,7 @@ from latwist.reduction import (
     ReflectionWord,
     _conjugate_to_k0,
     _k0_signs,
+    _match_terminal,
     cremona_reduce,
     eta_K,
     eta_lower_bound,
@@ -101,6 +103,102 @@ def test_is_reduced():
     assert not is_reduced(cls("-H", R(1)))
     with pytest.raises(ValueError, match="rational model only"):
         is_reduced(LatticeModel.ruled(1, 1).zero())
+
+
+# Reference for is_reduced and the reduction loop's stop decision: the
+# b_i sorted descending on their own, then tested by the definition.
+
+def _sorted_b(coeffs):
+    """H-coefficient and the b_i of a = aH - sum b_i E_i, b descending."""
+    return coeffs[0], sorted((-c for c in coeffs[1:]), reverse=True)
+
+
+def _defect(a, b):
+    # absent b_2, b_3 count as zero when n < 3
+    return a - sum(b[:3])
+
+
+def _is_reduced(coeffs) -> bool:
+    a, b = _sorted_b(coeffs)
+    if a < 0 or (b and b[-1] < 0):
+        return False
+    return _defect(a, b) >= 0
+
+
+def _reference_stop(coeffs):
+    """Reduced, NegativeCoefficient or None (go on) for a class with
+    a >= 0 whose b_i are sorted, as the helpers decided it."""
+    if _is_reduced(coeffs):
+        return KIND_REDUCED
+    a, b = _sorted_b(coeffs)
+    if a > 0 and b and b[-1] < 0 and _defect(a, b) >= 0:
+        return KIND_NEGATIVE
+    return None
+
+
+@st.composite
+def rational_coeffs(draw, sorted_b=False):
+    n = draw(st.integers(0, 10))
+    a = draw(st.integers(0, 30) if sorted_b else st.integers(-30, 30))
+    c = draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n))
+    return (a,) + tuple(sorted(c) if sorted_b else c)
+
+
+@given(rational_coeffs())
+@settings(max_examples=400, deadline=None)
+def test_is_reduced_matches_the_sorting_helpers(coeffs):
+    assert is_reduced(HomClass(R(len(coeffs) - 1), coeffs)) == _is_reduced(coeffs)
+
+
+@given(rational_coeffs(sorted_b=True))
+@settings(max_examples=600, deadline=None)
+@example((3, -1, -1, -1, 1))
+@example((2, -1, -1, 1))
+@example((5,))
+def test_stop_decision_matches_the_sorting_helpers(coeffs):
+    # a sorted, nonterminal class with a >= 0 takes no transposition, so
+    # the loop's first decision shows as an empty word
+    n = len(coeffs) - 1
+    assume(_match_terminal(coeffs, n) is None)
+    with warnings.catch_warnings():
+        # some draws sit outside the covered patterns and hit the cap
+        warnings.simplefilter("ignore", RuntimeWarning)
+        nf = cremona_reduce(HomClass(R(n), coeffs))
+    expected = _reference_stop(coeffs)
+    if expected is not None:
+        assert (nf.kind, len(nf.word), nf.representative.coeffs) == (expected, 0, coeffs)
+    else:
+        assert nf.kind not in (KIND_REDUCED, KIND_NEGATIVE) or len(nf.word) > 0
+
+
+def test_k_defaults_to_k0():
+    cases = {
+        R(6): ["E1", "H-E1-E2", "2H-E1-E2-E3-E4-E5", "E1-E2", "H-E1-E2-E3", "H", "-E1"],
+        LatticeModel.ruled(1, 3): ["E1", "F-E1", "E1-E2", "F-E1-E2", "T", "E1-F"],
+        LatticeModel.ruled(2, 2): ["E2", "F-E2", "E2-E1", "E1+E2-F", "T-E1"],
+    }
+    for m, texts in cases.items():
+        k0 = m.k0_form()
+        for t in texts:
+            x = cls(t, m)
+            assert is_exceptional(x) == is_exceptional(x, k0), (m, t)
+            assert is_K_null_spherical(x) == is_K_null_spherical(x, k0), (m, t)
+    m6, mr = R(6), LatticeModel.ruled(1, 3)
+    assert is_exceptional(cls("H-E1-E2", m6)) and not is_exceptional(cls("E1-E2", m6))
+    assert is_K_null_spherical(cls("2H-E1-E2-E3-E4-E5-E6", m6))
+    assert is_exceptional(cls("F-E3", mr)) and not is_exceptional(cls("E1-F", mr))
+    assert is_K_null_spherical(cls("F-E1-E3", mr)) and not is_K_null_spherical(cls("F-E1", mr))
+
+
+def test_ruled_exceptional_membership_matches_the_closed_form():
+    # E_i and F - E_i: t = 0, one nonzero E-coefficient, (f, e) = (0, 1) or (1, -1)
+    m = LatticeModel.ruled(1, 2)
+    k0 = m.k0_form()
+    for coeffs in product(range(-1, 2), repeat=m.rank):
+        x = HomClass(m, coeffs)
+        nonzero = [c for c in coeffs[2:] if c]
+        closed = coeffs[0] == 0 and len(nonzero) == 1 and (coeffs[1], nonzero[0]) in ((0, 1), (1, -1))
+        assert is_exceptional(x, k0) == closed, coeffs
 
 
 def test_reduce_one_gamma_step_to_ternary():
