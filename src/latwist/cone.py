@@ -120,9 +120,7 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
     ``degree_bound``; the set then holds the exceptional classes with
     |a| <= degree_bound only.  No class is reduced: the walk only climbs.
     """
-    if K is None:
-        K = model.k0_form()
-    signs = _k0_signs(model, K)
+    K, signs = _k0_signs(model, K)
     n = model.n
     if model.kind == RULED:
         classes, complete = _ruled_exceptional(model), True
@@ -175,7 +173,7 @@ def _cone_decide(model, num, K, closed):
     or a K_delta variant raises whatever the form; the walk runs on the
     numerators after K's sign change, and the witness is carried back.
     """
-    signs = _k0_signs(model, K)
+    K, signs = _k0_signs(model, K)
     moves = []
     if _gram_product(model, num, num) <= 0:
         return ConeResult(CONE_NO, None, "nonpositive square"), moves
@@ -296,9 +294,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     model = xi.model
     if tau.model != model:
         raise ValueError("incompatible lattice models")
-    if K is None:
-        K = model.k0_form()
-    signs = _k0_signs(model, K)
+    K, signs = _k0_signs(model, K)
     if not _form_cone(tau, K, closed=True):
         raise ValueError("form fails the cone conditions")
     nf = None

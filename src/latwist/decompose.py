@@ -239,25 +239,23 @@ def _class_reduction_gens(classes, v, i):
 def _staged_reduction(model, entries):
     """Chronological generators reducing the matrix to the identity.
 
+    One column step serves every column i = 1, ..., n.  From i = n - 1
+    on fewer than three indices remain, so no ternary twist applies: at
+    i = n - 1 the step finds E_{n-1} or E_n and adds at most the
+    transposition E_{n-1} - E_n, and at i = n it finds E_n or raises.
+
     The identity M = product of the generators in listed order holds
     because each one is applied by left multiplication and reflections
     are involutions.
     """
-    n = model.n
     classes = _class_table(model)
-    identity = mat_identity(model.rank)
     cur = entries
     gens = []
-    for i in range(1, n - 1):
+    for i in range(1, model.n + 1):
         for g in _class_reduction_gens(classes, [row[i] for row in cur], i):
             gens.append(g)
             cur = _mat_reflect(g, cur)
-    # row n - 1 of the identity is the coefficient vector of E_{n-1}
-    if n >= 2 and tuple(row[n] for row in cur) == identity[n - 1]:
-        g = classes[(n - 1, 1), (n, -1)]
-        gens.append(g)
-        cur = _mat_reflect(g, cur)
-    if cur != identity:
+    if cur != mat_identity(model.rank):
         raise DecompositionError("residual not resolvable")
     return gens
 
@@ -354,10 +352,6 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
 
     if M._cols[1] != identity[1]:  # column F is the image of F
         raise DecompositionError("fiber class not preserved")
-    if n == 0:
-        if M.entries != identity:
-            raise DecompositionError("no twists available")
-        return ReflectionWord(model, ())
 
     cur = M.entries
     gens = []

@@ -156,10 +156,12 @@ def is_reduced(xi: HomClass) -> bool:
 
 
 def _match_terminal(coeffs, n):
-    """Return the terminal pattern kind of a rational class, or None.
+    """The terminal pattern kind of a rational class with a >= 0, or None.
 
-    Patterns: 0, +-E_i, +-(E_i-E_j), +-(H-E_i-E_j) when n = 2 only,
-    +-(H-E_i-E_j-E_k).  The sign is not normalized here.
+    Patterns: 0, +-E_i, +-(E_i-E_j), H-E_i-E_j when n = 2 only,
+    H-E_i-E_j-E_k.  The Cremona loop flips a class with a < 0 before it
+    matches, so the H-patterns need only the sign a = 1; +-E_i both
+    match ExceptionalEi, and the loop's finish marks the net -E_i.
     """
     a = coeffs[0]
     nonzero = [c for c in coeffs[1:] if c]
@@ -167,14 +169,14 @@ def _match_terminal(coeffs, n):
         if not nonzero:
             return KIND_ZERO
         if len(nonzero) == 1 and abs(nonzero[0]) == 1:
-            return KIND_EXC_EI if nonzero[0] > 0 else KIND_MINUS_BASIS
+            return KIND_EXC_EI
         if len(nonzero) == 2 and sorted(nonzero) == [-1, 1]:
             return KIND_BINARY
         return None
-    if abs(a) == 1:
-        if len(nonzero) == 2 and nonzero == [-a, -a] and n == 2:
+    if a == 1:
+        if nonzero == [-1, -1] and n == 2:
             return KIND_EXC_HEIEJ
-        if len(nonzero) == 3 and nonzero == [-a, -a, -a]:
+        if nonzero == [-1, -1, -1]:
             return KIND_TERNARY
     return None
 
@@ -196,12 +198,13 @@ _GAMMA_TERMS = ((0, 1), (1, -1), (2, -1), (3, -1))
 def cremona_reduce(xi: HomClass) -> NormalForm:
     """Reduce a rational-model class to a terminal pattern with a word.
 
-    The loop checks terminal patterns, flips the whole class when the
-    H-coefficient is negative (recorded in sign_flipped, not as a
-    generator), sorts the b_i by explicit transposition reflections,
-    stops with NegativeCoefficient when a > 0 with some b_i < 0 and
-    nonnegative defect, and otherwise applies Gamma on the three largest
-    b_i while the defect is negative.  A generous iteration cap and a
+    Each pass first flips the whole class when the H-coefficient is
+    negative (recorded in sign_flipped, not as a generator) and only then
+    matches the terminal patterns, so they see a >= 0 only.  It then
+    sorts the b_i by explicit transposition reflections, stops with
+    NegativeCoefficient when a > 0 with some b_i < 0 and nonnegative
+    defect, and otherwise applies Gamma on the three largest b_i while
+    the defect is negative.  A generous iteration cap and a
     stuck-state check return Irreducible instead of looping on inputs
     outside the classes the terminal patterns cover.
 
@@ -251,6 +254,9 @@ def _cremona_reduce(xi: HomClass) -> tuple:
 
     def finish(kind, capped=False):
         rep, extra = _normalize_sign(HomClass(model, tuple(cur)))
+        if kind == KIND_EXC_EI and flipped ^ extra:
+            # the net class is -E_i
+            kind = KIND_MINUS_BASIS
         nf = NormalForm(
             kind=kind,
             representative=rep,
@@ -260,21 +266,13 @@ def _cremona_reduce(xi: HomClass) -> tuple:
         return nf, capped
 
     while True:
-        kind = _match_terminal(cur, n)
-        if kind is not None:
-            if flipped:
-                # the flag tracks the net sign, so a flipped -E_i is a
-                # net +E_i and vice versa
-                if kind == KIND_EXC_EI:
-                    kind = KIND_MINUS_BASIS
-                elif kind == KIND_MINUS_BASIS:
-                    kind = KIND_EXC_EI
-            return finish(kind)
-        a = cur[0]
-        if a < 0:
+        if cur[0] < 0:
             cur = [-c for c in cur]
             flipped = not flipped
-            continue
+        kind = _match_terminal(cur, n)
+        if kind is not None:
+            return finish(kind)
+        a = cur[0]
         # sort b descending with explicit transpositions; the reflection
         # along E_i - E_j swaps the coefficients of E_i and E_j
         for pos in range(1, n + 1):
@@ -309,15 +307,18 @@ def _cremona_reduce(xi: HomClass) -> tuple:
         return finish(KIND_IRREDUCIBLE)
 
 
-def _k0_signs(model: LatticeModel, K: FormClass) -> tuple:
+def _k0_signs(model: LatticeModel, K: Optional[FormClass]) -> tuple:
     """The canonical-class check of every routine that takes a K.
 
-    Rational K may be K_0 or a K_delta variant -3H + sum +-E_i; ruled K
+    Returns (K, signs): K itself, or model.k0_form() for None, and the
+    E-coefficients of K, which are the signs of the isometry carrying K
+    to K_0 (all +1 for K_0).  The default needs no check.  Any other
+    rational K may be K_0 or a K_delta variant -3H + sum +-E_i; ruled K
     must be K_0, so a K that passes has denominator 1 and pairs as K.num.
-    Returns the E-coefficients of K, which for those classes are the
-    signs of the isometry carrying K to K_0 (all +1 for K_0); raises
-    ValueError for any other K, or for a K of another model.
+    Raises ValueError for any other K, or for a K of another model.
     """
+    if K is None:
+        return model.k0_form(), (1,) * model.n
     if K.model != model:
         raise ValueError("incompatible lattice models")
     if model.kind == RULED:
@@ -325,7 +326,7 @@ def _k0_signs(model: LatticeModel, K: FormClass) -> tuple:
             raise ValueError("conjugate to K_0 first")
     elif K.den != 1 or K.num[0] != -3 or any(c not in (1, -1) for c in K.num[1:]):
         raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
-    return K.num[model.e_offset:]
+    return K, K.num[model.e_offset:]
 
 
 def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
@@ -352,16 +353,17 @@ def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at n=2).
 
     K (default K_0) passes the one check of _k0_signs: rational K may be
-    K_0 or any K_delta variant, ruled K must be K_0, where the
-    exceptional classes are exactly those of _ruled_exceptional.
+    K_0 or any K_delta variant, ruled K must be K_0.  A ruled class
+    x = tT + fF + sum c_i E_i passing the gate is exceptional exactly
+    when x.F = t is 0: then x^2 = -sum c_i^2 and K_0.x = -2f - sum c_i,
+    so one c_k is nonzero and c_k = 1 - 2f, and x is E_k or F - E_k,
+    the classes of _ruled_exceptional.
     """
-    if K is None:
-        K = xi.model.k0_form()
-    signs = _k0_signs(xi.model, K)
+    K, signs = _k0_signs(xi.model, K)
     if pairing(xi, xi) != -1 or _gram_product(xi.model, K.num, xi.coeffs) != -1:
         return False
     if xi.model.kind == RULED:
-        return xi in _ruled_exceptional(xi.model)
+        return xi.coeffs[0] == 0
     nf = cremona_reduce(_conjugate_to_k0(xi, signs))
     return nf.kind in (KIND_EXC_EI, KIND_EXC_HEIEJ) and not nf.sign_flipped
 
@@ -370,21 +372,18 @@ def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     """Square -2, K-pairing 0, and equivalence to a binary or ternary class.
 
     Rational K may be K_0 (the default) or any K_delta variant; ruled K
-    must be K_0, where the list is +-(F-E_i-E_j) and +-(E_i-E_j).
+    must be K_0, where the classes are +-(E_i-E_j) and +-(F-E_i-E_j).
+    A ruled class x = tT + fF + sum c_i E_i passing the gate is one of
+    them exactly when x.F = t is 0: then x^2 = -sum c_i^2 and
+    K_0.x = -2f - sum c_i, so two c_i are +-1 and sum to -2f.
     """
-    if K is None:
-        K = xi.model.k0_form()
-    signs = _k0_signs(xi.model, K)
+    K, signs = _k0_signs(xi.model, K)
     if xi.model.kind == RULED:
-        if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
-            return False
-        t, f = xi.coeffs[0], xi.coeffs[1]
-        nonzero = [c for c in xi.coeffs[2:] if c]
-        if t != 0 or len(nonzero) != 2:
-            return False
-        if f == 0:
-            return sorted(nonzero) == [-1, 1]
-        return abs(f) == 1 and nonzero == [-f, -f]
+        return (
+            pairing(xi, xi) == -2
+            and _gram_product(xi.model, K.num, xi.coeffs) == 0
+            and xi.coeffs[0] == 0
+        )
     return _spherical_normal_form(xi, K, signs) is not None
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from latwist.cli import main, parse_model_spec
 from latwist.decompose import IsometryMatrix, matrix_to_json
-from latwist.lattice import LatticeModel, form_pairing, mat_identity
+from latwist.lattice import LatticeModel, form_pairing, mat_identity, reflection_matrix
 from latwist.reduction import ReflectionWord
 from latwist.classexpr import parse_class, parse_form
 
@@ -206,6 +206,18 @@ def test_decompose_alpha_at_n10(tmp_path, capsys):
     assert data["word"]["length"] >= 1
     tau = parse_form(alpha, m)
     assert all(form_pairing(tau, parse_class(g, m)) == 0 for g in data["word"]["generators"])
+
+
+def test_decompose_reports_an_unfactorable_isometry(tmp_path, capsys):
+    # R(v) for criterion 4's class v: it validates, but v is K-null and
+    # not spherical, so the reflection is no product of twists
+    m = LatticeModel.rational(11)
+    v = parse_class("3H+E1-E2-E3-E4-E5-E6-E7-E8-E9-E10-E11", m)
+    path = tmp_path / "rv.json"
+    path.write_text(json.dumps(matrix_to_json(IsometryMatrix(m, reflection_matrix(v)))))
+    code, data = run_json(capsys, ["decompose", "--model", "rational:11", "--matrix", str(path)])
+    assert code == 1
+    assert data == {"error": {"type": "decomposition", "message": "residual not resolvable"}}
 
 
 def test_decompose_ruled_requires_alpha(tmp_path, capsys):

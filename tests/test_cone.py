@@ -638,7 +638,7 @@ def test_lagrangian_yes_reduces_once(monkeypatch):
             monkeypatch.setattr(module, "cremona_reduce", lambda x: calls.append(x) or reduce(x))
     for xi, tau in cases:
         K = -tau
-        expected = reduce(reduction._conjugate_to_k0(xi, reduction._k0_signs(m, K)))
+        expected = reduce(reduction._conjugate_to_k0(xi, reduction._k0_signs(m, K)[1]))
         calls.clear()
         res = is_lagrangian_spherical(xi, tau, K)
         assert res.yes and len(calls) == 1

@@ -608,3 +608,50 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(data) == M
     with pytest.raises(TypeError, match="integers"):
         matrix_from_json({"model": data["model"], "entries": [[1.5] * 4] * 4})
+
+
+# -- the No path: validated isometries that are not twist products -------------
+
+CRITERION_4_CLASS = "3H+E1-E2-E3-E4-E5-E6-E7-E8-E9-E10-E11"
+
+
+def minus_r_k(m):
+    """-R_K: x -> -x + 2 (x.K)/K^2 K for K = K_0, integral when K^2 is +-1 or +-2."""
+    K, k2 = m.k0(), pairing(m.k0(), m.k0())
+    assert k2 in (1, -1, 2, -2)
+    cols = [((2 * pairing(x, K)) // k2 * K - x).coeffs for x in m.basis()]
+    return IsometryMatrix(m, mat_transpose(tuple(cols)))
+
+
+def unfactorable_matrices():
+    m11 = R(11)
+    yield "R(v)", IsometryMatrix(m11, reflection_matrix(parse_class(CRITERION_4_CLASS, m11)))
+    for n in (10, 11):
+        yield f"-R_K at n={n}", minus_r_k(R(n))
+
+
+@pytest.mark.parametrize("name, M", list(unfactorable_matrices()))
+def test_decompose_k_raises_on_isometries_outside_the_twist_group(name, M):
+    m = M.model
+    assert validate(M).ok, name
+    rng = random.Random(f"no-path:{name}")
+    gens = rational_generators(m)
+    products = [M.entries]
+    for _ in range(4):
+        left = ReflectionWord(m, tuple(rng.choice(gens) for _ in range(rng.randint(1, 10)))).matrix
+        right = ReflectionWord(m, tuple(rng.choice(gens) for _ in range(rng.randint(1, 10)))).matrix
+        products.append(mat_mul(mat_mul(left, M.entries), right))
+    for entries in products:
+        P = IsometryMatrix(m, entries)
+        assert validate(P).ok, name
+        with pytest.raises(DecompositionError, match="^residual not resolvable$"):
+            decompose_K(P)
+
+
+@pytest.mark.parametrize("n, length", [(7, 9), (8, 14)])
+def test_geiser_and_bertini_involutions_factor(n, length):
+    M = minus_r_k(R(n))
+    assert mat_mul(M.entries, M.entries) == mat_identity(M.model.rank)
+    word = decompose_K(M)
+    assert len(word) == length
+    assert word.matrix == M.entries

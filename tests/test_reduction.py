@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
+from latwist.oracle import bfs_is_exceptional, bfs_is_knull_spherical
 from latwist.lattice import (
     RATIONAL,
     FormClass,
@@ -36,6 +37,7 @@ from latwist.reduction import (
     _conjugate_to_k0,
     _k0_signs,
     _match_terminal,
+    _ruled_exceptional,
     cremona_reduce,
     eta_K,
     eta_lower_bound,
@@ -199,6 +201,33 @@ def test_ruled_exceptional_membership_matches_the_closed_form():
         nonzero = [c for c in coeffs[2:] if c]
         closed = coeffs[0] == 0 and len(nonzero) == 1 and (coeffs[1], nonzero[0]) in ((0, 1), (1, -1))
         assert is_exceptional(x, k0) == closed, coeffs
+
+
+def _ruled_knull_closed_form(x):
+    """The ruled K-null spherical classes +-(E_i-E_j) and +-(F-E_i-E_j)
+    by their closed pattern, the reference for is_K_null_spherical's
+    x.F = 0 rule."""
+    if pairing(x, x) != -2 or form_pairing(x.model.k0_form(), x) != 0:
+        return False
+    t, f = x.coeffs[0], x.coeffs[1]
+    nonzero = [c for c in x.coeffs[2:] if c]
+    if t != 0 or len(nonzero) != 2:
+        return False
+    if f == 0:
+        return sorted(nonzero) == [-1, 1]
+    return abs(f) == 1 and nonzero == [-f, -f]
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_ruled_classifiers_match_the_closed_forms_and_the_oracle(h):
+    # every class with |coefficients| <= 2 of ruled(h, n), n <= 3
+    for n in range(4):
+        m = LatticeModel.ruled(h, n)
+        listed = set(_ruled_exceptional(m))
+        for coeffs in product(range(-2, 3), repeat=m.rank):
+            x = HomClass(m, coeffs)
+            assert is_exceptional(x) == (x in listed) == bfs_is_exceptional(x), coeffs
+            assert is_K_null_spherical(x) == _ruled_knull_closed_form(x) == bfs_is_knull_spherical(x), coeffs
 
 
 def test_reduce_one_gamma_step_to_ternary():
@@ -506,7 +535,8 @@ def test_k0_signs_matches_the_sign_loop(K):
         with pytest.raises(ValueError, match="K must be K_0 or a K_delta variant"):
             _k0_signs(m, K)
         return
-    signs = _k0_signs(m, K)
+    K_out, signs = _k0_signs(m, K)
+    assert K_out is K
     assert signs == expected
     assert _conjugate_to_k0(HomClass(m, K.num), signs).coeffs == m.k0_form().num
 
@@ -655,6 +685,17 @@ def reduction_inputs(draw):
 @example(HomClass(R(0), (-4,)))
 @settings(max_examples=600, deadline=None)
 def test_reduction_matches_class_loop(xi):
+    assert_matches_class_loop(xi)
+
+
+def test_reduction_matches_class_loop_on_the_small_grid():
+    # every rational class with n <= 4 and |coefficients| <= 2
+    for n in range(5):
+        for coeffs in product(range(-2, 3), repeat=n + 1):
+            assert_matches_class_loop(HomClass(R(n), coeffs))
+
+
+def assert_matches_class_loop(xi):
     kind, rep, gens, flipped, capped = _old_cremona_reduce(xi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
