@@ -221,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", type=parse_model_spec, required=True,
                         help='lattice model, "rational:6" or "ruled:h=2,n=3"')
     common.add_argument("--output", choices=("text", "json"), default="text")
+    allow_large_help = "lift the scan limits: --bound above 8, and more than 2,000,000 candidates"
 
     parser = _Parser(
         prog="latwist",
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive, default=None)
     p.add_argument("--degree-bound", type=_positive, default=None,
                    help="cap on the H-coefficient for exceptional sets with n >= 9")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", action="store_true", help=allow_large_help)
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("cone", parents=[common],
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=_positive, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the --sample subset, echoed with --sample")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", action="store_true", help=allow_large_help)
     p.set_defaults(handler=cmd_crosscheck)
 
     return parser

@@ -35,8 +35,8 @@ from .reduction import (
     _conjugate_to_k0,
     _k0_signs,
     _ruled_exceptional,
+    _ruled_k_null_spherical,
     _spherical_normal_form,
-    is_K_null_spherical,
 )
 
 CONE_YES = "yes"
@@ -289,7 +289,9 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
 
     For rational models one Cremona reduction, after the sign change
     that carries K to K_0, decides the spherical clause and gives the
-    Yes certificate: ``word`` and ``kind`` are that normal form's.
+    Yes certificate: ``word`` and ``kind`` are that normal form's.  For
+    ruled models the clause is the x.F = 0 decision on the K checked at
+    entry.
     """
     model = xi.model
     if tau.model != model:
@@ -299,7 +301,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
         raise ValueError("form fails the cone conditions")
     nf = None
     if model.kind == RULED:
-        spherical = is_K_null_spherical(xi, K)
+        spherical = _ruled_k_null_spherical(xi, K)
     else:
         nf = _spherical_normal_form(xi, K, signs)
         spherical = nf is not None

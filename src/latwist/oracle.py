@@ -5,6 +5,13 @@ numeric constraints, and breadth-first orbit search over the twist
 generators with canonical-form dedup.  Cross-checking runs both sides
 of every classification decision and reports disagreements, which are
 expected to be none.
+
+An enumeration completes each head (H, or T and F) by the E-tails of
+its suffix state: the tail length and the sum and square-sum still to
+reach.  Each scan first counts the tails of every state, once, and
+refuses a scan over the candidate cap before any class is built; then
+it lists each non-empty state once.  Both memos are plain dicts local
+to the scan, so they are freed when it returns.
 """
 
 from dataclasses import dataclass
@@ -35,7 +42,7 @@ __all__ = [
 
 SAFETY_LIMIT = 8
 
-# full-grid scans have no constraint to prune on; cap the vector count
+# cap on the candidates one scan may list, counted before any is built
 _GRID_LIMIT = 2_000_000
 
 # predicate name -> implied (square, k_pairing), None entries left free
@@ -97,26 +104,67 @@ class EnumQuery:
         return _PREDICATES[self.predicate][1] if self.predicate else None
 
 
-def _e_tails(n, bound, total, sq_total):
-    """All integer tails of length n with |entry| <= bound, matching the
-    optional sum and square-sum targets, in lexicographic order."""
-    if n == 0:
-        if total in (None, 0) and sq_total in (None, 0):
-            yield ()
-        return
+def _steps(n, bound, total, sq_total):
+    """The moves out of the suffix state (n, total, sq_total), n > 0: one
+    (value, rest_total, rest_sq) per first entry in increasing order,
+    none when no tail of length n can meet the targets."""
     # Cauchy-Schwarz and capacity pruning on the remaining block
     if sq_total is not None:
         if sq_total < 0 or sq_total > n * bound * bound:
-            return
+            return ()
         if total is not None and total * total > n * sq_total:
-            return
+            return ()
     elif total is not None and abs(total) > n * bound:
-        return
-    for value in range(-bound, bound + 1):
-        rest_total = None if total is None else total - value
-        rest_sq = None if sq_total is None else sq_total - value * value
-        for tail in _e_tails(n - 1, bound, rest_total, rest_sq):
-            yield (value,) + tail
+        return ()
+    return [
+        (
+            value,
+            None if total is None else total - value,
+            None if sq_total is None else sq_total - value * value,
+        )
+        for value in range(-bound, bound + 1)
+    ]
+
+
+def _e_count(n, bound, total, sq_total, memo):
+    """How many tails _e_tails lists for the state; memo maps each state
+    counted so far in the scan to its count."""
+    key = (n, total, sq_total)
+    count = memo.get(key)
+    if count is None:
+        if n == 0:
+            count = int(total in (None, 0) and sq_total in (None, 0))
+        else:
+            count = 0
+            for _, t, s in _steps(n, bound, total, sq_total):
+                count += _e_count(n - 1, bound, t, s, memo)
+        memo[key] = count
+    return count
+
+
+def _e_tails(n, bound, total, sq_total, counts, memo):
+    """All integer tails of length n with |entry| <= bound, matching the
+    optional sum and square-sum targets, in lexicographic order.
+
+    Called only on states that ``counts``, the scan's _e_count memo,
+    holds as non-empty, and it enters no empty state below.  memo maps
+    each state (n, total, sq_total) solved so far in the scan to its
+    list, so a state reached from many prefixes is solved once.
+    """
+    key = (n, total, sq_total)
+    tails = memo.get(key)
+    if tails is None:
+        if n == 0:
+            tails = [()]
+        else:
+            tails = [
+                (value,) + tail
+                for value, t, s in _steps(n, bound, total, sq_total)
+                if counts[n - 1, t, s]
+                for tail in _e_tails(n - 1, bound, t, s, counts, memo)
+            ]
+        memo[key] = tails
+    return tails
 
 
 def _is_characteristic_direct(x: HomClass) -> bool:
@@ -134,7 +182,13 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     One sequential loop over the head coordinates (H, or T and F) in
     increasing order, each completed by its E-tails in lexicographic
     order, so the output is sorted by coefficient tuple and fully
-    deterministic.
+    deterministic.  The tails of each suffix state are solved once per
+    scan, in a memo that lives for this call only.
+
+    Unless ``allow_large`` is set, a bound over SAFETY_LIMIT, or a scan
+    that would list more than 2,000,000 candidates, raises ValueError
+    before any class is built; the candidates are counted exactly, over
+    the same states, ahead of the listing.
     """
     if q.coeff_bound > SAFETY_LIMIT and not allow_large:
         raise ValueError("bound exceeds safety limit")
@@ -142,27 +196,37 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     bound = q.coeff_bound
     s = q.resolved_square
     k = q.resolved_k_pairing
-    if s is None and k is None:
-        size = (2 * bound + 1) ** model.rank
-        if size > _GRID_LIMIT and not allow_large:
-            raise ValueError("bound exceeds safety limit")
-
-    n = model.n
-    out = []
+    span = range(-bound, bound + 1)
+    # (head coefficients, E-sum target, E-square-sum target) per head
     if model.kind == RATIONAL:
-        for a in range(-bound, bound + 1):
-            total = None if k is None else -3 * a - k
-            sq_total = None if s is None else a * a - s
-            for tail in _e_tails(n, bound, total, sq_total):
-                out.append(HomClass(model, (a,) + tail))
+        heads = [
+            ((a,), None if k is None else -3 * a - k, None if s is None else a * a - s)
+            for a in span
+        ]
     else:
         g = model.genus
-        for t in range(-bound, bound + 1):
-            for f in range(-bound, bound + 1):
-                total = None if k is None else (2 * g - 2) * t - 2 * f - k
-                sq_total = None if s is None else 2 * t * f - s
-                for tail in _e_tails(n, bound, total, sq_total):
-                    out.append(HomClass(model, (t, f) + tail))
+        heads = [
+            (
+                (t, f),
+                None if k is None else (2 * g - 2) * t - 2 * f - k,
+                None if s is None else 2 * t * f - s,
+            )
+            for t in span
+            for f in span
+        ]
+
+    n = model.n
+    counts = {}
+    size = sum(_e_count(n, bound, total, sq_total, counts) for _, total, sq_total in heads)
+    if size > _GRID_LIMIT and not allow_large:
+        raise ValueError("bound exceeds safety limit")
+    memo = {}
+    out = [
+        HomClass(model, head + tail)
+        for head, total, sq_total in heads
+        if counts[n, total, sq_total]
+        for tail in _e_tails(n, bound, total, sq_total, counts, memo)
+    ]
     if q.predicate == "characteristic":
         out = [x for x in out if _is_characteristic_direct(x)]
     return out

@@ -379,12 +379,18 @@ def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     """
     K, signs = _k0_signs(xi.model, K)
     if xi.model.kind == RULED:
-        return (
-            pairing(xi, xi) == -2
-            and _gram_product(xi.model, K.num, xi.coeffs) == 0
-            and xi.coeffs[0] == 0
-        )
+        return _ruled_k_null_spherical(xi, K)
     return _spherical_normal_form(xi, K, signs) is not None
+
+
+def _ruled_k_null_spherical(xi: HomClass, K: FormClass) -> bool:
+    """The ruled K-null spherical decision, x.F = t = 0 after the square
+    and K-pairing gate, for a K that has passed _k0_signs."""
+    return (
+        pairing(xi, xi) == -2
+        and _gram_product(xi.model, K.num, xi.coeffs) == 0
+        and xi.coeffs[0] == 0
+    )
 
 
 def _spherical_normal_form(xi: HomClass, K: FormClass, signs: tuple) -> Optional[NormalForm]:

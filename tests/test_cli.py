@@ -262,6 +262,26 @@ def test_enumerate_needs_bound(capsys):
     assert code == 2 and "safety limit" in captured.err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "crosscheck"])
+@pytest.mark.parametrize("constraint", ["--k-pairing=0", "--square=-1"])
+def test_scans_over_the_candidate_cap_are_refused(capsys, command, constraint):
+    argv = [command, "--model", "rational:12", "--bound", "8", constraint]
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": {"type": "input", "message": "bound exceeds safety limit"}}
+    code, captured = run(capsys, argv)
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error (input): bound exceeds safety limit\n"
+
+
+def test_allow_large_help_names_both_limits(capsys):
+    for command in ("enumerate", "crosscheck"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--bound above 8, and more than 2,000,000 candidates" in out
+
+
 def test_cone_verdicts(capsys):
     code, captured = run(capsys, ["cone", "--model", "rational:1", "--form", "3H-E1"])
     assert code == 0 and captured.out.startswith("Yes")

@@ -298,6 +298,29 @@ def test_lagrangian_spherical_ruled():
     assert not res.yes and res.reason.startswith("not K-null spherical")
 
 
+
+def test_ruled_lagrangian_checks_k_once(monkeypatch):
+    # the spherical clause reuses the K checked at entry; the only other
+    # check is _cone_decide's, once per form
+    from latwist import cone, reduction
+
+    m = LatticeModel.ruled(1, 3)
+    tau = parse_form("2T+3F-E1-E2-E3", m)
+    signs = reduction._k0_signs
+    calls = []
+    for module in (cone, reduction):
+        def counting(model, K, name=module.__name__):
+            calls.append(name)
+            return signs(model, K)
+
+        monkeypatch.setattr(module, "_k0_signs", counting)
+    assert is_lagrangian_spherical(parse_class("E1-E2", m), tau).yes
+    assert calls == ["latwist.cone", "latwist.cone"]
+    calls.clear()
+    res = is_lagrangian_spherical(parse_class("F-E1", m), tau)
+    assert not res.yes and res.reason.startswith("not K-null spherical")
+    assert calls == ["latwist.cone"]
+
 def _unsupported_canonical_classes():
     """(model, K, message) for every kind of K no routine accepts."""
     m3, mr = R(3), LatticeModel.ruled(1, 2)

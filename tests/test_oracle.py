@@ -1,7 +1,11 @@
 """Brute-force enumeration and cross-check oracles."""
 
+import gc
+import itertools
+
 import pytest
 
+from latwist import oracle
 from latwist.classexpr import parse_class
 from latwist.cone import enumerate_exceptional
 from latwist.lattice import FormClass, HomClass, LatticeModel, form_pairing, is_characteristic, pairing
@@ -47,6 +51,126 @@ def test_safety_limits():
     with pytest.raises(ValueError, match="bound exceeds safety limit"):
         enumerate_classes(EnumQuery(R(8), 3))
     assert len(enumerate_classes(EnumQuery(R(1), 1))) == 9
+
+
+def _fail_if_listed(*args):
+    raise AssertionError("a class list was built")
+
+
+@pytest.mark.parametrize("constraint", [{"k_pairing": 0}, {"square": -1}], ids=["k", "square"])
+def test_safety_limit_counts_constrained_scans(monkeypatch, constraint):
+    # 168,240,909,767,659 and 25,057,795,512 candidates: the guard counts
+    # them and refuses before any tail list is built
+    monkeypatch.setattr(oracle, "_e_tails", _fail_if_listed)
+    with pytest.raises(ValueError, match="bound exceeds safety limit"):
+        enumerate_classes(EnumQuery(R(12), 8, **constraint))
+
+
+def test_safety_limit_is_the_exact_count(monkeypatch):
+    queries = [EnumQuery(R(6), 3, predicate="knull"), EnumQuery(LatticeModel.ruled(1, 3), 2, square=-1)]
+    for q in queries:
+        size = len(enumerate_classes(q, allow_large=True))
+        assert size > 0
+        monkeypatch.setattr(oracle, "_GRID_LIMIT", size)
+        assert len(enumerate_classes(q)) == size
+        monkeypatch.setattr(oracle, "_GRID_LIMIT", size - 1)
+        with pytest.raises(ValueError, match="bound exceeds safety limit"):
+            enumerate_classes(q)
+        assert len(enumerate_classes(q, allow_large=True)) == size
+
+
+def _product_scan(model, bound):
+    """(coeffs, square, K-pairing, characteristic) for every vector of
+    the grid, in itertools.product order."""
+    k0 = model.k0_form()
+    rows = []
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=model.rank):
+        x = HomClass(model, coeffs)
+        rows.append((coeffs, pairing(x, x), form_pairing(k0, x), is_characteristic(x)))
+    return rows
+
+
+_IMPLIED = {
+    None: (None, None),
+    "exceptional": (-1, -1),
+    "knull": (-2, 0),
+    "characteristic": (None, None),
+}
+
+
+def _product_filter(rows, square, k_pairing, predicate):
+    implied_s, implied_k = _IMPLIED[predicate]
+    square = implied_s if square is None else square
+    k_pairing = implied_k if k_pairing is None else k_pairing
+    return [
+        coeffs
+        for coeffs, sq, kp, char in rows
+        if (square is None or sq == square)
+        and (k_pairing is None or kp == k_pairing)
+        and (predicate != "characteristic" or char)
+    ]
+
+
+_CONSTRAINTS = [(s, k) for s in (None, -2, -1, 1) for k in (None, -1, 0)]
+
+
+_GRID_MODELS = {f"rational({n})": R(n) for n in range(6)} | {
+    f"ruled({h},{n})": LatticeModel.ruled(h, n) for h in (1, 2) for n in range(4)
+}
+
+
+@pytest.mark.parametrize("model", list(_GRID_MODELS.values()), ids=list(_GRID_MODELS))
+def test_enumerate_matches_product_filter(model):
+    # lists and order against a plain filter over the whole grid
+    for bound in (1, 2, 3):
+        rows = _product_scan(model, bound)
+        queries = [(s, k, None) for s, k in _CONSTRAINTS]
+        queries += [(s, k, "characteristic") for s, k in _CONSTRAINTS]
+        queries += [(None, None, "exceptional"), (None, None, "knull")]
+        for s, k, predicate in queries:
+            q = EnumQuery(model, bound, square=s, k_pairing=k, predicate=predicate)
+            got = [x.coeffs for x in enumerate_classes(q)]
+            assert got == _product_filter(rows, s, k, predicate), (bound, s, k, predicate)
+
+
+def test_each_state_is_solved_once_per_scan(monkeypatch):
+    solved = {"_e_count": [], "_e_tails": []}
+    for name in solved:
+        def recording(n, bound, total, sq_total, *rest, fn=getattr(oracle, name), name=name):
+            # the memo is the last argument; a state missing from it is solved now
+            if (n, total, sq_total) not in rest[-1]:
+                solved[name].append((n, total, sq_total))
+            return fn(n, bound, total, sq_total, *rest)
+
+        monkeypatch.setattr(oracle, name, recording)
+    queries = [
+        EnumQuery(R(8), 3, predicate="knull"),
+        EnumQuery(R(10), 3, predicate="exceptional"),
+        EnumQuery(LatticeModel.ruled(2, 5), 3, square=-1),
+        EnumQuery(R(4), 2, predicate="characteristic"),
+    ]
+    for q in queries:
+        for states in solved.values():
+            states.clear()
+        out = enumerate_classes(q)
+        assert out
+        counted, listed = solved["_e_count"], solved["_e_tails"]
+        assert len(counted) == len(set(counted))
+        assert len(listed) == len(set(listed))
+        assert set(listed) <= set(counted)
+
+
+def test_scan_leaves_no_garbage():
+    # the memos are plain dicts of the call: freed on return, no cycles
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_classes(EnumQuery(R(8), 3, predicate="knull"))
+        assert enumerate_classes(EnumQuery(LatticeModel.ruled(1, 4), 2, k_pairing=0))
+        assert crosscheck(EnumQuery(R(4), 2, predicate="exceptional")).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_binary_pair():
