@@ -25,18 +25,10 @@ import functools
 import json
 import sys
 
+# classify and reduce need these three layers only; every other handler
+# imports its own, so a call loads only the modules it reaches
 from .classexpr import ParseError, parse_class, parse_form, print_class
-from .cone import CONE_NO, CONE_YES, enumerate_exceptional, in_cone, is_lagrangian_spherical
-from .decompose import (
-    DecompositionError,
-    decompose_K,
-    decompose_K_alpha,
-    decompose_ruled,
-    matrix_from_json,
-    validate,
-)
 from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteristic, pairing
-from .oracle import EnumQuery, crosscheck, enumerate_classes
 from .reduction import cremona_reduce, is_K_null_spherical, is_exceptional
 
 
@@ -92,6 +84,8 @@ def cmd_classify(args) -> tuple:
 
 
 def cmd_lagrangian(args) -> tuple:
+    from .cone import is_lagrangian_spherical
+
     model = args.model
     x = parse_class(args.cls, model)
     tau = parse_form(args.form, model)
@@ -121,6 +115,8 @@ def cmd_reduce(args) -> tuple:
 
 
 def cmd_decompose(args) -> tuple:
+    from .decompose import decompose_K, decompose_K_alpha, decompose_ruled, matrix_from_json, validate
+
     model = args.model
     with open(args.matrix) as fh:
         M = matrix_from_json(json.load(fh))
@@ -141,7 +137,9 @@ def cmd_decompose(args) -> tuple:
     return 0, {"valid": True, "word": _word_payload(word)}
 
 
-def _query(args) -> EnumQuery:
+def _query(args):
+    from .oracle import EnumQuery
+
     return EnumQuery(
         args.model,
         args.bound,
@@ -154,6 +152,8 @@ def _query(args) -> EnumQuery:
 def cmd_enumerate(args) -> tuple:
     model = args.model
     if args.kind == "exceptional" and args.bound is None:
+        from .cone import enumerate_exceptional
+
         es = enumerate_exceptional(model, degree_bound=args.degree_bound)
         classes = list(es)
         payload = {"count": len(classes), "complete": es.complete}
@@ -162,6 +162,8 @@ def cmd_enumerate(args) -> tuple:
     else:
         if args.bound is None:
             raise ValueError("--bound required unless --kind exceptional")
+        from .oracle import enumerate_classes
+
         classes = enumerate_classes(_query(args), allow_large=args.allow_large)
         payload = {"count": len(classes), "complete": False, "coeff_bound": args.bound}
     payload["classes"] = [print_class(x) for x in classes]
@@ -169,10 +171,12 @@ def cmd_enumerate(args) -> tuple:
 
 
 def cmd_cone(args) -> tuple:
+    from .cone import in_cone
+
     model = args.model
     tau = parse_form(args.form, model)
     res = in_cone(tau)
-    no = res.verdict == CONE_NO
+    no = not res
     payload = {"verdict": res.verdict}
     if no:
         payload["witness"] = None if res.witness is None else print_class(res.witness)
@@ -182,6 +186,8 @@ def cmd_cone(args) -> tuple:
 
 
 def cmd_crosscheck(args) -> tuple:
+    from .oracle import crosscheck
+
     report = crosscheck(
         _query(args),
         allow_large=args.allow_large,
@@ -290,7 +296,8 @@ def _text_lines(payload: dict) -> list:
         if value is None:
             continue
         if key in ("yes", "verdict"):
-            lines.append("Yes" if value in (True, CONE_YES) else "No")
+            # a "yes" bool, or cone's verdict string cone.CONE_YES
+            lines.append("Yes" if value in (True, "yes") else "No")
         elif isinstance(value, dict) and value.keys() == {"length", "generators"}:
             lines.append(f"word length: {value['length']}")
             lines += [f"  R({g})" for g in value["generators"]]
@@ -345,17 +352,26 @@ def main(argv=None) -> int:
         return 2
     try:
         code, payload = args.handler(args)
-    except DecompositionError as exc:
-        _emit_error(args.output, "decomposition", exc)
-        return 1
     except ParseError as exc:
         _emit_error(args.output, "parse", exc)
         return 2
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         _emit_error(args.output, "input", exc)
         return 2
+    except _decomposition_error() as exc:
+        _emit_error(args.output, "decomposition", exc)
+        return 1
     _emit(payload, args.output)
     return code
+
+
+def _decomposition_error():
+    # Python evaluates an except clause's class only when an exception
+    # reaches that clause, so a call that raises nothing, or raises an
+    # input error, never loads decompose for it
+    from .decompose import DecompositionError
+
+    return DecompositionError
 
 
 def _emit_error(output, kind, exc):

@@ -140,6 +140,15 @@ class HomClass:
             if not isinstance(c, int):
                 raise TypeError("homology coefficients must be exact integers")
 
+    @classmethod
+    def _from_ints(cls, model: LatticeModel, coeffs: tuple) -> "HomClass":
+        """The class with these coefficients, unchecked: the caller built
+        ``coeffs`` as a tuple of ``model.rank`` ints."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "model", model)
+        object.__setattr__(x, "coeffs", coeffs)
+        return x
+
     def square(self) -> int:
         return self._square
 

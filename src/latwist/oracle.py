@@ -221,8 +221,10 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     if size > _GRID_LIMIT and not allow_large:
         raise ValueError("bound exceeds safety limit")
     memo = {}
+    # every head and tail is a tuple of ints made here, so the classes
+    # skip the constructor's checks
     out = [
-        HomClass(model, head + tail)
+        HomClass._from_ints(model, head + tail)
         for head, total, sq_total in heads
         if counts[n, total, sq_total]
         for tail in _e_tails(n, bound, total, sq_total, counts, memo)

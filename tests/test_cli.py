@@ -220,6 +220,33 @@ def test_decompose_reports_an_unfactorable_isometry(tmp_path, capsys):
     assert data == {"error": {"type": "decomposition", "message": "residual not resolvable"}}
 
 
+def test_error_paths_in_a_fresh_process(tmp_path):
+    # a new interpreter has not loaded decompose when main starts, so
+    # the unfactorable isometry above must still reach its own error type
+    m = LatticeModel.rational(11)
+    v = parse_class("3H+E1-E2-E3-E4-E5-E6-E7-E8-E9-E10-E11", m)
+    path = tmp_path / "rv.json"
+    path.write_text(json.dumps(matrix_to_json(IsometryMatrix(m, reflection_matrix(v)))))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "latwist.cli", *argv], capture_output=True, text=True)
+
+    argv = ["decompose", "--model", "rational:11", "--matrix", str(path)]
+    proc = cli(*argv, "--output", "json")
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"error": {"type": "decomposition", "message": "residual not resolvable"}}
+    proc = cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error (decomposition): residual not resolvable\n")
+    for argv in (
+        ["classify", "--model", "rational:2", "E7"],
+        ["decompose", "--model", "rational:11", "--matrix", str(path), "--alpha", "3H-Q1"],
+    ):
+        proc = cli(*argv, "--output", "json")
+        assert proc.returncode == 2 and json.loads(proc.stdout)["error"]["type"] == "parse"
+        proc = cli(*argv)
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error (parse): ")
+
+
 def test_decompose_ruled_requires_alpha(tmp_path, capsys):
     m = LatticeModel.ruled(1, 2)
     path = tmp_path / "rid.json"
@@ -421,14 +448,15 @@ def test_text_is_derived_from_the_payload(tmp_path, capsys):
 
 
 def test_crosscheck_disagreement_is_reported(capsys, monkeypatch):
-    import latwist.cli as cli
+    import latwist.oracle as oracle
     from latwist.oracle import CrosscheckReport, Disagreement
 
     def fake(q, **kwargs):
         x = parse_class("E1-E2", q.model)
         return CrosscheckReport(q, (x,), (Disagreement(x, "knull", True, False),))
 
-    monkeypatch.setattr(cli, "crosscheck", fake)
+    # the crosscheck handler reads the function from oracle on each call
+    monkeypatch.setattr(oracle, "crosscheck", fake)
     argv = ["crosscheck", "--model", "rational:3", "--bound", "1", "--kind", "knull"]
     code, captured = run(capsys, argv)
     assert code == 1

@@ -173,6 +173,42 @@ def test_scan_leaves_no_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize("query", [
+    EnumQuery(R(6), 2, predicate="knull"),
+    EnumQuery(R(4), 2, k_pairing=-1),
+    EnumQuery(LatticeModel.ruled(2, 3), 2, square=-1),
+], ids=["knull", "k_pairing", "ruled"])
+def test_listed_classes_equal_checked_classes(monkeypatch, query):
+    # the scan builds its classes without re-checking each coefficient;
+    # they must be the classes the public constructor builds
+    builds = []
+    check = HomClass.__post_init__
+
+    def counting_post_init(self):
+        builds.append(self.coeffs)
+        check(self)
+
+    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    listed = enumerate_classes(query)
+    assert builds == []
+    monkeypatch.undo()
+    assert listed
+    for x in listed:
+        assert type(x.coeffs) is tuple and all(type(c) is int for c in x.coeffs)
+        y = HomClass(query.model, x.coeffs)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x.square() == y.square()
+
+
+def test_public_homclass_keeps_its_checks():
+    with pytest.raises(ValueError, match="length"):
+        HomClass(R(2), (1, 0))
+    with pytest.raises(TypeError, match="exact integers"):
+        HomClass(R(2), (1, 0, 0.5))
+    with pytest.raises(TypeError, match="exact integers"):
+        HomClass(R(2), (1, 0, "1"))
+
+
 def test_enumerate_binary_pair():
     out = enumerate_classes(EnumQuery(R(2), 2, square=-2, k_pairing=0))
     assert texts(R(2), out) == {(0, 1, -1), (0, -1, 1)}
