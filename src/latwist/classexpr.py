@@ -107,6 +107,9 @@ def _parse(text: str, model: LatticeModel, allow_rational: bool):
         raise ParseError("mixed basis symbols")
     num = [0] * model.rank
     den = 1
+    # the model's basis names are exactly the valid symbols; a miss goes
+    # to _symbol_index, which names what is wrong with it
+    index = model._basis_index
     for sign, p, q, sym, idx, pos in terms:
         if q is None:
             p, q = (1 if p is None else int(p)), 1
@@ -121,7 +124,10 @@ def _parse(text: str, model: LatticeModel, allow_rational: bool):
                 scale = q // math.gcd(den, q)
                 num = [c * scale for c in num]
                 den *= scale
-        num[_symbol_index(model, sym, idx, pos)] += sign * p * (den // q)
+        i = index.get(sym + idx)
+        if i is None:
+            i = _symbol_index(model, sym, idx, pos)
+        num[i] += sign * p * (den // q)
     return num, den
 
 

@@ -23,7 +23,7 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
-    _class_table,
+    _check_same_model,
     _gram_product,
     form_pairing,
     is_characteristic,
@@ -221,7 +221,7 @@ def _cone_decide(model, num, K, closed):
         moves.append(triple)
     # reflections permute the exceptional classes; undo them on the witness.
     # A move lists its triple by b-order, so the table key sorts it.
-    classes = _class_table(model)
+    classes = model._classes
     for triple in reversed(moves):
         witness = reflect(classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(triple))], witness)
     # the sign change is an involution, so it also carries K_0 back to K
@@ -294,8 +294,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     entry.
     """
     model = xi.model
-    if tau.model != model:
-        raise ValueError("incompatible lattice models")
+    _check_same_model(tau.model, model)
     K, signs = _k0_signs(model, K)
     if not _form_cone(tau, K, closed=True):
         raise ValueError("form fails the cone conditions")
@@ -331,8 +330,7 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     tau-value, and A.E >= 0 for every exceptional class E.
     """
     model = A.model
-    if tau.model != model:
-        raise ValueError("incompatible lattice models")
+    _check_same_model(tau.model, model)
     if K is None:
         K = model.k0_form()
     if not in_cone(tau, K):

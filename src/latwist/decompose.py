@@ -78,10 +78,10 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
+    _check_same_model,
     _gram_product,
     _mat_reflect,
     _mat_reflect_right,
-    _class_table,
     mat_identity,
     mat_transpose,
     mat_vec,
@@ -119,8 +119,7 @@ class IsometryMatrix:
         object.__setattr__(self, "entries", entries)
 
     def apply(self, xi: HomClass) -> HomClass:
-        if xi.model != self.model:
-            raise ValueError("incompatible lattice models")
+        _check_same_model(xi.model, self.model)
         return HomClass(self.model, mat_vec(self.entries, xi.coeffs))
 
     @cached_property
@@ -134,8 +133,8 @@ class IsometryMatrix:
     @cached_property
     def _fixed_forms(self) -> dict:
         # num -> whether the pullback fixes the form num/den; the pullback
-        # is linear, so the numerators decide it, and a form rebuilt per
-        # call (model.k0_form()) still finds its verdict
+        # is linear, so the numerators decide it, and an equal form built
+        # as another object still finds its verdict
         return {}
 
     def _fixes(self, form) -> bool:
@@ -248,7 +247,7 @@ def _staged_reduction(model, entries):
     because each one is applied by left multiplication and reflections
     are involutions.
     """
-    classes = _class_table(model)
+    classes = model._classes
     cur = entries
     gens = []
     for i in range(1, model.n + 1):
@@ -281,7 +280,7 @@ def _chamber_frame(model, alpha):
     res, moves = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
     if not res:
         return None
-    classes = _class_table(model)
+    classes = model._classes
     frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
     dual = HomClass(model, alpha.num)
     for f in frame:
@@ -304,8 +303,7 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     model = M.model
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
-    if alpha.model != model:
-        raise ValueError("incompatible lattice models")
+    _check_same_model(alpha.model, model)
     _require_valid(M, model.k0_form(), alpha)
     chamber = _chamber_frame(model, alpha)
     if chamber is None:
@@ -338,11 +336,10 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     model = M.model
     if model.kind != RULED:
         raise ValueError("decompose_ruled expects a ruled model")
-    if alpha.model != model:
-        raise ValueError("incompatible lattice models")
+    _check_same_model(alpha.model, model)
     _require_valid(M, model.k0_form(), alpha)
     n = model.n
-    classes = _class_table(model)
+    classes = model._classes
     identity = mat_identity(model.rank)
 
     def core(f, *e_terms):

@@ -28,12 +28,32 @@ RULED = "ruled"
 _ADMISSIBLE_SQUARES = (1, -1, 2, -2)
 
 
+def _check_model_args(kind: str, n: int, genus: int):
+    if kind not in (RATIONAL, RULED):
+        raise ValueError(f"unknown model kind {kind!r}")
+    for name, size in (("n", n), ("genus", genus)):
+        # True and 2.5 are not sizes, though both compare with 0
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise TypeError(f"model {name} must be an integer")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if kind == RULED and genus < 1:
+        raise ValueError("ruled model needs positive genus")
+    if kind == RATIONAL and genus != 0:
+        raise ValueError("rational model carries no genus")
+
+
 @dataclass(frozen=True)
 class LatticeModel:
     """The ambient lattice: either rational(n) or ruled(h, n).
 
     ``n`` counts the exceptional basis classes.  ``genus`` is the base
     genus of the ruled model and is 0 for rational models.
+
+    The factories return one shared instance per value (see _interned),
+    which holds the model's constants, its K_0 form and its class table,
+    each built on first read.  Equality and hash read the fields only, so
+    a model built directly equals the shared one and works everywhere.
     """
 
     kind: str
@@ -41,28 +61,21 @@ class LatticeModel:
     genus: int = 0
 
     def __post_init__(self):
-        if self.kind not in (RATIONAL, RULED):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if self.kind == RULED and self.genus < 1:
-            raise ValueError("ruled model needs positive genus")
-        if self.kind == RATIONAL and self.genus != 0:
-            raise ValueError("rational model carries no genus")
+        _check_model_args(self.kind, self.n, self.genus)
 
     @staticmethod
     def rational(n: int) -> "LatticeModel":
-        return LatticeModel(RATIONAL, n)
+        return _interned(RATIONAL, n, 0)
 
     @staticmethod
     def ruled(h: int, n: int) -> "LatticeModel":
-        return LatticeModel(RULED, n, h)
+        return _interned(RULED, n, h)
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return (1 if self.kind == RATIONAL else 2) + self.n
+        return self.e_offset + self.n
 
-    @property
+    @cached_property
     def e_offset(self) -> int:
         """Index of E1 in the coefficient vector."""
         return 1 if self.kind == RATIONAL else 2
@@ -71,6 +84,11 @@ class LatticeModel:
     def basis_names(self) -> tuple:
         head = ("H",) if self.kind == RATIONAL else ("T", "F")
         return head + tuple(f"E{i}" for i in range(1, self.n + 1))
+
+    @cached_property
+    def _basis_index(self) -> dict:
+        # basis name -> coefficient index, the parser's symbol lookup
+        return {name: i for i, name in enumerate(self.basis_names)}
 
     @cached_property
     def gram(self) -> tuple:
@@ -95,8 +113,18 @@ class LatticeModel:
         return HomClass(self, self._k0_coeffs())
 
     def k0_form(self) -> "FormClass":
-        """The standard canonical class, as an evaluating form."""
+        """The standard canonical class, as an evaluating form; one shared
+        object per model, so its checks and verdicts are kept once."""
+        return self._k0_form
+
+    @cached_property
+    def _k0_form(self) -> "FormClass":
         return FormClass._from_num(self, self._k0_coeffs(), 1)
+
+    @cached_property
+    def _classes(self) -> "_ClassTable":
+        # the shared classes, keyed by their nonzero terms; see _ClassTable
+        return _ClassTable(self)
 
     def zero(self) -> "HomClass":
         return HomClass(self, (0,) * self.rank)
@@ -121,8 +149,23 @@ class LatticeModel:
         return f"LatticeModel.ruled({self.genus}, {self.n})"
 
 
-def _check_same_model(x, y):
-    if x.model != y.model:
+def _interned(kind: str, n: int, genus: int) -> LatticeModel:
+    """The shared model of this value.  The arguments are checked first:
+    True == 1 and 2.0 == 2 hash alike, so an unchecked lookup would hand
+    rational(True) the model of n = 1, or file a bad model under its key."""
+    _check_model_args(kind, n, genus)
+    return _shared_model(kind, n, genus)
+
+
+@lru_cache(maxsize=64)
+def _shared_model(kind: str, n: int, genus: int) -> LatticeModel:
+    return LatticeModel(kind, n, genus)
+
+
+def _check_same_model(a: LatticeModel, b: LatticeModel):
+    # the shared models make identity the common case; an equal model
+    # built directly still passes
+    if a is not b and a != b:
         raise ValueError("incompatible lattice models")
 
 
@@ -159,11 +202,11 @@ class HomClass:
         return _gram_product(self.model, self.coeffs, self.coeffs)
 
     def __add__(self, other):
-        _check_same_model(self, other)
+        _check_same_model(self.model, other.model)
         return HomClass(self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        _check_same_model(self, other)
+        _check_same_model(self.model, other.model)
         return HomClass(self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -231,7 +274,7 @@ class FormClass:
         return f"FormClass(model={self.model!r}, coeffs={self.coeffs!r})"
 
     def _combine(self, other, sign):
-        _check_same_model(self, other)
+        _check_same_model(self.model, other.model)
         den = math.lcm(self.den, other.den)
         p, q = den // self.den, sign * (den // other.den)
         return FormClass._from_num(self.model, tuple(p * a + q * b for a, b in zip(self.num, other.num)), den)
@@ -272,12 +315,6 @@ class _ClassTable(dict):
         return x
 
 
-@lru_cache(maxsize=64)
-def _class_table(model: LatticeModel) -> _ClassTable:
-    # one model instance per value, so the shared classes share its gram
-    return _ClassTable(model)
-
-
 def _gram_product(model: LatticeModel, u, v) -> int:
     """u^T gram v on raw integer coefficient sequences."""
     off = model.e_offset
@@ -290,13 +327,13 @@ def _gram_product(model: LatticeModel, u, v) -> int:
 
 def pairing(x: HomClass, y: HomClass) -> int:
     """The intersection pairing x.y."""
-    _check_same_model(x, y)
+    _check_same_model(x.model, y.model)
     return _gram_product(x.model, x.coeffs, y.coeffs)
 
 
 def form_pairing(tau: FormClass, x) -> Fraction:
     """Evaluate the form tau on the class x (or on a form), exactly."""
-    _check_same_model(tau, x)
+    _check_same_model(tau.model, x.model)
     if isinstance(x, FormClass):
         return Fraction(_gram_product(tau.model, tau.num, x.num), tau.den * x.den)
     return Fraction(_gram_product(tau.model, tau.num, x.coeffs), tau.den)
@@ -333,7 +370,7 @@ def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
     Defined only for gamma of square +-1 or +-2, which keeps the result
     integral for every integral beta.
     """
-    _check_same_model(gamma, beta)
+    _check_same_model(gamma.model, beta.model)
     q, support, dual = _reflection(gamma)
     x = beta.coeffs
     c = q * sum(d * x[i] for i, d in dual)

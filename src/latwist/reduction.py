@@ -23,7 +23,6 @@ from .lattice import (
     _check_same_model,
     _gram_product,
     _mat_reflect,
-    _class_table,
     RATIONAL,
     RULED,
     FormClass,
@@ -86,8 +85,10 @@ class ReflectionWord:
     def __post_init__(self):
         model = self.model
         for g in self.generators:
-            if g.model is not model and g.model != model:
-                raise ValueError("incompatible lattice models")
+            # a word's generators share its model object, so the common
+            # case costs no call
+            if g.model is not model:
+                _check_same_model(g.model, model)
             if g._square not in _ADMISSIBLE_SQUARES:
                 raise ValueError("reflection undefined for this square")
 
@@ -104,8 +105,7 @@ class ReflectionWord:
         return ReflectionWord(model, tuple(reversed(tuple(applied))))
 
     def apply(self, x: HomClass) -> HomClass:
-        if x.model != self.model:
-            raise ValueError("incompatible lattice models")
+        _check_same_model(x.model, self.model)
         return HomClass(self.model, mat_vec(self.matrix, x.coeffs))
 
     def __len__(self):
@@ -133,14 +133,14 @@ class NormalForm:
 
 def eta_K(e: HomClass, K: FormClass) -> Fraction:
     """The K-symplectic genus (K(e) + e.e)/2 + 1."""
-    _check_same_model(K, e)
+    _check_same_model(K.model, e.model)
     k = _gram_product(e.model, K.num, e.coeffs)
     return Fraction(k + (pairing(e, e) + 2) * K.den, 2 * K.den)
 
 
 def gt_dimension(e: HomClass, K: FormClass) -> Fraction:
     """Expected moduli dimension (-K(e) + e.e)/2."""
-    _check_same_model(K, e)
+    _check_same_model(K.model, e.model)
     k = _gram_product(e.model, K.num, e.coeffs)
     return Fraction(-k + pairing(e, e) * K.den, 2 * K.den)
 
@@ -244,7 +244,7 @@ def _cremona_reduce(xi: HomClass) -> tuple:
     builds one class, the representative.
     """
     model = xi.model
-    classes = _class_table(model)
+    classes = model._classes
     n = model.n
     cur = list(xi.coeffs)
     flipped = False
@@ -312,21 +312,29 @@ def _k0_signs(model: LatticeModel, K: Optional[FormClass]) -> tuple:
 
     Returns (K, signs): K itself, or model.k0_form() for None, and the
     E-coefficients of K, which are the signs of the isometry carrying K
-    to K_0 (all +1 for K_0).  The default needs no check.  Any other
-    rational K may be K_0 or a K_delta variant -3H + sum +-E_i; ruled K
-    must be K_0, so a K that passes has denominator 1 and pairs as K.num.
+    to K_0 (all +1 for K_0).  A rational K may be K_0 or a K_delta
+    variant -3H + sum +-E_i; a ruled K must be K_0, so a K that passes
+    has denominator 1 and pairs as K.num.
     Raises ValueError for any other K, or for a K of another model.
+
+    The model check runs on every call.  A K that passes keeps its signs,
+    so the K check runs once per K object; a K that fails keeps nothing
+    and raises on every call.
     """
     if K is None:
-        return model.k0_form(), (1,) * model.n
-    if K.model != model:
-        raise ValueError("incompatible lattice models")
-    if model.kind == RULED:
-        if K != model.k0_form():
-            raise ValueError("conjugate to K_0 first")
-    elif K.den != 1 or K.num[0] != -3 or any(c not in (1, -1) for c in K.num[1:]):
-        raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
-    return K, K.num[model.e_offset:]
+        K = model.k0_form()
+    else:
+        _check_same_model(K.model, model)
+    signs = vars(K).get("_k0_signs")
+    if signs is None:
+        if model.kind == RULED:
+            if K != model.k0_form():
+                raise ValueError("conjugate to K_0 first")
+        elif K.den != 1 or K.num[0] != -3 or any(c not in (1, -1) for c in K.num[1:]):
+            raise ValueError("K must be K_0 or a K_delta variant; conjugate to K_0 first")
+        signs = K.num[model.e_offset:]
+        object.__setattr__(K, "_k0_signs", signs)
+    return K, signs
 
 
 def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
@@ -345,7 +353,7 @@ def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
 def _ruled_exceptional(model: LatticeModel) -> list:
     """E_i, then F - E_i, for i = 1, ..., n: the exceptional classes of a
     ruled model under K_0, from the model's shared class table."""
-    classes = _class_table(model)
+    classes = model._classes
     return [x for i in range(2, model.n + 2) for x in (classes[((i, 1),)], classes[(1, 1), (i, -1)])]
 
 

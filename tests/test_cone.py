@@ -19,7 +19,6 @@ from latwist.cone import (
     is_lagrangian_spherical,
 )
 from latwist.lattice import (
-    _class_table,
     FormClass,
     HomClass,
     LatticeModel,
@@ -389,7 +388,7 @@ def test_class_table_holds_each_class_under_one_key():
     M = IsometryMatrix(mr, reflection_matrix(parse_class("E1-E3", mr)))
     assert decompose_ruled(M, FormClass(mr, (2, 5, -1, -1, -1))).matrix == M.entries
     for model in (m, mr):
-        table = _class_table(model)
+        table = model._classes
         for key, x in table.items():
             assert key == tuple((i, c) for i, c in enumerate(x.coeffs) if c)
         assert len(set(table.values())) == len(table)

@@ -68,3 +68,21 @@ def test_every_private_definition_is_referenced_in_the_package():
     # fail on the next deletion, so name a few that the package keeps
     assert {"_cremona_reduce", "_cone_decide", "_staged_reduction"} <= {node.name for _, node in defined}
     assert unreferenced == []
+
+
+def test_models_are_compared_only_in_check_same_model():
+    # every "incompatible lattice models" check goes through
+    # lattice._check_same_model, which tests identity before value; the
+    # CLI's matrix-file check, with its own message, is the one exception
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+                isinstance(x, ast.Attribute) and x.attr == "model" for x in operands
+            ):
+                found.append(f"{path.name}:{ast.unparse(node)}")
+    assert found == ["cli.py:M.model != model"]
