@@ -151,6 +151,8 @@ def _query(args):
 
 def cmd_enumerate(args) -> tuple:
     model = args.model
+    if args.bound is not None and args.degree_bound is not None:
+        raise ValueError("--degree-bound cannot be combined with --bound")
     if args.kind == "exceptional" and args.bound is None:
         from .cone import enumerate_exceptional
 
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-pairing", type=int, default=None)
     p.add_argument("--bound", type=_positive, default=None)
     p.add_argument("--degree-bound", type=_positive, default=None,
-                   help="cap on the H-coefficient for exceptional sets with n >= 9")
+                   help="cap on the H-coefficient for exceptional sets with n >= 9; not with --bound")
     p.add_argument("--allow-large", action="store_true", help=allow_large_help)
     p.set_defaults(handler=cmd_enumerate)
 

@@ -175,6 +175,7 @@ def _pairing_preserved(model, cols) -> bool:
 def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> ValidationReport:
     """Check pairing preservation, K-preservation, and alpha-preservation.
 
+    K and alpha must belong to M's model, else ValueError.
     Every verdict is kept on M, the pullback ones by the form's
     numerators, so a later validate of the same matrix, or the one inside
     decompose_*, repeats neither the O(r^3) pairing check nor an O(r^2)
@@ -182,6 +183,9 @@ def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> Va
     """
     if K is None:
         K = M.model.k0_form()
+    _check_same_model(K.model, M.model)
+    if alpha is not None:
+        _check_same_model(alpha.model, M.model)
     failures = []
     if not M._preserves_pairing:
         failures.append("pairing not preserved")
@@ -303,7 +307,6 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     model = M.model
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
-    _check_same_model(alpha.model, model)
     _require_valid(M, model.k0_form(), alpha)
     chamber = _chamber_frame(model, alpha)
     if chamber is None:
@@ -336,7 +339,6 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     model = M.model
     if model.kind != RULED:
         raise ValueError("decompose_ruled expects a ruled model")
-    _check_same_model(alpha.model, model)
     _require_valid(M, model.k0_form(), alpha)
     n = model.n
     classes = model._classes

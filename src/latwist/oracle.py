@@ -286,12 +286,34 @@ def _children(model, node):
             yield (t, f + d) + tuple(sorted(tail))
 
 
-def _orbit_search(x: HomClass, target, depth) -> bool:
+def _seeds(model, predicate):
+    """The canonical nodes the orbit search stops at.  ``exceptional``:
+    E_i, and F-E_i (ruled) or H-E1-E2 (rational n = 2 only, which has
+    no ternary twist).  ``knull``: E_i-E_j and +-(H-E_i-E_j-E_k), or
+    +-(F-E_i-E_j) in the ruled model."""
+    zero = (0,) * model.e_offset
+    # the head of H or F, and how many E's a twist core subtracts from it
+    line, width = ((1,), 3) if model.kind == RATIONAL else ((0, 1), 2)
+    if predicate == "exceptional":
+        shapes = [(zero, (1,))]
+        if model.kind != RATIONAL or model.n == 2:
+            shapes.append((line, (-1,) * (width - 1)))
+    else:
+        shapes = [(zero, (-1, 1)), (line, (-1,) * width), (tuple(-v for v in line), (1,) * width)]
+    n = model.n
+    return {
+        head + tuple(sorted(tail + (0,) * (n - len(tail))))
+        for head, tail in shapes
+        if len(tail) <= n
+    }
+
+
+def _orbit_search(x: HomClass, seeds, depth) -> bool:
     model = x.model
     if depth is None:
         depth = 2 * model.n
     node = _canon(model, tuple(x.coeffs))
-    if target(model, node):
+    if node in seeds:
         return True
     seen = {node}
     frontier = [node]
@@ -302,7 +324,7 @@ def _orbit_search(x: HomClass, target, depth) -> bool:
                 if child in seen:
                     continue
                 seen.add(child)
-                if target(model, child):
+                if child in seeds:
                     return True
                 nxt.append(child)
         frontier = nxt
@@ -311,60 +333,26 @@ def _orbit_search(x: HomClass, target, depth) -> bool:
     return False
 
 
-def _target_exceptional(model, node):
-    head = model.e_offset
-    c = node[head:]
-    nonzero = [v for v in c if v]
-    if model.kind == RATIONAL:
-        a = node[0]
-        if a == 0:
-            return nonzero == [1]
-        # at n=2 no ternary twist exists and H-E1-E2 seeds its own orbit
-        if model.n == 2 and a == 1:
-            return c == (-1, -1)
+def _gated_search(x: HomClass, predicate, depth) -> bool:
+    # twists preserve the square and the K_0-pairing, so a class that
+    # fails either gate has no seed in its orbit
+    square, k_pairing = _PREDICATES[predicate]
+    if pairing(x, x) != square or form_pairing(x.model.k0_form(), x) != k_pairing:
         return False
-    t, f = node[0], node[1]
-    if t != 0 or len(nonzero) != 1:
-        return False
-    return (f, nonzero[0]) in ((0, 1), (1, -1))
-
-
-def _target_knull(model, node):
-    head = model.e_offset
-    c = node[head:]
-    nonzero = sorted(v for v in c if v)
-    if model.kind == RATIONAL:
-        a = node[0]
-        if a == 0:
-            return nonzero == [-1, 1]
-        if a in (1, -1):
-            return nonzero == [-a, -a, -a]
-        return False
-    t, f = node[0], node[1]
-    if t != 0:
-        return False
-    if f == 0:
-        return nonzero == [-1, 1]
-    return abs(f) == 1 and nonzero == [-f, -f]
+    return _orbit_search(x, _seeds(x.model, predicate), depth)
 
 
 def bfs_is_exceptional(x: HomClass, *, depth: int | None = None) -> bool:
     """Exceptional test from the definition: numeric invariants plus a
     bounded-depth orbit search reaching a seed class."""
-    k0 = x.model.k0_form()
-    if pairing(x, x) != -1 or form_pairing(k0, x) != -1:
-        return False
-    return _orbit_search(x, _target_exceptional, depth)
+    return _gated_search(x, "exceptional", depth)
 
 
 def bfs_is_knull_spherical(x: HomClass, *, depth: int | None = None) -> bool:
     """K-null spherical test from the definition: numeric invariants
     plus a bounded-depth orbit search reaching a binary or ternary
     class (fiber-binary in the ruled model)."""
-    k0 = x.model.k0_form()
-    if pairing(x, x) != -2 or form_pairing(k0, x) != 0:
-        return False
-    return _orbit_search(x, _target_knull, depth)
+    return _gated_search(x, "knull", depth)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +430,17 @@ def crosscheck(
         rng = random.Random(seed)
         classes = sorted(rng.sample(classes, sample), key=lambda x: x.coeffs)
     k0 = q.model.k0_form()
+    checks = (
+        ("exceptional", is_exceptional, bfs_is_exceptional),
+        ("knull", is_K_null_spherical, bfs_is_knull_spherical),
+    )
     disagreements = []
     for x in classes:
-        lib = is_exceptional(x, k0)
-        orc = bfs_is_exceptional(x, depth=depth)
-        if lib != orc:
-            disagreements.append(Disagreement(x, "exceptional", lib, orc))
-        lib = is_K_null_spherical(x, k0)
-        orc = bfs_is_knull_spherical(x, depth=depth)
-        if lib != orc:
-            disagreements.append(Disagreement(x, "knull", lib, orc))
+        for operation, library, oracle in checks:
+            lib = library(x, k0)
+            orc = oracle(x, depth=depth)
+            if lib != orc:
+                disagreements.append(Disagreement(x, operation, lib, orc))
         if q.predicate == "characteristic":
             lib = is_characteristic(x)
             orc = _is_characteristic_direct(x)

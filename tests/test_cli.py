@@ -289,6 +289,16 @@ def test_enumerate_needs_bound(capsys):
     assert code == 2 and "safety limit" in captured.err
 
 
+def test_enumerate_rejects_degree_bound_with_bound(capsys):
+    # a --bound scan has no degree cap; it would list classes with |c| <= 2
+    argv = ["enumerate", "--model", "rational:10", "--kind", "exceptional", "--bound", "2", "--degree-bound", "1"]
+    message = "--degree-bound cannot be combined with --bound"
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": {"type": "input", "message": message}}
+    code, captured = run(capsys, argv)
+    assert code == 2 and captured.out == "" and captured.err == f"error (input): {message}\n"
+
+
 @pytest.mark.parametrize("command", ["enumerate", "crosscheck"])
 @pytest.mark.parametrize("constraint", ["--k-pairing=0", "--square=-1"])
 def test_scans_over_the_candidate_cap_are_refused(capsys, command, constraint):

@@ -99,6 +99,18 @@ def test_validate_alpha_clause():
     assert not rep.ok and rep.failures == ("alpha not preserved",)
 
 
+def test_validate_rejects_forms_of_another_model():
+    M = IsometryMatrix(R(3), mat_identity(4))
+    ruled = LatticeModel.ruled(1, 2)
+    # same rank as M: the pullback would read the ruled coefficients
+    with pytest.raises(ValueError, match="incompatible lattice models"):
+        validate(M, ruled.k0_form(), parse_form("2T+3F-E1", ruled))
+    with pytest.raises(ValueError, match="incompatible lattice models"):
+        validate(M, R(4).k0_form())
+    with pytest.raises(ValueError, match="incompatible lattice models"):
+        validate(M, None, parse_form("3H-E1-E2-E3-E4", R(4)))
+
+
 def test_validate_non_isometry():
     m1 = R(1)
     rep = validate(IsometryMatrix(m1, ((2, 0), (0, 1))))

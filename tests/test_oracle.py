@@ -4,11 +4,13 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latwist import oracle
 from latwist.classexpr import parse_class
 from latwist.cone import enumerate_exceptional
-from latwist.lattice import FormClass, HomClass, LatticeModel, form_pairing, is_characteristic, pairing
+from latwist.lattice import RATIONAL, FormClass, HomClass, LatticeModel, form_pairing, is_characteristic, pairing
 from latwist.oracle import (
     EnumQuery,
     bfs_is_exceptional,
@@ -269,8 +271,11 @@ def test_bfs_exceptional():
     assert bfs_is_exceptional(parse_class("2H-E1-E2-E3-E4-E5", m5))
     assert not bfs_is_exceptional(parse_class("-E1", m5))
     assert not bfs_is_exceptional(parse_class("H-E1", m5))
-    # the pair class seeds its own orbit at n=2 and reduces at n=3
-    assert bfs_is_exceptional(parse_class("H-E1-E2", R(2)))
+    # the pair class seeds its own orbit at n=2 and reduces at n=3,
+    # where it is one ternary twist from E3
+    assert bfs_is_exceptional(parse_class("H-E1-E2", R(2)), depth=0)
+    assert not bfs_is_exceptional(parse_class("H-E1-E2", R(3)), depth=0)
+    assert bfs_is_exceptional(parse_class("H-E1-E2", R(3)), depth=1)
     assert bfs_is_exceptional(parse_class("H-E1-E2", R(3)))
 
 
@@ -291,6 +296,104 @@ def test_bfs_ruled():
     assert bfs_is_knull_spherical(parse_class("F-E1-E3", m))
     assert bfs_is_knull_spherical(parse_class("E3-E1", m))
     assert not bfs_is_knull_spherical(parse_class("T-E1-E3", m))
+
+
+# The targets as the oracle once wrote them, one predicate per family on
+# canonical nodes; kept here as the reference for the seed sets.
+def _reference_exceptional(model, node):
+    head = model.e_offset
+    c = node[head:]
+    nonzero = [v for v in c if v]
+    if model.kind == RATIONAL:
+        a = node[0]
+        if a == 0:
+            return nonzero == [1]
+        # at n=2 no ternary twist exists and H-E1-E2 seeds its own orbit
+        if model.n == 2 and a == 1:
+            return c == (-1, -1)
+        return False
+    t, f = node[0], node[1]
+    if t != 0 or len(nonzero) != 1:
+        return False
+    return (f, nonzero[0]) in ((0, 1), (1, -1))
+
+
+def _reference_knull(model, node):
+    head = model.e_offset
+    c = node[head:]
+    nonzero = sorted(v for v in c if v)
+    if model.kind == RATIONAL:
+        a = node[0]
+        if a == 0:
+            return nonzero == [-1, 1]
+        if a in (1, -1):
+            return nonzero == [-a, -a, -a]
+        return False
+    t, f = node[0], node[1]
+    if t != 0:
+        return False
+    if f == 0:
+        return nonzero == [-1, 1]
+    return abs(f) == 1 and nonzero == [-f, -f]
+
+
+_REFERENCE = {"exceptional": _reference_exceptional, "knull": _reference_knull}
+
+
+class _Accepts:
+    """A reference predicate read as the set of nodes it accepts."""
+
+    def __init__(self, model, predicate):
+        self.model = model
+        self.predicate = predicate
+
+    def __contains__(self, node):
+        return self.predicate(self.model, node)
+
+
+_SMALL_MODELS = [R(n) for n in range(11)] + [
+    LatticeModel.ruled(h, n) for h in (1, 2, 3) for n in range(7)
+]
+
+
+@pytest.mark.parametrize("model", _SMALL_MODELS, ids=repr)
+def test_seed_sets_are_the_nodes_the_references_accept(model):
+    # every seed has coefficients in [-1, 1], so the canonical nodes with
+    # coefficients in [-2, 2] hold all of them, and the rest must be rejected
+    values = range(-2, 3)
+    nodes = [
+        head + tail
+        for head in itertools.product(values, repeat=model.e_offset)
+        for tail in itertools.combinations_with_replacement(values, model.n)
+    ]
+    for predicate, reference in _REFERENCE.items():
+        assert oracle._seeds(model, predicate) == {v for v in nodes if reference(model, v)}
+
+
+@st.composite
+def _small_classes(draw):
+    if draw(st.booleans()):
+        model = R(draw(st.integers(0, 10)))
+    else:
+        model = LatticeModel.ruled(draw(st.integers(1, 3)), draw(st.integers(0, 6)))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=model.rank, max_size=model.rank))
+    return HomClass(model, tuple(coeffs))
+
+
+@given(x=_small_classes(), depth=st.integers(0, 4))
+@example(x=parse_class("H-E1-E2", R(2)), depth=0)
+@example(x=parse_class("H-E1-E2", R(3)), depth=0)
+@example(x=parse_class("H-E1-E2", R(3)), depth=1)
+@example(x=parse_class("-H+E1+E2+E3", R(3)), depth=0)
+@example(x=parse_class("-F+E1+E2", LatticeModel.ruled(1, 2)), depth=0)
+@example(x=HomClass(R(0), (1,)), depth=2)
+@example(x=parse_class("E1", R(1)), depth=2)
+@example(x=parse_class("H-E1", R(1)), depth=2)
+@settings(max_examples=200, deadline=None)
+def test_orbit_search_on_seed_sets_matches_the_references(x, depth):
+    for predicate, reference in _REFERENCE.items():
+        expected = oracle._orbit_search(x, _Accepts(x.model, reference), depth)
+        assert oracle._orbit_search(x, oracle._seeds(x.model, predicate), depth) == expected
 
 
 def test_crosscheck_examples():

@@ -86,3 +86,35 @@ def test_models_are_compared_only_in_check_same_model():
             ):
                 found.append(f"{path.name}:{ast.unparse(node)}")
     assert found == ["cli.py:M.model != model"]
+
+
+def test_the_oracle_stays_independent_of_the_library():
+    # the oracle decides from the definitions: only crosscheck, which
+    # compares the two sides, may read a name imported from reduction,
+    # and nothing comes from cone or decompose
+    path = next(p for p in SOURCES if p.name == "oracle.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    from_reduction = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "from .reduction import x" or "from . import reduction"
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+            last = {module.split(".")[-1] for module in modules}
+            if last & {"cone", "decompose"}:
+                found.append(f"oracle.py:{node.lineno} imports from {sorted(last)}")
+            if "reduction" in last:
+                from_reduction |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found += [f"oracle.py:{node.lineno} imports {alias.name}" for alias in node.names
+                      if alias.name.startswith("latwist")]
+    assert {"is_exceptional", "is_K_null_spherical"} <= from_reduction
+    for definition in tree.body:
+        if isinstance(definition, ast.FunctionDef) and definition.name == "crosscheck":
+            continue
+        found += [
+            f"oracle.py:{node.lineno} {node.id}"
+            for node in ast.walk(definition)
+            if isinstance(node, ast.Name) and node.id in from_reduction
+        ]
+    assert found == []
