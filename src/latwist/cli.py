@@ -154,6 +154,9 @@ def cmd_enumerate(args) -> tuple:
     if args.bound is not None and args.degree_bound is not None:
         raise ValueError("--degree-bound cannot be combined with --bound")
     if args.kind == "exceptional" and args.bound is None:
+        # the listing holds exactly the classes of square -1 and K-pairing -1
+        if args.square not in (None, -1) or args.k_pairing not in (None, -1):
+            raise ValueError("predicate conflicts with explicit constraints")
         from .cone import enumerate_exceptional
 
         es = enumerate_exceptional(model, degree_bound=args.degree_bound)

@@ -15,7 +15,6 @@ to the scan, so they are freed when it returns.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 import random
 from typing import NamedTuple
 
@@ -249,41 +248,53 @@ def _children(model, node):
     Transpositions of E-coefficients are absorbed by canonicalization,
     so only the head-mixing generators produce children: the ternary
     twists in the rational model, the fiber-binary twists in the ruled
-    model.
+    model.  The tail of a canonical node is sorted, so equal values sit
+    side by side: each index loop steps from an index to the first one
+    after it that holds another value.  Every distinct value tuple is
+    then reached once, at the first index tuple that holds it, and the
+    children come in the lexicographic order of those index tuples.
     """
     head = model.e_offset
     c = node[head:]
     n = len(c)
-    seen = set()
+    # after[i]: the first index past i whose value differs from c[i]
+    after = [n] * n
+    for i in range(n - 2, -1, -1):
+        after[i] = i + 1 if c[i + 1] != c[i] else after[i + 1]
     if model.kind == RATIONAL:
         a = node[0]
-        for i, j, k in combinations(range(n), 3):
-            trip = (c[i], c[j], c[k])
-            if trip in seen:
-                continue
-            seen.add(trip)
-            d = a + c[i] + c[j] + c[k]
-            if d == 0:
-                continue
-            tail = list(c)
-            tail[i] -= d
-            tail[j] -= d
-            tail[k] -= d
-            yield (a + d,) + tuple(sorted(tail))
+        i = 0
+        while i < n - 2:
+            j = i + 1
+            while j < n - 1:
+                aij = a + c[i] + c[j]
+                k = j + 1
+                while k < n:
+                    d = aij + c[k]
+                    if d:
+                        tail = list(c)
+                        tail[i] -= d
+                        tail[j] -= d
+                        tail[k] -= d
+                        yield (a + d,) + tuple(sorted(tail))
+                    k = after[k]
+                j = after[j]
+            i = after[i]
     else:
         t, f = node[0], node[1]
-        for i, j in combinations(range(n), 2):
-            pair = (c[i], c[j])
-            if pair in seen:
-                continue
-            seen.add(pair)
-            d = t + c[i] + c[j]
-            if d == 0:
-                continue
-            tail = list(c)
-            tail[i] -= d
-            tail[j] -= d
-            yield (t, f + d) + tuple(sorted(tail))
+        i = 0
+        while i < n - 1:
+            ti = t + c[i]
+            j = i + 1
+            while j < n:
+                d = ti + c[j]
+                if d:
+                    tail = list(c)
+                    tail[i] -= d
+                    tail[j] -= d
+                    yield (t, f + d) + tuple(sorted(tail))
+                j = after[j]
+            i = after[i]
 
 
 def _seeds(model, predicate):

@@ -299,6 +299,27 @@ def test_enumerate_rejects_degree_bound_with_bound(capsys):
     assert code == 2 and captured.out == "" and captured.err == f"error (input): {message}\n"
 
 
+@pytest.mark.parametrize("constraint", [["--square", "5"], ["--k-pairing", "0"], ["--square", "-1", "--k-pairing", "-2"]])
+def test_exceptional_listing_rejects_conflicting_constraints(capsys, constraint):
+    # without --bound the listing holds only classes of square -1 and K-pairing -1
+    argv = ["enumerate", "--model", "rational:3", "--kind", "exceptional", *constraint]
+    message = "predicate conflicts with explicit constraints"
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": {"type": "input", "message": message}}
+    code, captured = run(capsys, argv)
+    assert code == 2 and captured.out == "" and captured.err == f"error (input): {message}\n"
+    # the same conflict through the --bound scan gives the same error
+    code, data = run_json(capsys, argv + ["--bound", "2"])
+    assert code == 2 and data == {"error": {"type": "input", "message": message}}
+
+
+def test_exceptional_listing_accepts_matching_constraints(capsys):
+    base = ["enumerate", "--model", "rational:3", "--kind", "exceptional"]
+    _, expected = run_json(capsys, base)
+    code, data = run_json(capsys, base + ["--square", "-1", "--k-pairing", "-1"])
+    assert code == 0 and data == expected and data["count"] == 6
+
+
 @pytest.mark.parametrize("command", ["enumerate", "crosscheck"])
 @pytest.mark.parametrize("constraint", ["--k-pairing=0", "--square=-1"])
 def test_scans_over_the_candidate_cap_are_refused(capsys, command, constraint):

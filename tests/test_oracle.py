@@ -396,6 +396,107 @@ def test_orbit_search_on_seed_sets_matches_the_references(x, depth):
         assert oracle._orbit_search(x, oracle._seeds(x.model, predicate), depth) == expected
 
 
+def _reference_children(model, node):
+    """The child generator as the oracle once wrote it: every index tuple
+    in lexicographic order, less those whose value tuple came before."""
+    head = model.e_offset
+    c = node[head:]
+    n = len(c)
+    seen = set()
+    if model.kind == RATIONAL:
+        a = node[0]
+        for i, j, k in itertools.combinations(range(n), 3):
+            trip = (c[i], c[j], c[k])
+            if trip in seen:
+                continue
+            seen.add(trip)
+            d = a + c[i] + c[j] + c[k]
+            if d == 0:
+                continue
+            tail = list(c)
+            tail[i] -= d
+            tail[j] -= d
+            tail[k] -= d
+            yield (a + d,) + tuple(sorted(tail))
+    else:
+        t, f = node[0], node[1]
+        for i, j in itertools.combinations(range(n), 2):
+            pair = (c[i], c[j])
+            if pair in seen:
+                continue
+            seen.add(pair)
+            d = t + c[i] + c[j]
+            if d == 0:
+                continue
+            tail = list(c)
+            tail[i] -= d
+            tail[j] -= d
+            yield (t, f + d) + tuple(sorted(tail))
+
+
+@st.composite
+def _canonical_nodes(draw):
+    """A model and a canonical node whose tail draws from at most three
+    values, so most index tuples repeat a value tuple."""
+    if draw(st.booleans()):
+        model = R(draw(st.integers(0, 10)))
+    else:
+        model = LatticeModel.ruled(draw(st.integers(1, 3)), draw(st.integers(0, 6)))
+    pool = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    head = draw(st.lists(st.integers(-9, 9), min_size=model.e_offset, max_size=model.e_offset))
+    tail = draw(st.lists(st.sampled_from(pool), min_size=model.n, max_size=model.n))
+    return model, tuple(head) + tuple(sorted(tail))
+
+
+@given(case=_canonical_nodes())
+@example(case=(R(10), (3,) + (-1,) * 10))
+@example(case=(R(10), (1,) + (-1,) * 10))
+@example(case=(R(7), (0, -2, -1, -1, 0, 1, 1, 3)))
+@example(case=(LatticeModel.ruled(2, 6), (2, 0) + (-1,) * 6))
+@example(case=(LatticeModel.ruled(1, 5), (0, 1, -1, 0, 0, 1, 1)))
+@settings(max_examples=400, deadline=None)
+def test_children_match_the_reference_generator(case):
+    model, node = case
+    assert list(oracle._children(model, node)) == list(_reference_children(model, node))
+
+
+@pytest.mark.parametrize("model", _SMALL_MODELS, ids=repr)
+def test_children_of_all_equal_tails(model):
+    width = 3 if model.kind == RATIONAL else 2
+    for value in range(-2, 3):
+        tail = (value,) * model.n
+        # a head that the one twist cancels (d == 0) leaves no child
+        zero = (-width * value,) + (0,) * (model.e_offset - 1)
+        for head in (zero, (1,) * model.e_offset, (-3,) * model.e_offset):
+            node = head + tail
+            children = list(oracle._children(model, node))
+            assert children == list(_reference_children(model, node))
+            twists = int(model.n >= width and head != zero)
+            assert len(children) == twists
+
+
+def test_orbit_search_expands_the_reference_sequence(monkeypatch):
+    # one of the n = 10 classes of square and K-pairing -1 that are not
+    # exceptional: the search runs to full depth without a seed
+    x = parse_class("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9+E10", R(10))
+    assert not is_exceptional(x)
+    runs = {}
+    for name, generator in (("reference", _reference_children), ("oracle", oracle._children)):
+        expanded, seen = [], set()
+
+        def spy(model, node, generator=generator, expanded=expanded, seen=seen):
+            expanded.append(node)
+            for child in generator(model, node):
+                seen.add(child)
+                yield child
+
+        monkeypatch.setattr(oracle, "_children", spy)
+        runs[name] = (bfs_is_exceptional(x, depth=8), expanded, seen | {expanded[0]})
+    verdict, expanded, seen = runs["oracle"]
+    assert runs["oracle"] == runs["reference"]
+    assert verdict is False and len(expanded) == 406 and len(seen) == 1939
+
+
 def test_crosscheck_examples():
     r = crosscheck(EnumQuery(R(6), 3, predicate="knull"))
     assert r.ok and r.checked == 72 and r.disagreements == ()
