@@ -38,9 +38,7 @@ _EXPORTS = {
     "ReflectionWord": "reduction",
     "EtaBound": "reduction",
     "cremona_reduce": "reduction",
-    "eta_K": "reduction",
     "eta_lower_bound": "reduction",
-    "gt_dimension": "reduction",
     "is_reduced": "reduction",
     "is_exceptional": "reduction",
     "is_K_null_spherical": "reduction",

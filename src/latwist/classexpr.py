@@ -5,7 +5,7 @@ followed by a basis symbol:
 
     expr := ['+'|'-'] term (('+'|'-') term)*
     term := [integer | rational] ['*'] symbol
-    symbol := H | T | F | E<k>      (case-insensitive, no leading zeros)
+    symbol := H | T | F | E<k>      (case-insensitive; k ASCII digits, no leading zeros)
 
 "0" alone denotes the zero class.  Homology classes take integer
 coefficients only; forms also accept rationals written p/q.  Repeated
@@ -30,7 +30,7 @@ import math
 import re
 from fractions import Fraction
 
-from .lattice import RATIONAL, RULED, FormClass, HomClass, LatticeModel
+from .lattice import RATIONAL, FormClass, HomClass, LatticeModel
 
 
 class ParseError(ValueError):
@@ -47,7 +47,7 @@ _TERM = re.compile(
     r"""\s*
     (?P<sign>[+-])?\s*
     (?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*\*?\s*)?
-    (?P<sym>[A-Za-z]+)(?P<idx>\d*)
+    (?P<sym>[A-Za-z]+)(?P<idx>[0-9]*)
     """,
     re.VERBOSE,
 )
@@ -76,27 +76,22 @@ def _scan(text: str):
     return terms
 
 
-def _symbol_index(model: LatticeModel, sym: str, idx: str, pos: int) -> int:
+def _symbol_error(model: LatticeModel, sym: str, idx: str, pos: int) -> ParseError:
+    """The ParseError for a symbol that missed the model's basis names,
+    which are exactly the valid symbols."""
     if sym == "E":
         if not idx:
-            raise ParseError("symbol 'E' needs an index", pos)
+            return ParseError("symbol 'E' needs an index", pos)
         if len(idx) > 1 and idx[0] == "0":
-            raise ParseError(f"leading zeros in index 'E{idx}'", pos)
-        i = int(idx)
-        if not 1 <= i <= model.n:
-            raise ParseError(f"index out of range: E{i} (model has n={model.n})", pos)
-        return model.e_offset + i - 1
+            return ParseError(f"leading zeros in index 'E{idx}'", pos)
+        return ParseError(f"index out of range: E{int(idx)} (model has n={model.n})", pos)
     if idx:
-        raise ParseError(f"unknown symbol '{sym}{idx}'", pos)
+        return ParseError(f"unknown symbol '{sym}{idx}'", pos)
     if sym == "H":
-        if model.kind != RATIONAL:
-            raise ParseError("symbol 'H' is not in the ruled model", pos)
-        return 0
+        return ParseError("symbol 'H' is not in the ruled model", pos)
     if sym in ("T", "F"):
-        if model.kind != RULED:
-            raise ParseError(f"symbol '{sym}' is not in the rational model", pos)
-        return 0 if sym == "T" else 1
-    raise ParseError(f"unknown symbol '{sym}'", pos)
+        return ParseError(f"symbol '{sym}' is not in the rational model", pos)
+    return ParseError(f"unknown symbol '{sym}'", pos)
 
 
 def _parse(text: str, model: LatticeModel, allow_rational: bool):
@@ -108,7 +103,7 @@ def _parse(text: str, model: LatticeModel, allow_rational: bool):
     num = [0] * model.rank
     den = 1
     # the model's basis names are exactly the valid symbols; a miss goes
-    # to _symbol_index, which names what is wrong with it
+    # to _symbol_error, which names what is wrong with it
     index = model._basis_index
     for sign, p, q, sym, idx, pos in terms:
         if q is None:
@@ -126,7 +121,7 @@ def _parse(text: str, model: LatticeModel, allow_rational: bool):
                 den *= scale
         i = index.get(sym + idx)
         if i is None:
-            i = _symbol_index(model, sym, idx, pos)
+            raise _symbol_error(model, sym, idx, pos)
         num[i] += sign * p * (den // q)
     return num, den
 

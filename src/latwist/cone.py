@@ -30,14 +30,7 @@ from .lattice import (
     pairing,
     reflect,
 )
-from .reduction import (
-    ReflectionWord,
-    _conjugate_to_k0,
-    _k0_signs,
-    _ruled_exceptional,
-    _ruled_k_null_spherical,
-    _spherical_normal_form,
-)
+from .reduction import ReflectionWord, _conjugate_to_k0, _decide, _k0_signs, _ruled_exceptional
 
 CONE_YES = "yes"
 CONE_NO = "no"
@@ -164,10 +157,12 @@ def _cone_decide(model, num, K, closed):
     has a witness unless rational n <= 1 and a <= 0, or ruled n = 0 and
     t, f < 0.
 
-    Returns (ConeResult, moves): the walk's reflections along
+    Returns (ConeResult, moves, chamber): the walk's reflections along
     H - E_{i+1} - E_{j+1} - E_{k+1} as 0-based triples (i, j, k) in order,
     in the frame where K is K_0; on a Yes they carry the form into the
-    chamber a >= b_i + b_j + b_k.  Ruled models make no moves.
+    chamber a >= b_i + b_j + b_k, and ``chamber`` is the form (a, b)
+    they reach there, aH - sum b_i E_i in index order.  Ruled models make
+    no moves, and chamber is None on a No and on a ruled Yes.
 
     K passes the one check of _k0_signs first, so a K that is not K_0
     or a K_delta variant raises whatever the form; the walk runs on the
@@ -176,7 +171,7 @@ def _cone_decide(model, num, K, closed):
     K, signs = _k0_signs(model, K)
     moves = []
     if _gram_product(model, num, num) <= 0:
-        return ConeResult(CONE_NO, None, "nonpositive square"), moves
+        return ConeResult(CONE_NO, None, "nonpositive square"), moves, None
 
     def violates(area):
         return area < 0 or (area == 0 and not closed)
@@ -185,18 +180,18 @@ def _cone_decide(model, num, K, closed):
         if model.n == 0 and (num[0] <= 0 or num[1] <= 0):
             # with no exceptional class the square alone admits -T-F;
             # from n = 1 on the areas of E_1 and F - E_1 rule it out
-            return ConeResult(CONE_NO, None, "outside the forward cone"), moves
+            return ConeResult(CONE_NO, None, "outside the forward cone"), moves, None
         for E in _ruled_exceptional(model):
             if violates(_gram_product(model, num, E.coeffs)):
-                return ConeResult(CONE_NO, E, None), moves
-        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE), moves
+                return ConeResult(CONE_NO, E, None), moves, None
+        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE), moves, None
 
     n = model.n
     # the sign change carrying K to K_0, read off the numerators directly
     a, b = num[0], [-s * c for s, c in zip(signs, num[1:])]
     if n < 2 and a <= 0:
         # the forward cone; for n >= 2 the loop finds a witness instead
-        return ConeResult(CONE_NO, None, "outside the forward cone"), moves
+        return ConeResult(CONE_NO, None, "outside the forward cone"), moves, None
     # with the b_i sorted: No once E_n or H - E_1 - E_2 has nonpositive area,
     # Yes once a >= b_1 + b_2 + b_3, else reflect along H - E_1 - E_2 - E_3
     while True:
@@ -209,7 +204,7 @@ def _cone_decide(model, num, K, closed):
             witness = model.unit(0) - model.E(order[0] + 1) - model.E(order[1] + 1)
             break
         if n < 3 or a >= top + b[order[2]]:
-            return ConeResult(CONE_YES, None, None), moves
+            return ConeResult(CONE_YES, None, None), moves, (a, b)
         triple = order[:3]
         d = a - sum(b[m] for m in triple)
         # each move lowers the positive integer a, so the loop ends
@@ -228,7 +223,7 @@ def _cone_decide(model, num, K, closed):
     witness = _conjugate_to_k0(witness, signs)
     if not violates(_gram_product(model, num, witness.coeffs)):
         raise ArithmeticError("cone witness does not violate the cone conditions")
-    return ConeResult(CONE_NO, witness, None), moves
+    return ConeResult(CONE_NO, witness, None), moves, None
 
 
 def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
@@ -287,23 +282,18 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     tau, so testing many classes against one form decides it once, and
     an earlier in_cone Yes on tau already answers it.
 
-    For rational models one Cremona reduction, after the sign change
-    that carries K to K_0, decides the spherical clause and gives the
-    Yes certificate: ``word`` and ``kind`` are that normal form's.  For
-    ruled models the clause is the x.F = 0 decision on the K checked at
-    entry.
+    The spherical clause is reduction._decide on the K checked at entry:
+    for rational models one Cremona reduction, after the sign change
+    that carries K to K_0, decides it and gives the Yes certificate,
+    ``word`` and ``kind`` being that normal form's; for ruled models it
+    is the x.F = 0 rule, with no certificate.
     """
     model = xi.model
     _check_same_model(tau.model, model)
     K, signs = _k0_signs(model, K)
     if not _form_cone(tau, K, closed=True):
         raise ValueError("form fails the cone conditions")
-    nf = None
-    if model.kind == RULED:
-        spherical = _ruled_k_null_spherical(xi, K)
-    else:
-        nf = _spherical_normal_form(xi, K, signs)
-        spherical = nf is not None
+    spherical, nf = _decide(xi, K, signs, "knull")
     area = form_pairing(tau, xi)
     failures = []
     if not spherical:

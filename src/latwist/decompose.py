@@ -76,7 +76,6 @@ from .lattice import (
     RATIONAL,
     RULED,
     FormClass,
-    HomClass,
     LatticeModel,
     _check_same_model,
     _gram_product,
@@ -117,10 +116,6 @@ class IsometryMatrix:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise TypeError("matrix entries must be integers")
         object.__setattr__(self, "entries", entries)
-
-    def apply(self, xi: HomClass) -> HomClass:
-        _check_same_model(xi.model, self.model)
-        return HomClass(self.model, mat_vec(self.entries, xi.coeffs))
 
     @cached_property
     def _cols(self) -> tuple:
@@ -277,26 +272,24 @@ def _chamber_frame(model, alpha):
     carries alpha into its reduced chamber with the b_i ascending, and
     that image alpha'; None when alpha is not in the symplectic cone.
 
-    The ternary cores are the moves of alpha's own cone walk; the
-    transpositions after them sort the b_i ascending, ties kept in index
-    order.
+    The ternary cores are the moves of alpha's own cone walk, which also
+    hands back the chamber form they reach; the transpositions after them
+    sort its b_i ascending, ties kept in index order.
     """
-    res, moves = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
+    res, moves, chamber = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
     if not res:
         return None
     classes = model._classes
     frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
-    dual = HomClass(model, alpha.num)
-    for f in frame:
-        dual = reflect(f, dual)
+    a, b = chamber
     # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
-    keys = [(-c, i) for i, c in enumerate(dual.coeffs[1:], start=1)]
+    keys = [(v, i) for i, v in enumerate(b, start=1)]
     for p in range(model.n):
         q = min(range(p, model.n), key=keys.__getitem__)
         if q != p:
             keys[p], keys[q] = keys[q], keys[p]
             frame.append(classes[(p + 1, 1), (q + 1, -1)])
-    num = (dual.coeffs[0],) + tuple(-b for b, _ in keys)
+    num = (a,) + tuple(-v for v, _ in keys)
     return frame, FormClass._from_num(model, num, alpha.den)
 
 

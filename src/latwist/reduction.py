@@ -1,4 +1,4 @@
-"""Genus formulas, reduced classes, and Cremona reduction with certificates.
+"""Cremona reduction with certificates, the class predicates, and a genus bound.
 
 The reduction drives the H-coefficient of a rational-model class down by
 reflections along H-E_i-E_j-E_k (written Gamma below) and transpositions
@@ -8,6 +8,11 @@ H-E_i-E_j when n = 2), square -2 classes with K-pairing 0 end at a binary
 class E_i-E_j or a ternary class H-E_i-E_j-E_k; everything else ends at a
 reduced class, at a negative-coefficient certificate of non-sphericality,
 or at an explicit Irreducible report.
+
+is_exceptional, is_K_null_spherical and the spherical clause of
+cone.is_lagrangian_spherical are one classifier, _decide: a gate on square
+and K-pairing from one table, then the ruled x.F = 0 rule or one
+reduction in the frame where K is K_0.
 """
 
 from __future__ import annotations
@@ -129,20 +134,6 @@ class NormalForm:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown normal form kind {self.kind!r}")
-
-
-def eta_K(e: HomClass, K: FormClass) -> Fraction:
-    """The K-symplectic genus (K(e) + e.e)/2 + 1."""
-    _check_same_model(K.model, e.model)
-    k = _gram_product(e.model, K.num, e.coeffs)
-    return Fraction(k + (pairing(e, e) + 2) * K.den, 2 * K.den)
-
-
-def gt_dimension(e: HomClass, K: FormClass) -> Fraction:
-    """Expected moduli dimension (-K(e) + e.e)/2."""
-    _check_same_model(K.model, e.model)
-    k = _gram_product(e.model, K.num, e.coeffs)
-    return Fraction(-k + pairing(e, e) * K.den, 2 * K.den)
 
 
 def is_reduced(xi: HomClass) -> bool:
@@ -357,58 +348,53 @@ def _ruled_exceptional(model: LatticeModel) -> list:
     return [x for i in range(2, model.n + 2) for x in (classes[((i, 1),)], classes[(1, 1), (i, -1)])]
 
 
-def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
-    """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at n=2).
+# predicate -> (square, K-pairing, normal-form kinds that answer Yes)
+_PREDICATES = {
+    "exceptional": (-1, -1, frozenset({KIND_EXC_EI, KIND_EXC_HEIEJ})),
+    "knull": (-2, 0, SPHERICAL_KINDS),
+}
 
-    K (default K_0) passes the one check of _k0_signs: rational K may be
-    K_0 or any K_delta variant, ruled K must be K_0.  A ruled class
-    x = tT + fF + sum c_i E_i passing the gate is exceptional exactly
-    when x.F = t is 0: then x^2 = -sum c_i^2 and K_0.x = -2f - sum c_i,
-    so one c_k is nonzero and c_k = 1 - 2f, and x is E_k or F - E_k,
-    the classes of _ruled_exceptional.
+
+def _decide(xi: HomClass, K: FormClass, signs: tuple, predicate: str) -> tuple:
+    """(verdict, normal form or None) of an exceptional or K-null
+    spherical class, for a K and its signs from _k0_signs.
+
+    Both predicates gate on square and K-pairing first.  A ruled class
+    x = tT + fF + sum c_i E_i passing the gate is decided by x.F = t:
+    when t = 0, x^2 = -sum c_i^2 and K_0.x = -2f - sum c_i, so square -1
+    leaves one c_k = 1 - 2f, the class E_k or F - E_k, and square -2
+    leaves two c_i = +-1 summing to -2f, the class +-(E_i-E_j) or
+    +-(F-E_i-E_j).  A rational class is reduced once, after the sign
+    change that carries K to K_0, and the Yes kinds of the table decide
+    it; the normal form comes back on a Yes only.
+
+    No flipped reduction is exceptional: one ending at E_i is reported as
+    PlusMinusBasisE, and -(H-E_i-E_j) pairs K_0 to +1, which twists fix.
+    """
+    square, k_pairing, kinds = _PREDICATES[predicate]
+    if pairing(xi, xi) != square or _gram_product(xi.model, K.num, xi.coeffs) != k_pairing:
+        return False, None
+    if xi.model.kind == RULED:
+        return xi.coeffs[0] == 0, None
+    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
+    return (True, nf) if nf.kind in kinds else (False, None)
+
+
+def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
+    """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at
+    n = 2); ruled: E_i or F - E_i.  K (default K_0) passes the one check
+    of _k0_signs: rational K may be K_0 or a K_delta variant, ruled K_0.
     """
     K, signs = _k0_signs(xi.model, K)
-    if pairing(xi, xi) != -1 or _gram_product(xi.model, K.num, xi.coeffs) != -1:
-        return False
-    if xi.model.kind == RULED:
-        return xi.coeffs[0] == 0
-    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
-    return nf.kind in (KIND_EXC_EI, KIND_EXC_HEIEJ) and not nf.sign_flipped
+    return _decide(xi, K, signs, "exceptional")[0]
 
 
 def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
-    """Square -2, K-pairing 0, and equivalence to a binary or ternary class.
-
-    Rational K may be K_0 (the default) or any K_delta variant; ruled K
-    must be K_0, where the classes are +-(E_i-E_j) and +-(F-E_i-E_j).
-    A ruled class x = tT + fF + sum c_i E_i passing the gate is one of
-    them exactly when x.F = t is 0: then x^2 = -sum c_i^2 and
-    K_0.x = -2f - sum c_i, so two c_i are +-1 and sum to -2f.
+    """Square -2, K-pairing 0, and equivalence to a binary or ternary class;
+    ruled: +-(E_i-E_j) or +-(F-E_i-E_j).  K as for is_exceptional.
     """
     K, signs = _k0_signs(xi.model, K)
-    if xi.model.kind == RULED:
-        return _ruled_k_null_spherical(xi, K)
-    return _spherical_normal_form(xi, K, signs) is not None
-
-
-def _ruled_k_null_spherical(xi: HomClass, K: FormClass) -> bool:
-    """The ruled K-null spherical decision, x.F = t = 0 after the square
-    and K-pairing gate, for a K that has passed _k0_signs."""
-    return (
-        pairing(xi, xi) == -2
-        and _gram_product(xi.model, K.num, xi.coeffs) == 0
-        and xi.coeffs[0] == 0
-    )
-
-
-def _spherical_normal_form(xi: HomClass, K: FormClass, signs: tuple) -> Optional[NormalForm]:
-    """The Binary or Ternary normal form of a rational K-null spherical
-    class, reduced after the sign change that carries K to K_0; None when
-    xi is not K-null spherical.  ``signs`` are K's, from _k0_signs."""
-    if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
-        return None
-    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
-    return nf if nf.kind in SPHERICAL_KINDS else None
+    return _decide(xi, K, signs, "knull")[0]
 
 
 class EtaBound(NamedTuple):
@@ -419,10 +405,11 @@ class EtaBound(NamedTuple):
 def eta_lower_bound(e: HomClass) -> EtaBound:
     """Certified lower bound for the symplectic genus of e.
 
-    Maximizes eta over the canonical classes K_delta, which all pair the
-    class into their cones when the H-coefficient is positive.  The max
-    separates per coordinate, so it is computed in closed form.  The
-    bound is exact when e is reduced, reported in the flag.
+    Maximizes eta_K(e) = (K.e + e.e)/2 + 1 over the canonical classes
+    K_delta, which all pair the class into their cones when the
+    H-coefficient is positive.  The max separates per coordinate, so it
+    is computed in closed form.  The bound is exact when e is reduced,
+    reported in the flag.
     """
     if e.model.kind != RATIONAL:
         raise ValueError("eta bound defined for rational model only")

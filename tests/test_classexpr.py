@@ -62,6 +62,13 @@ def test_parse_rejects_leading_zero_index():
         parse_class("E01", R2)
 
 
+def test_parse_reads_an_index_in_ascii_digits_only():
+    # an index in other decimal digits is not a basis name's spelling
+    with pytest.raises(ParseError, match="cannot parse term") as exc:
+        parse_class("H-E\u0661", R2)
+    assert exc.value.pos == 3
+
+
 def test_parse_rejects_malformed_rational():
     with pytest.raises(ParseError, match="malformed rational"):
         parse_form("1/0 E1", R2)

@@ -556,6 +556,29 @@ def test_usage_errors_follow_argparse_reading_of_output(capsys):
     assert code == 0 and "error" not in json.loads(captured.out)
 
 
+def test_nonpositive_bound_and_depth_are_json_usage_errors(capsys):
+    for argv in (
+        ["crosscheck", "--model", "rational:3", "--kind", "exceptional", "--bound", "0"],
+        ["crosscheck", "--model", "rational:3", "--kind", "exceptional", "--bound", "2",
+         "--depth", "0"],
+        ["enumerate", "--model", "rational:3", "--kind", "knull", "--bound", "0"],
+    ):
+        code, captured = run(capsys, argv + ["--output", "json"])
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "usage" and "must be positive" in error["message"]
+
+
+def test_bare_trailing_output_is_a_text_usage_error(capsys):
+    # --output without its value cannot ask for JSON, so argparse reports it
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model", "rational:2", "H", "--output"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: latwist classify")
+    assert "--output: expected one argument" in captured.err
+
+
 def test_usage_errors_stay_text_without_json_output(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--model", "rational:2"])

@@ -500,7 +500,7 @@ def test_cone_reduction_matches_exceptional_scan(case, closed):
     from latwist.cone import _cone_decide
 
     tau, K = case
-    res, _ = _cone_decide(tau.model, tau.num, K, closed)
+    res, _, _ = _cone_decide(tau.model, tau.num, K, closed)
     assert bool(res) == _scan(tau, K, closed)
     if not closed:
         assert in_cone(tau, K) == res
@@ -508,6 +508,26 @@ def test_cone_reduction_matches_exceptional_scan(case, closed):
         _assert_witness(res, tau, K, closed)
     if not res and form_pairing(tau, tau) > 0 and tau.model.n >= 2:
         assert res.witness is not None
+
+
+@given(_rational_forms(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_cone_walk_hands_back_the_form_its_moves_reach(case, closed):
+    # on a Yes the chamber form is the form, moved to the K_0 frame and
+    # reflected along each move's core in order
+    from latwist.cone import _cone_decide
+
+    tau, K = case
+    m = tau.model
+    res, moves, chamber = _cone_decide(m, tau.num, K, closed)
+    if not res:
+        assert chamber is None
+        return
+    x = reduction._conjugate_to_k0(HomClass(m, tau.num), K.num[1:])
+    for triple in moves:
+        x = reflect(m.unit(0) - sum((m.E(i + 1) for i in triple), m.zero()), x)
+    a, b = chamber
+    assert x.coeffs == (a,) + tuple(-v for v in b)
 
 
 def _gamma(m, rng):

@@ -1,4 +1,4 @@
-"""Genus formulas and Cremona reduction certificates."""
+"""Cremona reduction certificates, the class predicates and the genus bound."""
 
 import warnings
 from fractions import Fraction
@@ -9,13 +9,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
+from latwist.cone import LagrangianResult, _form_cone, is_lagrangian_spherical
 from latwist.oracle import bfs_is_exceptional, bfs_is_knull_spherical
 from latwist.lattice import (
     RATIONAL,
+    RULED,
     FormClass,
     HomClass,
     LatticeModel,
+    _gram_product,
     form_pairing,
+    is_characteristic,
     mat_identity,
     mat_vec,
     pairing,
@@ -32,6 +36,7 @@ from latwist.reduction import (
     KIND_REDUCED,
     KIND_TERNARY,
     KIND_ZERO,
+    SPHERICAL_KINDS,
     NormalForm,
     ReflectionWord,
     _conjugate_to_k0,
@@ -39,9 +44,7 @@ from latwist.reduction import (
     _match_terminal,
     _ruled_exceptional,
     cremona_reduce,
-    eta_K,
     eta_lower_bound,
-    gt_dimension,
     is_exceptional,
     is_K_null_spherical,
     is_reduced,
@@ -62,37 +65,6 @@ def check_certificate(xi, nf: NormalForm):
     sign = -1 if nf.sign_flipped else 1
     image = mat_vec(nf.word.matrix, xi.coeffs)
     assert image == tuple(sign * c for c in nf.representative.coeffs)
-
-
-def test_eta_examples():
-    m0 = R(0)
-    k0 = m0.k0_form()
-    H = m0.unit(0)
-    assert eta_K(H, k0) == 0
-    assert eta_K(3 * H, k0) == 1
-    m2 = R(2)
-    assert eta_K(cls("E1-E2", m2), m2.k0_form()) == 0
-
-
-def test_gt_dimension_examples():
-    m0 = R(0)
-    k0 = m0.k0_form()
-    H = m0.unit(0)
-    assert gt_dimension(H, k0) == 2
-    assert gt_dimension(3 * H, k0) == 9
-    m1 = R(1)
-    assert gt_dimension(m1.E(1), m1.k0_form()) == 0
-
-
-@given(st.integers(1, 6), st.data())
-@settings(max_examples=150, deadline=None)
-def test_dimension_genus_identity(n, data):
-    m = R(n)
-    e = HomClass(m, tuple(data.draw(st.integers(-6, 6)) for _ in range(m.rank)))
-    num = data.draw(st.integers(-9, 9))
-    K = FormClass(m, (Fraction(num, 3),) + e.coeffs[1:])
-    k = form_pairing(K, e)
-    assert gt_dimension(e, K) == -k + eta_K(e, K) - 1
 
 
 def test_is_reduced():
@@ -785,3 +757,165 @@ def test_uncapped_irreducible_is_kept(monkeypatch):
         assert cremona_reduce(xi).kind == KIND_IRREDUCIBLE
         assert cremona_reduce(xi).kind == KIND_IRREDUCIBLE
     assert len(calls) == 1
+
+
+# -- the one classifier against the four decisions it replaced ------------------
+
+def _old_is_exceptional(xi, K=None):
+    K, signs = _k0_signs(xi.model, K)
+    if pairing(xi, xi) != -1 or _gram_product(xi.model, K.num, xi.coeffs) != -1:
+        return False
+    if xi.model.kind == RULED:
+        return xi.coeffs[0] == 0
+    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
+    return nf.kind in (KIND_EXC_EI, KIND_EXC_HEIEJ) and not nf.sign_flipped
+
+
+def _old_ruled_k_null_spherical(xi, K):
+    return (
+        pairing(xi, xi) == -2
+        and _gram_product(xi.model, K.num, xi.coeffs) == 0
+        and xi.coeffs[0] == 0
+    )
+
+
+def _old_spherical_normal_form(xi, K, signs):
+    if pairing(xi, xi) != -2 or _gram_product(xi.model, K.num, xi.coeffs) != 0:
+        return None
+    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
+    return nf if nf.kind in SPHERICAL_KINDS else None
+
+
+def _old_is_K_null_spherical(xi, K=None):
+    K, signs = _k0_signs(xi.model, K)
+    if xi.model.kind == RULED:
+        return _old_ruled_k_null_spherical(xi, K)
+    return _old_spherical_normal_form(xi, K, signs) is not None
+
+
+def _old_is_lagrangian_spherical(xi, tau, K=None):
+    """is_lagrangian_spherical with its own ruled/rational branch."""
+    model = xi.model
+    K, signs = _k0_signs(model, K)
+    if not _form_cone(tau, K, closed=True):
+        raise ValueError("form fails the cone conditions")
+    nf = None
+    if model.kind == RULED:
+        spherical = _old_ruled_k_null_spherical(xi, K)
+    else:
+        nf = _old_spherical_normal_form(xi, K, signs)
+        spherical = nf is not None
+    area = form_pairing(tau, xi)
+    failures = []
+    if not spherical:
+        failures.append("not K-null spherical")
+    if area != 0:
+        failures.append("nonzero area")
+    word = kind = None
+    if not failures and nf is not None:
+        word, kind = nf.word, nf.kind
+    return LagrangianResult(
+        yes=not failures,
+        reason="; ".join(failures) if failures else None,
+        word=word,
+        kind=kind,
+        area=area,
+        characteristic=is_characteristic(xi),
+    )
+
+
+def _e_vectors(n, squares, bound=2):
+    """E-coefficient tuples of length n with entries in [-bound, bound]
+    and sum of squares in ``squares``."""
+    top = max(squares)
+
+    def walk(prefix, total):
+        if len(prefix) == n:
+            if total in squares:
+                yield tuple(prefix)
+            return
+        for c in range(-bound, bound + 1):
+            if total + c * c <= top:
+                yield from walk(prefix + [c], total + c * c)
+
+    return walk([], 0)
+
+
+def _rational_grid(n, K):
+    """Classes of R(n) with every |coefficient| <= 2: all of them for
+    n <= 4, and from n = 5 on those near both gates, of square -1 or -2
+    and K-pairing -2..1.  Each farther class fails the square gate."""
+    m = R(n)
+    if n <= 4:
+        return [HomClass(m, c) for c in product(range(-2, 3), repeat=m.rank)]
+    out = []
+    for a in range(-2, 3):
+        for e in _e_vectors(n, {a * a + 1, a * a + 2}):
+            x = HomClass(m, (a,) + e)
+            if -2 <= _gram_product(m, K.num, x.coeffs) <= 1:
+                out.append(x)
+    return out
+
+
+def _k_delta(m):
+    return FormClass(m, (-3,) + tuple((-1) ** i for i in range(1, m.n + 1)))
+
+
+def _closed_cone_form(m, K):
+    """A form in K's closed cone with area zero on E_i - E_j, and on the
+    ternary classes when n <= 8: aH - sum E_i carried by K's signs."""
+    a = 3 if m.n <= 8 else 4
+    return FormClass(m, (a,) + tuple(-s for s in K.num[1:]))
+
+
+def _assert_same_decisions(x, K, tau):
+    assert is_exceptional(x, K) is _old_is_exceptional(x, K), x.coeffs
+    assert is_K_null_spherical(x, K) is _old_is_K_null_spherical(x, K), x.coeffs
+    assert is_lagrangian_spherical(x, tau, K) == _old_is_lagrangian_spherical(x, tau, K), x.coeffs
+
+
+# classes whose reduction in the K_0 frame flips sign
+_FLIPPED = [
+    (1, "-E1"),
+    (4, "-E3"),
+    (2, "-H+E1+E2"),
+    (5, "-2H+E1+E2+E3+E4+E5"),
+]
+
+
+def test_flipped_examples_flip():
+    for n, text in _FLIPPED:
+        assert cremona_reduce(cls(text, R(n))).sign_flipped, text
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_classifier_matches_the_replaced_decisions_rational(n):
+    m = R(n)
+    flipped = [cls(t, m) for k, t in _FLIPPED if k == n]
+    for K in (m.k0_form(), _k_delta(m)):
+        tau = _closed_cone_form(m, K)
+        assert _form_cone(tau, K, closed=True)
+        answers = set()
+        for x in _rational_grid(n, K) + flipped:
+            _assert_same_decisions(x, K, tau)
+            res = is_lagrangian_spherical(x, tau, K)
+            answers.add((is_exceptional(x, K), is_K_null_spherical(x, K), res.yes, res.kind))
+        # the grid reaches Yes and No of every decision the model admits
+        if n >= 2:
+            assert {(True, False, False, None), (False, True, True, KIND_BINARY)} <= answers
+        if 3 <= n <= 8:
+            assert (False, True, True, KIND_TERNARY) in answers
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_classifier_matches_the_replaced_decisions_ruled(h):
+    for n in range(6):
+        m = LatticeModel.ruled(h, n)
+        K = m.k0_form()
+        tau = FormClass(m, (2, 3) + (-1,) * n)
+        assert _form_cone(tau, K, closed=True)
+        for coeffs in product(range(-2, 3), repeat=m.rank):
+            x = HomClass(m, coeffs)
+            if n >= 4 and pairing(x, x) not in (-1, -2):
+                continue
+            _assert_same_decisions(x, K, tau)
