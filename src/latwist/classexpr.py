@@ -5,7 +5,10 @@ followed by a basis symbol:
 
     expr := ['+'|'-'] term (('+'|'-') term)*
     term := [integer | rational] ['*'] symbol
-    symbol := H | T | F | E<k>      (case-insensitive; k ASCII digits, no leading zeros)
+    symbol := H | T | F | E<k>      (case-insensitive; k without leading zeros)
+
+Every integer in it, a coefficient, numerator, denominator or index, is
+written in the ASCII digits 0-9, as are those of the JSON "p/q" strings.
 
 "0" alone denotes the zero class.  Homology classes take integer
 coefficients only; forms also accept rationals written p/q.  Repeated
@@ -46,7 +49,7 @@ class ParseError(ValueError):
 _TERM = re.compile(
     r"""\s*
     (?P<sign>[+-])?\s*
-    (?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*\*?\s*)?
+    (?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]+))?\s*\*?\s*)?
     (?P<sym>[A-Za-z]+)(?P<idx>[0-9]*)
     """,
     re.VERBOSE,
@@ -198,7 +201,7 @@ def _coeff_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        m = re.fullmatch(r"\s*(-?\d+)\s*/\s*(-?\d+)\s*", v)
+        m = re.fullmatch(r"\s*(-?[0-9]+)\s*/\s*(-?[0-9]+)\s*", v)
         if not m or int(m.group(2)) == 0:
             raise ValueError(f"malformed rational coefficient {v!r}")
         return Fraction(int(m.group(1)), int(m.group(2)))

@@ -23,6 +23,7 @@ errors.
 import argparse
 import functools
 import json
+import re
 import sys
 
 # classify and reduce need these three layers only; every other handler
@@ -32,24 +33,36 @@ from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteris
 from .reduction import cremona_reduce, is_K_null_spherical, is_exceptional
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer option: an optional sign and ASCII digits only.  int()
+    alone would also read "1_0", surrounding spaces and other scripts'
+    digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def parse_model_spec(text: str) -> LatticeModel:
     """Parse "rational:6" or "ruled:h=2,n=3"."""
     kind, sep, rest = text.partition(":")
     try:
         if kind == "rational" and sep:
-            return LatticeModel.rational(int(rest))
+            return LatticeModel.rational(_integer(rest))
         if kind == "ruled" and sep:
             parts = dict(item.split("=", 1) for item in rest.split(","))
             if set(parts) != {"h", "n"}:
                 raise ValueError
-            return LatticeModel.ruled(int(parts["h"]), int(parts["n"]))
-    except (ValueError, TypeError) as exc:
+            return LatticeModel.ruled(_integer(parts["h"]), _integer(parts["n"]))
+    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad model spec {text!r}") from exc
     raise argparse.ArgumentTypeError(f"bad model spec {text!r}")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -265,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="enumerate classes: complete exceptional sets or bounded scans")
     p.add_argument("--kind", choices=("exceptional", "knull", "characteristic"), default=None)
-    p.add_argument("--square", type=int, default=None)
-    p.add_argument("--k-pairing", type=int, default=None)
+    p.add_argument("--square", type=_integer, default=None)
+    p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, default=None)
     p.add_argument("--degree-bound", type=_positive, default=None,
                    help="cap on the H-coefficient for exceptional sets with n >= 9; not with --bound")
@@ -281,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", parents=[common],
                        help="compare library classifications against brute-force oracles")
     p.add_argument("--kind", choices=("exceptional", "knull", "characteristic"), default=None)
-    p.add_argument("--square", type=int, default=None)
-    p.add_argument("--k-pairing", type=int, default=None)
+    p.add_argument("--square", type=_integer, default=None)
+    p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, required=True)
     p.add_argument("--depth", type=_positive, default=None)
     p.add_argument("--sample", type=_positive, default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="seed for the --sample subset, echoed with --sample")
     p.add_argument("--allow-large", action="store_true", help=allow_large_help)
     p.set_defaults(handler=cmd_crosscheck)

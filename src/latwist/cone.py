@@ -13,10 +13,8 @@ the closed-form exceptional set {E_i, F - E_i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import combinations
-from typing import NamedTuple, Optional
 
 from .lattice import (
     RULED,
@@ -24,13 +22,14 @@ from .lattice import (
     HomClass,
     LatticeModel,
     _check_same_model,
+    _Record,
     _gram_product,
     form_pairing,
     is_characteristic,
     pairing,
     reflect,
 )
-from .reduction import ReflectionWord, _conjugate_to_k0, _decide, _k0_signs, _ruled_exceptional
+from .reduction import _conjugate_to_k0, _decide, _k0_signs, _ruled_exceptional
 
 CONE_YES = "yes"
 CONE_NO = "no"
@@ -38,8 +37,7 @@ CONE_NO = "no"
 _RULED_CONE_NOTE = "positive square and exceptional areas only"
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(_Record):
     """The exceptional classes for K, canonically sorted.
 
     ``complete`` is true exactly when the listing is provably exhaustive:
@@ -47,11 +45,12 @@ class ExceptionalSet:
     ``degree_bound`` records the |a| cap that was searched.
     """
 
-    model: LatticeModel
-    K: FormClass
-    classes: tuple
-    complete: bool
-    degree_bound: Optional[int] = None
+    _fields = ("model", "K", "classes", "complete", "degree_bound")
+
+    def __init__(self, model: LatticeModel, K: FormClass, classes: tuple, complete: bool,
+                 degree_bound: int | None = None):
+        self.__dict__.update(model=model, K=K, classes=classes, complete=complete,
+                             degree_bound=degree_bound)
 
     def __iter__(self):
         return iter(self.classes)
@@ -138,12 +137,14 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
     )
 
 
-class ConeResult(NamedTuple):
-    """Cone membership verdict with the violating class when negative."""
+class ConeResult(namedtuple("ConeResult", "verdict witness note")):
+    """Cone membership verdict with the violating class when negative.
 
-    verdict: str
-    witness: Optional[HomClass]
-    note: Optional[str]
+    ``verdict`` is CONE_YES or CONE_NO; ``witness``, a HomClass or None;
+    ``note``, a str or None.
+    """
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.verdict != CONE_NO
@@ -253,20 +254,17 @@ def in_cone(tau: FormClass, K=None) -> ConeResult:
     return _form_cone(tau, K, closed=False)
 
 
-class LagrangianResult(NamedTuple):
+class LagrangianResult(namedtuple("LagrangianResult", "yes reason word kind area characteristic")):
     """Verdict of the Lagrangian-sphere-class criterion.
 
     On yes, ``word``/``kind`` hold the reduction certificate for rational
-    models (computed after the sign change when K is a K_delta variant).
-    On no, ``reason`` names every failed clause.
+    models (computed after the sign change when K is a K_delta variant):
+    a ReflectionWord and a normal-form kind, else None.  On no,
+    ``reason`` names every failed clause.  ``area`` is the exact Fraction
+    tau-area and ``characteristic`` a bool.
     """
 
-    yes: bool
-    reason: Optional[str]
-    word: Optional[ReflectionWord]
-    kind: Optional[str]
-    area: Fraction
-    characteristic: bool
+    __slots__ = ()
 
     def __bool__(self):
         return self.yes

@@ -66,9 +66,8 @@ lies outside the subgroup the twist generators span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .classexpr import model_from_json, model_to_json
 from .cone import _cone_decide
@@ -78,6 +77,7 @@ from .lattice import (
     FormClass,
     LatticeModel,
     _check_same_model,
+    _Record,
     _gram_product,
     _mat_reflect,
     _mat_reflect_right,
@@ -93,8 +93,7 @@ class DecompositionError(RuntimeError):
     """The matrix validated but could not be factored into twists."""
 
 
-@dataclass(frozen=True)
-class IsometryMatrix:
+class IsometryMatrix(_Record):
     """An integer matrix acting on coefficient column vectors.
 
     The matrix keeps its columns, its verdict on M^T G M = G and, by the
@@ -103,8 +102,11 @@ class IsometryMatrix:
     check once per matrix; equality and hash read the fields only.
     """
 
-    model: LatticeModel
-    entries: tuple
+    _fields = ("model", "entries")
+
+    def __init__(self, model: LatticeModel, entries: tuple):
+        self.__dict__.update(model=model, entries=entries)
+        self.__post_init__()
 
     def __post_init__(self):
         rank = self.model.rank
@@ -140,11 +142,10 @@ class IsometryMatrix:
         return fixed
 
 
-class ValidationReport(NamedTuple):
+class ValidationReport(namedtuple("ValidationReport", "ok failures")):
     """Which of the isometry preconditions hold, failures named."""
 
-    ok: bool
-    failures: tuple
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -167,7 +168,7 @@ def _pairing_preserved(model, cols) -> bool:
     )
 
 
-def validate(M: IsometryMatrix, K: Optional[FormClass] = None, alpha=None) -> ValidationReport:
+def validate(M: IsometryMatrix, K: FormClass | None = None, alpha=None) -> ValidationReport:
     """Check pairing preservation, K-preservation, and alpha-preservation.
 
     K and alpha must belong to M's model, else ValueError.

@@ -17,7 +17,6 @@ here is exact; no floats appear anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, neg, sub
@@ -26,6 +25,42 @@ RATIONAL = "rational"
 RULED = "ruled"
 
 _ADMISSIBLE_SQUARES = (1, -1, 2, -2)
+
+
+class _Record:
+    """Base of the library's immutable records.
+
+    A record lists its fields in ``_fields`` and sets them in its own
+    ``__init__``, which then calls its ``__post_init__`` check, if any.
+    Equality holds between records of the same class with equal fields;
+    hash and repr read the fields in order.  Assignment and deletion
+    raise AttributeError.  Values a record keeps after construction
+    (cached_property, memos) live in vars() beside the fields and take
+    no part in equality, hash or repr.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_model_args(kind: str, n: int, genus: int):
@@ -43,8 +78,7 @@ def _check_model_args(kind: str, n: int, genus: int):
         raise ValueError("rational model carries no genus")
 
 
-@dataclass(frozen=True)
-class LatticeModel:
+class LatticeModel(_Record):
     """The ambient lattice: either rational(n) or ruled(h, n).
 
     ``n`` counts the exceptional basis classes.  ``genus`` is the base
@@ -56,12 +90,25 @@ class LatticeModel:
     a model built directly equals the shared one and works everywhere.
     """
 
-    kind: str
-    n: int
-    genus: int = 0
+    _fields = ("kind", "n", "genus")
+
+    def __init__(self, kind: str, n: int, genus: int = 0):
+        self.__dict__.update(kind=kind, n=n, genus=genus)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_model_args(self.kind, self.n, self.genus)
+
+    # the equality and hash of the models, classes and forms are spelled
+    # out: they run on every dict lookup of a form's cone verdicts, and
+    # _Record's generic pair costs about twice as much
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n, self.genus) == (other.kind, other.n, other.genus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.genus))
 
     @staticmethod
     def rational(n: int) -> "LatticeModel":
@@ -169,12 +216,18 @@ def _check_same_model(a: LatticeModel, b: LatticeModel):
         raise ValueError("incompatible lattice models")
 
 
-@dataclass(frozen=True)
-class HomClass:
+class HomClass(_Record):
     """A homology class: an integer coefficient vector in basis order."""
 
-    model: LatticeModel
-    coeffs: tuple
+    _fields = ("model", "coeffs")
+
+    def __init__(self, model: LatticeModel, coeffs: tuple):
+        # item writes: the fastest way past the frozen __setattr__, and a
+        # reduction or reflection builds a class per step
+        d = self.__dict__
+        d["model"] = model
+        d["coeffs"] = coeffs
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.coeffs) != self.model.rank:
@@ -188,9 +241,18 @@ class HomClass:
         """The class with these coefficients, unchecked: the caller built
         ``coeffs`` as a tuple of ``model.rank`` ints."""
         x = object.__new__(cls)
-        object.__setattr__(x, "model", model)
-        object.__setattr__(x, "coeffs", coeffs)
+        d = x.__dict__
+        d["model"] = model
+        d["coeffs"] = coeffs
         return x
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.model, self.coeffs) == (other.model, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.model, self.coeffs))
 
     def square(self) -> int:
         return self._square
@@ -218,8 +280,7 @@ class HomClass:
         return HomClass(self.model, tuple(k * a for a in self.coeffs))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class FormClass:
+class FormClass(_Record):
     """A cohomology class: exact rational coefficients in basis order.
 
     Stored as integer numerators ``num`` over one positive denominator
@@ -228,9 +289,7 @@ class FormClass:
     ``num``; ``coeffs``, the Fraction tuple, is built on first read.
     """
 
-    model: LatticeModel
-    num: tuple
-    den: int
+    _fields = ("model", "num", "den")
 
     def __init__(self, model: LatticeModel, coeffs):
         if len(coeffs) != model.rank:
@@ -241,10 +300,10 @@ class FormClass:
                 raise TypeError("form coefficients must be exact rationals, not floats")
             exact.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
         den = math.lcm(*(c.denominator for c in exact))
-        num = tuple(c.numerator * (den // c.denominator) for c in exact)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        d = self.__dict__
+        d["model"] = model
+        d["num"] = tuple(c.numerator * (den // c.denominator) for c in exact)
+        d["den"] = den
 
     @classmethod
     def _from_num(cls, model: LatticeModel, num: tuple, den: int) -> "FormClass":
@@ -255,10 +314,19 @@ class FormClass:
         if g != 1:
             num, den = tuple(a // g for a in num), den // g
         form = object.__new__(cls)
-        object.__setattr__(form, "model", model)
-        object.__setattr__(form, "num", tuple(num))
-        object.__setattr__(form, "den", den)
+        d = form.__dict__
+        d["model"] = model
+        d["num"] = tuple(num)
+        d["den"] = den
         return form
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.model, self.num, self.den) == (other.model, other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.model, self.num, self.den))
 
     @cached_property
     def coeffs(self) -> tuple:

@@ -14,15 +14,15 @@ it lists each non-empty state once.  Both memos are plain dicts local
 to the scan, so they are freed when it returns.
 """
 
-from dataclasses import dataclass
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .classexpr import class_to_json, model_to_json, print_class
 from .lattice import (
     RATIONAL,
     HomClass,
     LatticeModel,
+    _Record,
     form_pairing,
     is_characteristic,
     pairing,
@@ -57,8 +57,7 @@ def _check_int(value, label):
         raise TypeError(f"{label} must be an integer")
 
 
-@dataclass(frozen=True)
-class EnumQuery:
+class EnumQuery(_Record):
     """Constraints for a bounded exhaustive scan.
 
     ``square`` and ``k_pairing`` pin the corresponding invariants when
@@ -68,11 +67,13 @@ class EnumQuery:
     value.
     """
 
-    model: LatticeModel
-    coeff_bound: int
-    square: int | None = None
-    k_pairing: int | None = None
-    predicate: str | None = None
+    _fields = ("model", "coeff_bound", "square", "k_pairing", "predicate")
+
+    def __init__(self, model: LatticeModel, coeff_bound: int, square: int | None = None,
+                 k_pairing: int | None = None, predicate: str | None = None):
+        self.__dict__.update(model=model, coeff_bound=coeff_bound, square=square,
+                             k_pairing=k_pairing, predicate=predicate)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_int(self.coeff_bound, "coeff_bound")
@@ -370,18 +371,14 @@ def bfs_is_knull_spherical(x: HomClass, *, depth: int | None = None) -> bool:
 # cross-checking
 
 
-class Disagreement(NamedTuple):
-    cls: HomClass
-    operation: str
-    library: bool
-    oracle: bool
+Disagreement = namedtuple("Disagreement", "cls operation library oracle")
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    query: EnumQuery
-    classes: tuple
-    disagreements: tuple
+class CrosscheckReport(_Record):
+    _fields = ("query", "classes", "disagreements")
+
+    def __init__(self, query: EnumQuery, classes: tuple, disagreements: tuple):
+        self.__dict__.update(query=query, classes=classes, disagreements=disagreements)
 
     @property
     def checked(self) -> int:

@@ -18,16 +18,16 @@ reduction in the frame where K is K_0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .lattice import (
     _ADMISSIBLE_SQUARES,
     _check_same_model,
     _gram_product,
     _mat_reflect,
+    _Record,
     RATIONAL,
     RULED,
     FormClass,
@@ -65,8 +65,7 @@ ALL_KINDS = frozenset(
 SPHERICAL_KINDS = frozenset({KIND_BINARY, KIND_TERNARY})
 
 
-@dataclass(frozen=True)
-class ReflectionWord:
+class ReflectionWord(_Record):
     """An ordered product of reflections along admissible classes.
 
     ``matrix`` is the product of the generator reflection matrices in
@@ -84,8 +83,11 @@ class ReflectionWord:
     because a product of reflections on the identity stays integral.
     """
 
-    model: LatticeModel
-    generators: tuple
+    _fields = ("model", "generators")
+
+    def __init__(self, model: LatticeModel, generators: tuple):
+        self.__dict__.update(model=model, generators=generators)
+        self.__post_init__()
 
     def __post_init__(self):
         model = self.model
@@ -117,8 +119,7 @@ class ReflectionWord:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Record):
     """Outcome of cremona_reduce.
 
     word.matrix applied to the input class equals the representative,
@@ -126,10 +127,13 @@ class NormalForm:
     its first nonzero coefficient positive.
     """
 
-    kind: str
-    representative: HomClass
-    word: ReflectionWord
-    sign_flipped: bool
+    _fields = ("kind", "representative", "word", "sign_flipped")
+
+    def __init__(self, kind: str, representative: HomClass, word: ReflectionWord,
+                 sign_flipped: bool):
+        self.__dict__.update(kind=kind, representative=representative, word=word,
+                             sign_flipped=sign_flipped)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -201,9 +205,11 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
 
     The normal form is kept on xi, so is_exceptional,
     is_K_null_spherical and a later cremona_reduce of the same class
-    object share one reduction under K_0; equality and hash still read
-    the coefficients only.  A result that hit the cap is not kept, so
-    every call on such a class reduces it again and warns at its caller.
+    object share one reduction under K_0 (under a K_delta variant they
+    share the one of the class _k0_frame keeps on xi); equality and hash
+    still read the coefficients only.  A result that hit the cap is not
+    kept, so every call on such a class reduces it again and warns at its
+    caller.
     """
     nf = vars(xi).get("_normal_form")
     if nf is not None:
@@ -298,7 +304,7 @@ def _cremona_reduce(xi: HomClass) -> tuple:
         return finish(KIND_IRREDUCIBLE)
 
 
-def _k0_signs(model: LatticeModel, K: Optional[FormClass]) -> tuple:
+def _k0_signs(model: LatticeModel, K: FormClass | None) -> tuple:
     """The canonical-class check of every routine that takes a K.
 
     Returns (K, signs): K itself, or model.k0_form() for None, and the
@@ -376,11 +382,28 @@ def _decide(xi: HomClass, K: FormClass, signs: tuple, predicate: str) -> tuple:
         return False, None
     if xi.model.kind == RULED:
         return xi.coeffs[0] == 0, None
-    nf = cremona_reduce(_conjugate_to_k0(xi, signs))
+    nf = cremona_reduce(_k0_frame(xi, signs))
     return (True, nf) if nf.kind in kinds else (False, None)
 
 
-def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
+def _k0_frame(xi: HomClass, signs: tuple) -> HomClass:
+    """xi moved by _conjugate_to_k0, kept on xi by the signs.
+
+    Under K_0 that is xi itself.  Under a K_delta variant the moved class
+    is kept in xi's ``_k0_frames`` by the signs, so the normal form that
+    cremona_reduce keeps on it serves every later decision of xi under
+    the same K, as the one kept on xi does under K_0.
+    """
+    if -1 not in signs:
+        return xi
+    frames = vars(xi).setdefault("_k0_frames", {})
+    moved = frames.get(signs)
+    if moved is None:
+        moved = frames[signs] = _conjugate_to_k0(xi, signs)
+    return moved
+
+
+def is_exceptional(xi: HomClass, K: FormClass | None = None) -> bool:
     """Square -1, K-pairing -1, and reduction to +E_i (or +(H-E_i-E_j) at
     n = 2); ruled: E_i or F - E_i.  K (default K_0) passes the one check
     of _k0_signs: rational K may be K_0 or a K_delta variant, ruled K_0.
@@ -389,7 +412,7 @@ def is_exceptional(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     return _decide(xi, K, signs, "exceptional")[0]
 
 
-def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
+def is_K_null_spherical(xi: HomClass, K: FormClass | None = None) -> bool:
     """Square -2, K-pairing 0, and equivalence to a binary or ternary class;
     ruled: +-(E_i-E_j) or +-(F-E_i-E_j).  K as for is_exceptional.
     """
@@ -397,9 +420,7 @@ def is_K_null_spherical(xi: HomClass, K: Optional[FormClass] = None) -> bool:
     return _decide(xi, K, signs, "knull")[0]
 
 
-class EtaBound(NamedTuple):
-    value: Fraction
-    exact: bool
+EtaBound = namedtuple("EtaBound", "value exact")
 
 
 def eta_lower_bound(e: HomClass) -> EtaBound:

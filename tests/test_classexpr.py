@@ -67,6 +67,18 @@ def test_parse_reads_an_index_in_ascii_digits_only():
     with pytest.raises(ParseError, match="cannot parse term") as exc:
         parse_class("H-E\u0661", R2)
     assert exc.value.pos == 3
+    # nor is a coefficient, numerator or denominator in them (Arabic-Indic
+    # one and two; int() reads both)
+    for text, pos in (("\u0662H - E1", 0), ("H - \u0662E1", 1), ("\u0661/2 E1", 0), ("1/\u0662 E1", 0)):
+        for parse in (parse_class, parse_form):
+            with pytest.raises(ParseError, match="cannot parse term") as exc:
+                parse(text, R2)
+            assert exc.value.pos == pos
+    assert parse_form("1/2 E1", R2).coeffs == (0, Fraction(1, 2), 0)
+    model = {"type": "rational", "n": 1}
+    for coeff in ("\u0661/\u0662", "1/\u0662", "\u0661/2"):
+        with pytest.raises(ValueError, match="malformed rational coefficient"):
+            form_from_json({"model": model, "coeffs": [0, coeff]})
 
 
 def test_parse_rejects_malformed_rational():

@@ -28,7 +28,9 @@ def test_model_spec_parsing():
     assert parse_model_spec("ruled:h=2,n=3") == LatticeModel.ruled(2, 3)
     import argparse
 
-    for bad in ("rational", "rational:x", "ruled:h=2", "ruled:n=1,h=2,x=3", "weird:1"):
+    for bad in ("rational", "rational:x", "ruled:h=2", "ruled:n=1,h=2,x=3", "weird:1",
+                # sizes are ASCII digits, though int() reads all of these
+                "rational:\u0663", "rational:1_0", "rational: 3", "ruled:h=\u0661,n=2"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_model_spec(bad)
 
@@ -521,6 +523,26 @@ def test_usage_errors_are_json_under_json_output(capsys):
                                   "--", "E1"])
     assert code == 2 and json.loads(captured.out)["error"]["type"] == "usage"
     assert captured.err == ""
+    # every integer the command line reads is in ASCII digits; int() would
+    # read each of these
+    for argv in (
+        ["classify", "--model", "rational:\u0663", "E1"],
+        ["classify", "--model", "rational:1_0", "E1"],
+        ["crosscheck", "--model", "rational:3", "--bound", "\u0662"],
+        ["crosscheck", "--model", "rational:3", "--bound", "2", "--depth", "1_0"],
+        ["crosscheck", "--model", "rational:3", "--bound", "2", "--sample", "3", "--seed", " 4"],
+        ["enumerate", "--model", "rational:3", "--bound", "2", "--square", "-\u0661"],
+        ["enumerate", "--model", "rational:3", "--bound", "2", "--k-pairing", "+1_0"],
+    ):
+        code, data = run_json(capsys, argv)
+        assert code == 2 and data["error"]["type"] == "usage", argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: latwist")
+    # a sign stays allowed
+    argv = ["enumerate", "--model", "rational:3", "--bound", "1", "--square", "-1", "--k-pairing"]
+    assert run_json(capsys, argv + ["+1"]) == run_json(capsys, argv + ["1"])
 
 
 def test_missing_argument_is_json_under_json_output(capsys):

@@ -96,6 +96,23 @@ print(json.dumps([codes, {LOADED}]))
     assert modules == ["latwist", "latwist.classexpr", "latwist.cli", "latwist.lattice", "latwist.reduction"]
 
 
+def test_no_layer_or_classify_call_loads_dataclasses_or_inspect():
+    # modules loaded before the package, by a site hook say, do not count
+    out = fresh(f"""
+import contextlib, io, json, sys
+before = set(sys.modules)
+import latwist, latwist.cli
+for layer in {list(LAYERS)!r}:
+    getattr(latwist, layer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = latwist.cli.main(["classify", "--model", "rational:6", "--", "2H-E1-E2-E3-E4-E5-E6"])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+""")
+    code, loaded = out
+    assert code == 0 and "latwist.oracle" in loaded
+    assert {"dataclasses", "inspect"} & set(loaded) == set()
+
+
 def test_cone_query_loads_no_decompose_or_oracle():
     out = fresh(f"""
 import json, sys

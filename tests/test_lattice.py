@@ -139,7 +139,7 @@ def test_gram_is_computed_once():
     assert m.gram is m.gram
     ruled = LatticeModel.ruled(2, 3)
     assert ruled.gram is ruled.gram
-    # the cached value lives outside the dataclass fields, so a model
+    # the cached value lives outside the record's fields, so a model
     # whose gram was read still equals and hashes like a fresh one
     assert m == R(4) and hash(m) == hash(R(4))
     assert ruled == LatticeModel.ruled(2, 3) and hash(ruled) == hash(LatticeModel.ruled(2, 3))

@@ -717,13 +717,37 @@ def test_classification_and_reduction_share_one_reduction(monkeypatch, text, exc
     assert calls == [xi] and calls[0] is xi
     check_certificate(xi, nf)
     # under a K_delta variant the routines reduce the sign-changed class,
-    # another object, so that reduction is not kept on the input
+    # another object; it is kept on the input by K's signs, and the
+    # input's own K_0 normal form stays unset
     k_delta = FormClass(m, (-3, -1) + (1,) * 5)
     y = HomClass(m, (xi.coeffs[0], -xi.coeffs[1]) + xi.coeffs[2:])
     assert is_exceptional(y, k_delta) is exceptional
     assert is_K_null_spherical(y, k_delta) is knull
     assert len(calls) == 2 and calls[1] == xi and calls[1] is not xi
     assert "_normal_form" not in vars(y)
+    assert vars(y)["_k0_frames"] == {k_delta.num[1:]: xi}
+
+
+def test_a_k_delta_decision_is_kept_on_the_class_by_its_signs(monkeypatch):
+    # K_delta = -3H - E1 + E2 + ... + E6, and a class that is K_delta-null
+    # spherical of zero area for -K_delta: the Lagrangian test after the
+    # K-null one reduces nothing more, as under K_0
+    m = R(6)
+    k_delta = FormClass(m, (-3, -1) + (1,) * 5)
+    tau = -k_delta
+    calls = count_reductions(monkeypatch)
+    x = cls("2H+E1-E2-E3-E4-E5-E6", m)
+    assert is_K_null_spherical(x, k_delta)
+    res = is_lagrangian_spherical(x, tau, k_delta)
+    assert res.yes and res.kind == KIND_TERNARY
+    assert len(calls) == 1
+    # each K_delta variant is its own frame, reduced once
+    other = FormClass(m, (-3, 1, -1) + (1,) * 4)
+    y = cls("E4-E5", m)
+    for K in (k_delta, other, k_delta, other):
+        assert is_K_null_spherical(y, K)
+    assert len(calls) == 3
+    assert vars(y)["_k0_frames"].keys() == {k_delta.num[1:], other.num[1:]}
 
 
 def test_kept_normal_form_leaves_equality_and_hash():

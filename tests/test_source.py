@@ -19,6 +19,25 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_the_package_imports_neither_dataclasses_nor_typing():
+    # both cost a classify process milliseconds of start-up (dataclasses
+    # loads inspect and execs each record's methods); the records share
+    # lattice._Record, and the result tuples are collections.namedtuple
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
 def test_no_unused_imports_in_the_package():
     # a name imported but never read is a leftover of deleted code; the
     # package __init__ loads its exports on first use, so it is checked too
