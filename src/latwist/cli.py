@@ -29,7 +29,7 @@ import sys
 # classify and reduce need these three layers only; every other handler
 # imports its own, so a call loads only the modules it reaches
 from .classexpr import ParseError, parse_class, parse_form, print_class
-from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteristic, pairing
+from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteristic
 from .reduction import cremona_reduce, is_K_null_spherical, is_exceptional
 
 
@@ -81,7 +81,7 @@ def cmd_classify(args) -> tuple:
     k0 = model.k0_form()
     payload = {
         "class": print_class(x),
-        "square": pairing(x, x),
+        "square": x.square(),
         "k_pairing": int(form_pairing(k0, x)),
         "characteristic": is_characteristic(x),
         "exceptional": is_exceptional(x, k0),
@@ -172,7 +172,7 @@ def cmd_enumerate(args) -> tuple:
             raise ValueError("predicate conflicts with explicit constraints")
         from .cone import enumerate_exceptional
 
-        es = enumerate_exceptional(model, degree_bound=args.degree_bound)
+        es = enumerate_exceptional(model, degree_bound=args.degree_bound, allow_large=args.allow_large)
         classes = list(es)
         payload = {"count": len(classes), "complete": es.complete}
         if es.degree_bound is not None:

@@ -13,8 +13,9 @@ the closed-form exceptional set {E_i, F - E_i}.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations
+from math import factorial
 
 from .lattice import (
     RULED,
@@ -35,6 +36,9 @@ CONE_YES = "yes"
 CONE_NO = "no"
 
 _RULED_CONE_NOTE = "positive square and exceptional areas only"
+
+# the most classes an exceptional listing builds without allow_large
+_LISTING_LIMIT = 2_000_000
 
 
 class ExceptionalSet(_Record):
@@ -103,7 +107,16 @@ def _orderings(values):
     return out
 
 
-def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
+def _ordering_count(values):
+    """len(_orderings(values)) without listing them: the multinomial
+    n! / prod m! over the multiplicities m of the values."""
+    count = factorial(len(values))
+    for m in Counter(values).values():
+        count //= factorial(m)
+    return count
+
+
+def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False) -> ExceptionalSet:
     """The set of exceptional classes for K (default K_0).
 
     K passes the one check of _k0_signs before anything is listed; the
@@ -111,6 +124,10 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
     carried back by K's signs.  Rational models with n >= 9 require
     ``degree_bound``; the set then holds the exceptional classes with
     |a| <= degree_bound only.  No class is reduced: the walk only climbs.
+
+    The classes are counted from the walk's sorted forms before any is
+    built; unless ``allow_large`` is set, more than 2,000,000 of them
+    raise ValueError.
     """
     K, signs = _k0_signs(model, K)
     n = model.n
@@ -120,9 +137,12 @@ def enumerate_exceptional(model, K=None, degree_bound=None) -> ExceptionalSet:
         complete = n <= 8
         if not complete and degree_bound is None:
             raise ValueError("degree_bound required for rational models with n >= 9")
+        forms = _upward_orbit(n, None if complete else degree_bound)
+        if sum(_ordering_count(b) for _, *b in forms) > _LISTING_LIMIT and not allow_large:
+            raise ValueError("bound exceeds safety limit")
         classes = [
             _conjugate_to_k0(HomClass(model, (a,) + c), signs)
-            for a, *b in _upward_orbit(n, None if complete else degree_bound)
+            for a, *b in forms
             for c in _orderings([-v for v in b])
         ]
     for xi in classes:
@@ -225,6 +245,32 @@ def _cone_decide(model, num, K, closed):
     if not violates(_gram_product(model, num, witness.coeffs)):
         raise ArithmeticError("cone witness does not violate the cone conditions")
     return ConeResult(CONE_NO, witness, None), moves, None
+
+
+def _chamber_frame(model, num):
+    """(frame, chamber): the chronological K_0-twists whose product psi
+    carries the rational form with numerators ``num`` into its reduced
+    chamber with the b_i ascending, and the numerators psi num it
+    reaches there; None when the form is not in the symplectic cone.
+
+    The ternary cores are the moves of the open cone walk, which also
+    hands back the chamber form they reach; the transpositions after them
+    sort its b_i ascending, ties kept in index order.
+    """
+    res, moves, chamber = _cone_decide(model, num, model.k0_form(), closed=False)
+    if not res:
+        return None
+    classes = model._classes
+    frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
+    a, b = chamber
+    # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
+    keys = [(v, i) for i, v in enumerate(b, start=1)]
+    for p in range(model.n):
+        q = min(range(p, model.n), key=keys.__getitem__)
+        if q != p:
+            keys[p], keys[q] = keys[q], keys[p]
+            frame.append(classes[(p + 1, 1), (q + 1, -1)])
+    return frame, (a,) + tuple(-v for v, _ in keys)
 
 
 def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:

@@ -6,30 +6,43 @@ compared before returning, so a successful call is its own certificate.
 
 decompose_K      rational isometries preserving K_0, factored into
                  binary twists R(E_i-E_j) and ternary twists
-                 R(H-E_i-E_j-E_k).  Column by column the image of E_i
-                 is reduced to a basis class: while its H-coefficient
-                 is positive, a ternary twist on the three largest
-                 exceptional coefficients strictly lowers it, and a
-                 final transposition moves the basis class into place.
-                 Settled columns are never touched again because every
-                 later generator is orthogonal to them.
+                 R(H-E_i-E_j-E_k) by walking one point home.  The twist
+                 group W is a Coxeter group whose fundamental chamber is
+                 the sorted chamber b_1 <= ... <= b_n,
+                 a >= b_{n-2} + b_{n-1} + b_n, where the cone walk takes
+                 every form (the reduced forms of Li-Li).  Each W-orbit
+                 in the cone meets the chamber once, and only 1 in W
+                 fixes an interior point, so an element of W is fixed by
+                 where it sends one interior point,
+                 rho = (n^2 + 3)H - sum i E_i: its b_i ascend and are
+                 distinct, a > b_{n-2} + b_{n-1} + b_n and a^2 > sum b_i^2.
+                 The walk of M rho (cone._chamber_frame) gives twists
+                 f_1, ..., f_m whose product psi = R(f_m) ... R(f_1)
+                 carries M rho into the chamber.  For M in W it lands on
+                 rho, and psi M, in W and fixing rho, is 1, so
+                 M = R(f_1) ... R(f_m).  A walk that leaves the cone or
+                 lands elsewhere shows that M is not in W, and the final
+                 re-check refuses an M outside W that the walk cannot
+                 tell from psi^{-1}.
 
 decompose_K_alpha  as above, but every generator must also annihilate
-                 a form alpha in the symplectic cone.  The matrix is
-                 first conjugated by the frame change psi of alpha's own
-                 cone walk, its Cremona moves and then transpositions
-                 sorting the b_i ascending, so alpha' = aH - sum b_i E_i
-                 has b_1 <= ... <= b_n and a >= b_{n-2} + b_{n-1} + b_n.
-                 Every ternary core then has alpha'-area
-                 a - b_j - b_k - b_l >= 0, and b_i is the least
-                 alpha'-area of an exceptional class orthogonal to
-                 E_1, ..., E_{i-1}.  The running image of E_i is such a
-                 class with its area pinned at b_i, while a twist that
-                 lowers its H-coefficient lowers its area by a positive
-                 multiple of the core's area, which is therefore zero;
-                 the closing transposition joins two classes of area
-                 b_i.  The word is conjugated back at the end, which
-                 preserves the product and the area of every core.
+                 a form alpha in the symplectic cone.  alpha's own walk
+                 gives its frame psi and its chamber form alpha' = psi
+                 alpha, with b'_1 <= ... <= b'_n.  The point
+                 psi M psi^{-1} rho is walked home, and each twist g of
+                 that walk is pulled back to psi^{-1} g; no matrix is
+                 conjugated.  Every core has alpha'-area zero.  M fixes
+                 alpha, so the walk starts at area
+                 (psi M psi^{-1} rho).alpha' = rho.alpha'.  A ternary move
+                 adds d (a' - b'_i - b'_j - b'_k) to it, with d < 0 and
+                 alpha' in the chamber, so the area never rises.  Before
+                 sorting, the walk reaches P rho for a permutation P, and
+                 P rho.alpha' >= rho.alpha' by the rearrangement
+                 inequality, since rho and alpha' both ascend.  So every
+                 move has area zero, P permutes only within the blocks of
+                 tied b'_i, and every sorting transposition swaps two tied
+                 indices and has area zero too.  Pulling back by psi
+                 keeps the product and the area of every core.
 
 decompose_ruled  ruled isometries preserving K_0 and alpha, factored
                  into twists along E_i-E_j and F-E_i-E_j.  The fiber
@@ -39,16 +52,14 @@ decompose_ruled  ruled isometries preserving K_0 and alpha, factored
                  it (one twist), or its fiber complement (two twists
                  through a spare index).
 
-Every reduction step applies one reflection to the running matrix,
-and decompose_K_alpha conjugates by its frame one reflection at a time,
-never by a dense product.  A reflection along gamma rewrites only the
-rows in the support of gamma when it acts on the left and only the
-columns in the support of G gamma when it acts on the right; a twist
-core has at most four nonzero entries.  Neither kernel checks the
-entries, because the running matrix starts from the checked input and
-changes only by reflections.  The final re-check still rebuilds the
-product from the generators alone and compares it with the input, never
-with the running matrix.
+The rational walks step integer numerators and read M once, as the
+product M rho.  decompose_ruled applies one reflection per generator to
+its running matrix; a reflection along gamma rewrites only the rows in
+the support of gamma, and a twist core has at most four nonzero entries.
+The kernel does not check the entries, because the running matrix starts
+from the checked input and changes only by reflections.  Every word is
+re-checked at the end: the product is rebuilt from the generators alone
+and compared with the input.
 
 Checks once, integer areas.  Each check runs once per matrix: the
 IsometryMatrix keeps its pairing verdict and, by the form's numerators,
@@ -70,7 +81,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .classexpr import model_from_json, model_to_json
-from .cone import _cone_decide
+from .cone import _chamber_frame
 from .lattice import (
     RATIONAL,
     RULED,
@@ -80,7 +91,7 @@ from .lattice import (
     _Record,
     _gram_product,
     _mat_reflect,
-    _mat_reflect_right,
+    _reflect_coeffs,
     mat_identity,
     mat_transpose,
     mat_vec,
@@ -207,56 +218,18 @@ def _finish(model, M, gens):
     return word
 
 
-def _class_reduction_gens(classes, v, i):
-    """Chronological twists carrying v to E_i, supported on indices >= i.
+def _interior_point(n):
+    # rho = (n^2 + 3)H - sum i E_i, strictly inside the sorted chamber
+    return (n * n + 3,) + tuple(range(-1, -n - 1, -1))
 
-    v is the coefficient list of an exceptional class orthogonal to
-    E_1, ..., E_{i-1}; a twist that pairs with it to d adds d to v_0
-    and takes d from the three chosen v_j, in place.  The twists come
-    from ``classes``, the model's class table.
-    """
-    n = classes.model.n
-    gens = []
-    while v[0] != 0:
-        top = sorted(range(i, n + 1), key=v.__getitem__)[:3]
-        d = v[0] + sum(v[j] for j in top)
-        if v[0] < 0 or len(top) < 3 or d >= 0:
-            raise DecompositionError("residual not resolvable")
-        gens.append(classes[((0, 1),) + tuple((j, -1) for j in sorted(top))])
-        v[0] += d
-        for j in top:
-            v[j] -= d
-    # v is E_target when its n + 1 entries are one 1 and n zeros
-    target = v.index(1) if v.count(1) == 1 and v.count(0) == n else 0
-    if target < i:
+
+def _walk_home(model, v):
+    """The chronological twists f_1, ..., f_m of v's cone walk, when
+    R(f_m) ... R(f_1) carries v to rho."""
+    walk = _chamber_frame(model, v)
+    if walk is None or walk[1] != _interior_point(model.n):
         raise DecompositionError("residual not resolvable")
-    if target != i:
-        gens.append(classes[(i, 1), (target, -1)])
-    return gens
-
-
-def _staged_reduction(model, entries):
-    """Chronological generators reducing the matrix to the identity.
-
-    One column step serves every column i = 1, ..., n.  From i = n - 1
-    on fewer than three indices remain, so no ternary twist applies: at
-    i = n - 1 the step finds E_{n-1} or E_n and adds at most the
-    transposition E_{n-1} - E_n, and at i = n it finds E_n or raises.
-
-    The identity M = product of the generators in listed order holds
-    because each one is applied by left multiplication and reflections
-    are involutions.
-    """
-    classes = model._classes
-    cur = entries
-    gens = []
-    for i in range(1, model.n + 1):
-        for g in _class_reduction_gens(classes, [row[i] for row in cur], i):
-            gens.append(g)
-            cur = _mat_reflect(g, cur)
-    if cur != mat_identity(model.rank):
-        raise DecompositionError("residual not resolvable")
-    return gens
+    return walk[0]
 
 
 def decompose_K(M: IsometryMatrix) -> ReflectionWord:
@@ -265,33 +238,7 @@ def decompose_K(M: IsometryMatrix) -> ReflectionWord:
     if model.kind != RATIONAL:
         raise ValueError("decompose_K expects a rational model")
     _require_valid(M, model.k0_form())
-    return _finish(model, M, _staged_reduction(model, M.entries))
-
-
-def _chamber_frame(model, alpha):
-    """(frame, alpha'): the chronological K_0-twists whose product psi
-    carries alpha into its reduced chamber with the b_i ascending, and
-    that image alpha'; None when alpha is not in the symplectic cone.
-
-    The ternary cores are the moves of alpha's own cone walk, which also
-    hands back the chamber form they reach; the transpositions after them
-    sort its b_i ascending, ties kept in index order.
-    """
-    res, moves, chamber = _cone_decide(model, alpha.num, model.k0_form(), closed=False)
-    if not res:
-        return None
-    classes = model._classes
-    frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
-    a, b = chamber
-    # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
-    keys = [(v, i) for i, v in enumerate(b, start=1)]
-    for p in range(model.n):
-        q = min(range(p, model.n), key=keys.__getitem__)
-        if q != p:
-            keys[p], keys[q] = keys[q], keys[p]
-            frame.append(classes[(p + 1, 1), (q + 1, -1)])
-    num = (a,) + tuple(-v for v, _ in keys)
-    return frame, FormClass._from_num(model, num, alpha.den)
+    return _finish(model, M, _walk_home(model, mat_vec(M.entries, _interior_point(model.n))))
 
 
 def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
@@ -302,21 +249,24 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
     _require_valid(M, model.k0_form(), alpha)
-    chamber = _chamber_frame(model, alpha)
+    chamber = _chamber_frame(model, alpha.num)
     if chamber is None:
         raise ValueError("alpha must lie in the symplectic cone")
     frame, alpha_prime = chamber
 
     # psi = R(f_m) ... R(f_1) over the frame word f, and every R(f) is an
-    # involution, so M' = psi M psi^{-1} takes one reflection on each side
-    # per frame twist
-    M_prime = M.entries
+    # involution: reflect rho back through the frame, apply M, then
+    # reflect forward, giving psi M psi^{-1} rho
+    v = _interior_point(model.n)
+    for f in reversed(frame):
+        v = _reflect_coeffs(f, v)
+    v = mat_vec(M.entries, v)
     for f in frame:
-        M_prime = _mat_reflect_right(f, _mat_reflect(f, M_prime))
+        v = _reflect_coeffs(f, v)
 
     gens = []
-    for g in _staged_reduction(model, M_prime):
-        if _gram_product(model, alpha_prime.num, g.coeffs) != 0:
+    for g in _walk_home(model, v):
+        if _gram_product(model, alpha_prime, g.coeffs) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         for f in reversed(frame):
             g = reflect(f, g)

@@ -279,6 +279,8 @@ class HomClass(_Record):
             raise TypeError("homology classes scale by integers only")
         return HomClass(self.model, tuple(k * a for a in self.coeffs))
 
+    __mul__ = __rmul__
+
 
 class FormClass(_Record):
     """A cohomology class: exact rational coefficients in basis order.
@@ -360,6 +362,8 @@ class FormClass(_Record):
         k = k if isinstance(k, (int, Fraction)) else Fraction(k)
         return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
+    __mul__ = __rmul__
+
 
 class _ClassTable(dict):
     """The shared classes of one model, keyed by their nonzero
@@ -439,13 +443,17 @@ def reflect(gamma: HomClass, beta: HomClass) -> HomClass:
     integral for every integral beta.
     """
     _check_same_model(gamma.model, beta.model)
+    return HomClass(beta.model, _reflect_coeffs(gamma, beta.coeffs))
+
+
+def _reflect_coeffs(gamma: HomClass, x) -> tuple:
+    """The reflection along gamma on a raw integer coefficient sequence."""
     q, support, dual = _reflection(gamma)
-    x = beta.coeffs
     c = q * sum(d * x[i] for i, d in dual)
     out = list(x)
     for i, g in support:
         out[i] -= c * g
-    return HomClass(beta.model, tuple(out))
+    return tuple(out)
 
 
 def reflection_matrix(gamma: HomClass) -> tuple:
@@ -516,21 +524,3 @@ def _mat_reflect(gamma: HomClass, a: tuple) -> tuple:
             rows[i] = tuple(map(sub, rows[i], map(m.__mul__, dots)))
     return tuple(rows)
 
-
-def _mat_reflect_right(gamma: HomClass, a: tuple) -> tuple:
-    """The product a·R(gamma) of a with the reflection matrix.
-
-    Row i changes by -c_i (G gamma)^T with c_i = 2 (a_i . gamma) / s, so
-    only the columns in the support of G gamma change.  The entries of a
-    are not checked, as for _mat_reflect.
-    """
-    q, support, dual = _reflection(gamma)
-    rows = []
-    for row in a:
-        c = q * sum(g * row[i] for i, g in support)
-        if c:
-            row = list(row)
-            for j, d in dual:
-                row[j] -= c * d
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -378,7 +378,7 @@ def _decide(xi: HomClass, K: FormClass, signs: tuple, predicate: str) -> tuple:
     PlusMinusBasisE, and -(H-E_i-E_j) pairs K_0 to +1, which twists fix.
     """
     square, k_pairing, kinds = _PREDICATES[predicate]
-    if pairing(xi, xi) != square or _gram_product(xi.model, K.num, xi.coeffs) != k_pairing:
+    if xi._square != square or _gram_product(xi.model, K.num, xi.coeffs) != k_pairing:
         return False, None
     if xi.model.kind == RULED:
         return xi.coeffs[0] == 0, None

@@ -63,6 +63,26 @@ def test_classify_reduces_the_class_once(capsys, monkeypatch, text):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("spec, text", [("rational:6", "2H-E1-E2-E3-E4-E5"), ("ruled:h=1,n=2", "T-E1")])
+def test_classify_squares_the_class_once(capsys, monkeypatch, spec, text):
+    # the payload and both predicates read the square the class keeps
+    import latwist.lattice as lattice
+
+    coeffs = parse_class(text, parse_model_spec(spec)).coeffs
+    squares = []
+    inner = lattice._gram_product
+
+    def counted(model, u, v):
+        if u is v and u == coeffs:
+            squares.append(u)
+        return inner(model, u, v)
+
+    monkeypatch.setattr(lattice, "_gram_product", counted)
+    code, data = run_json(capsys, ["classify", "--model", spec, text])
+    assert code == 0 and data["square"] == inner(parse_model_spec(spec), coeffs, coeffs)
+    assert len(squares) == 1
+
+
 def test_classify_characteristic(capsys):
     code, data = run_json(capsys, ["classify", "--model", "rational:3", "H-E1-E2-E3"])
     assert code == 0
@@ -272,6 +292,21 @@ def test_enumerate_complete(capsys):
     )
     assert code == 0
     assert data["count"] == 45 and data["complete"] is False and data["degree_bound"] == 1
+
+
+def test_enumerate_exceptional_refuses_a_listing_past_the_limit(capsys, monkeypatch):
+    import latwist.cone as cone
+
+    argv = ["enumerate", "--kind", "exceptional", "--model", "rational:12", "--degree-bound", "8"]
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": {"type": "input", "message": "bound exceeds safety limit"}}
+    # --allow-large lifts the limit, here lowered below a small listing
+    monkeypatch.setattr(cone, "_LISTING_LIMIT", 44)
+    argv = ["enumerate", "--kind", "exceptional", "--model", "rational:9", "--degree-bound", "1"]
+    assert run_json(capsys, argv)[0] == 2
+    code, data = run_json(capsys, argv + ["--allow-large"])
+    assert code == 0 and data["count"] == 45
 
 
 def test_enumerate_bounded(capsys):

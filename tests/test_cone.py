@@ -29,7 +29,7 @@ from latwist.lattice import (
     reflection_matrix,
 )
 from latwist.decompose import IsometryMatrix, decompose_ruled
-from latwist import reduction
+from latwist import cone, reduction
 from latwist.reduction import cremona_reduce, is_exceptional, is_K_null_spherical
 
 DEL_PEZZO_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -138,6 +138,29 @@ def test_enumeration_reduces_no_class(monkeypatch):
     monkeypatch.setattr(reduction, "_cremona_reduce", refuse)
     assert len(enumerate_exceptional(R(8))) == 240
     assert len(enumerate_exceptional(R(10), degree_bound=3)) == 1147
+
+
+def test_listing_limit_counts_the_classes_before_building_them(monkeypatch):
+    # 5,163,654 classes at n = 12, degree 8: refused from the sorted forms
+    # alone, before any class is built
+    built = []
+    monkeypatch.setattr(cone, "_orderings", lambda values: built.append(values) or [])
+    with pytest.raises(ValueError, match="^bound exceeds safety limit$"):
+        enumerate_exceptional(R(12), degree_bound=8)
+    assert built == []
+    monkeypatch.undo()
+    # the limit is the exact count: 3024 classes at n = 9, degree 6
+    m = R(9)
+    size = len(enumerate_exceptional(m, degree_bound=6))
+    assert size == 3024
+    monkeypatch.setattr(cone, "_LISTING_LIMIT", size)
+    assert len(enumerate_exceptional(m, degree_bound=6)) == size
+    monkeypatch.setattr(cone, "_LISTING_LIMIT", size - 1)
+    with pytest.raises(ValueError, match="^bound exceeds safety limit$"):
+        enumerate_exceptional(m, degree_bound=6)
+    assert len(enumerate_exceptional(m, degree_bound=6, allow_large=True)) == size
+    # every complete listing stays under the limit
+    assert len(enumerate_exceptional(R(8))) == 240
 
 
 def test_in_cone_examples():
@@ -660,7 +683,7 @@ def test_boundary_form_still_admitted_after_open_no(monkeypatch):
 
 
 def test_lagrangian_yes_reduces_once(monkeypatch):
-    from latwist import reduction
+    from latwist import cone, reduction
 
     m = R(8)
     k0, k_delta = m.k0_form(), FormClass(m, (-3, 1, -1, 1, 1, 1, 1, 1, 1))

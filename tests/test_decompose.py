@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class, parse_form
-from latwist.cone import in_cone
+from latwist.cone import _chamber_frame, in_cone
 from latwist.decompose import (
     DecompositionError,
     IsometryMatrix,
-    _chamber_frame,
-    _staged_reduction,
     decompose_K,
     decompose_K_alpha,
     decompose_ruled,
@@ -29,6 +27,7 @@ from latwist.lattice import (
     form_pairing,
     mat_identity,
     mat_transpose,
+    _mat_reflect,
     mat_vec,
     pairing,
     reflect,
@@ -264,20 +263,36 @@ def test_validate_matches_dense_formula(case):
     assert validate(M, K, alpha).failures == _dense_validate(M, K, alpha)
 
 
-def _dense_conjugation_word(M, alpha):
-    """decompose_K_alpha's generators by dense products: the frame
-    isometry psi as a matrix, psi^{-1} = G psi^T G, the conjugate
-    psi M psi^{-1} by matrix products, and each generator pulled back
-    by psi^{-1}."""
+def _rho(n):
+    # the interior chamber point the factorizations walk home
+    return (n * n + 3,) + tuple(-i for i in range(1, n + 1))
+
+
+def _dense_conjugate(M, alpha):
+    """(psi M psi^{-1}, psi, psi^{-1}) by dense products, for the frame
+    isometry psi of alpha's walk and psi^{-1} = G psi^T G."""
     model = M.model
     psi = mat_identity(model.rank)
-    for f in _chamber_frame(model, alpha)[0]:
+    for f in _chamber_frame(model, alpha.num)[0]:
         psi = mat_mul(reflection_matrix(f), psi)
     gram = model.gram
     psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
+    return mat_mul(psi, mat_mul(M.entries, psi_inv)), psi, psi_inv
+
+
+def _dense_conjugation_word(M, alpha):
+    """decompose_K_alpha's generators by dense products: the walk of the
+    dense conjugate's image of rho, each generator pulled back by
+    psi^{-1}."""
+    model = M.model
+    conjugate, psi, psi_inv = _dense_conjugate(M, alpha)
     alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
+    rho = _rho(model.n)
+    walk = _chamber_frame(model, mat_vec(conjugate, rho))
+    if walk is None or walk[1] != rho:
+        raise DecompositionError("residual not resolvable")
     gens = []
-    for g in _staged_reduction(model, mat_mul(psi, mat_mul(M.entries, psi_inv))):
+    for g in walk[0]:
         if form_pairing(alpha_prime, g) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
         gens.append(HomClass(model, mat_vec(psi_inv, g.coeffs)))
@@ -364,16 +379,16 @@ def any_rational_forms(draw):
 @settings(max_examples=300, deadline=None)
 def test_chamber_frame_sorts_alpha_into_the_chamber(alpha):
     m = alpha.model
-    chamber = _chamber_frame(m, alpha)
+    chamber = _chamber_frame(m, alpha.num)
     assert (chamber is None) == (not in_cone(alpha))
     if chamber is None:
         return
-    frame, alpha_prime = chamber
+    frame, reached = chamber
     dual = HomClass(m, alpha.num)
     for f in frame:
         assert pairing(f, f) == -2 and form_pairing(m.k0_form(), f) == 0
         dual = reflect(f, dual)
-    assert alpha_prime == FormClass._from_num(m, dual.coeffs, alpha.den)
+    assert reached == dual.coeffs
     a, b = dual.coeffs[0], [-c for c in dual.coeffs[1:]]
     assert b == sorted(b)
     if m.n >= 3:
@@ -397,12 +412,12 @@ def small_n_cases(draw):
 @given(small_n_cases())
 @settings(max_examples=300, deadline=None)
 def test_k_alpha_small_n_needs_alpha_in_the_cone(case):
-    # n <= 2 takes the same path as every other n: the staged reduction
-    # on an unchanged frame inside the cone, ValueError outside it
+    # n <= 2 takes the same path as every other n: the point walk of
+    # decompose_K inside the cone, ValueError outside it
     M, alpha = case
     if in_cone(alpha):
         word = decompose_K_alpha(M, alpha)
-        assert word.generators == tuple(_staged_reduction(M.model, M.entries))
+        assert word.generators == decompose_K(M).generators
     else:
         with pytest.raises(ValueError, match="symplectic cone"):
             decompose_K_alpha(M, alpha)
@@ -458,9 +473,9 @@ def test_decompose_round_trip_random():
                 assert form_pairing(k0, g) == 0
 
 
-def test_staged_reduction_builds_no_class_per_step(monkeypatch):
-    # each column is stepped as an integer list, and the identity the
-    # residual is compared with is built once per rank
+def test_point_walk_builds_no_class_per_step(monkeypatch):
+    # the point is walked as integer numerators, its twists come from the
+    # class table, and the identity is built once per rank
     import latwist.decompose as decompose
 
     m = R(7)
@@ -469,7 +484,7 @@ def test_staged_reduction_builds_no_class_per_step(monkeypatch):
     M = IsometryMatrix(m, ReflectionWord(m, tuple(rng.choice(gens) for _ in range(12))).matrix)
 
     def refuse(*args):
-        raise AssertionError("a reduction step built a class")
+        raise AssertionError("a walk step built a class")
 
     monkeypatch.setattr(decompose, "reflect", refuse)
     # the module does not name HomClass, so it builds none directly
@@ -668,3 +683,111 @@ def test_geiser_and_bertini_involutions_factor(n, length):
     word = decompose_K(M)
     assert len(word) == length
     assert word.matrix == M.entries
+
+
+# -- the point walk against the column-by-column reduction it replaced --------
+
+def _old_class_reduction_gens(classes, v, i):
+    """Chronological twists carrying v to E_i, supported on indices >= i.
+
+    v is the coefficient list of an exceptional class orthogonal to
+    E_1, ..., E_{i-1}; a twist that pairs with it to d adds d to v_0
+    and takes d from the three chosen v_j, in place.
+    """
+    n = classes.model.n
+    gens = []
+    while v[0] != 0:
+        top = sorted(range(i, n + 1), key=v.__getitem__)[:3]
+        d = v[0] + sum(v[j] for j in top)
+        if v[0] < 0 or len(top) < 3 or d >= 0:
+            raise DecompositionError("residual not resolvable")
+        gens.append(classes[((0, 1),) + tuple((j, -1) for j in sorted(top))])
+        v[0] += d
+        for j in top:
+            v[j] -= d
+    target = v.index(1) if v.count(1) == 1 and v.count(0) == n else 0
+    if target < i:
+        raise DecompositionError("residual not resolvable")
+    if target != i:
+        gens.append(classes[(i, 1), (target, -1)])
+    return gens
+
+
+def _old_staged_reduction(model, entries):
+    """Chronological generators reducing the matrix to the identity,
+    one column at a time, each applied by left multiplication."""
+    classes = model._classes
+    cur = entries
+    gens = []
+    for i in range(1, model.n + 1):
+        for g in _old_class_reduction_gens(classes, [row[i] for row in cur], i):
+            gens.append(g)
+            cur = _mat_reflect(g, cur)
+    if cur != mat_identity(model.rank):
+        raise DecompositionError("residual not resolvable")
+    return gens
+
+
+def _old_decompose_K_alpha(M, alpha):
+    """The column reduction of the dense conjugate psi M psi^{-1}, each
+    generator checked for alpha'-area zero and pulled back by psi^{-1}."""
+    model = M.model
+    conjugate, psi, psi_inv = _dense_conjugate(M, alpha)
+    alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
+    gens = []
+    for g in _old_staged_reduction(model, conjugate):
+        if form_pairing(alpha_prime, g) != 0:
+            raise DecompositionError("generator with nonzero alpha-area")
+        gens.append(HomClass(model, mat_vec(psi_inv, g.coeffs)))
+    return gens
+
+
+def _assert_twist_roots(word, alpha=None):
+    # K_0-null roots of square -2; without alpha, twist cores outright
+    m = word.model
+    for g in word.generators:
+        assert pairing(g, g) == -2 and form_pairing(m.k0_form(), g) == 0
+        if alpha is None:
+            # E_i - E_j or H - E_i - E_j - E_k
+            nonzero = sorted(c for c in g.coeffs[1:] if c)
+            assert (g.coeffs[0], nonzero) in ((0, [-1, 1]), (1, [-1, -1, -1])), g
+        else:
+            assert form_pairing(alpha, g) == 0
+
+
+def test_point_walk_factors_what_the_column_reduction_factors():
+    rng = random.Random(22)
+    unfactorable = [M for _, M in unfactorable_matrices()]
+    for n in range(15):
+        m = R(n)
+        gens = rational_generators(m)
+        for _ in range(12):
+            picks = tuple(rng.choice(gens) for _ in range(rng.randint(0, 60))) if gens else ()
+            M = IsometryMatrix(m, ReflectionWord(m, picks).matrix)
+            old = _old_staged_reduction(m, M.entries)
+            word = decompose_K(M)
+            assert word.matrix == M.entries == ReflectionWord(m, tuple(old)).matrix
+            _assert_twist_roots(word)
+    for M in unfactorable:
+        m = M.model
+        gens = rational_generators(m)
+        for _ in range(3):
+            left = ReflectionWord(m, tuple(rng.choice(gens) for _ in range(rng.randint(0, 10)))).matrix
+            P = IsometryMatrix(m, mat_mul(left, M.entries))
+            with pytest.raises(DecompositionError, match="^residual not resolvable$"):
+                _old_staged_reduction(m, P.entries)
+            with pytest.raises(DecompositionError, match="^residual not resolvable$"):
+                decompose_K(P)
+
+
+@given(scrambled_chamber_cases())
+@settings(max_examples=100, deadline=None)
+def test_point_walk_matches_the_column_reduction_on_tied_blocks(case):
+    # alpha with tied areas at n = 3..12: both sides factor, and every
+    # generator is a twist root of alpha-area zero
+    M, alpha = case
+    old = _old_decompose_K_alpha(M, alpha)
+    assert ReflectionWord(M.model, tuple(old)).matrix == M.entries
+    word = decompose_K_alpha(M, alpha)
+    assert word.matrix == M.entries
+    _assert_twist_roots(word, alpha)

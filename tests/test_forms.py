@@ -30,7 +30,6 @@ from latwist.decompose import (
 from latwist import lattice
 from latwist.lattice import (
     _mat_reflect,
-    _mat_reflect_right,
     FormClass,
     HomClass,
     LatticeModel,
@@ -164,6 +163,24 @@ def test_form_arithmetic_matches_coefficientwise(case, data, k):
         assert form.coeffs == expected[key], key
         assert form == FormClass(m, expected[key]), key
         assert form.den > 0 and math.gcd(form.den, *form.num) == 1, key
+
+
+def test_classes_and_forms_scale_from_either_side():
+    m = R(3)
+    tau, x = m.k0_form(), m.E(1)
+    assert tau * -1 == -1 * tau == -tau
+    assert tau * Fraction(2, 3) == Fraction(2, 3) * tau == FormClass(m, (-2,) + (Fraction(2, 3),) * 3)
+    assert x * 2 == 2 * x == x + x
+    assert x * -1 == -1 * x == -x
+    for k in (Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError, match="integers only"):
+            x * k
+        with pytest.raises(TypeError, match="integers only"):
+            k * x
+    with pytest.raises(TypeError):
+        tau * x
+    with pytest.raises(TypeError, match="integers only"):
+        x * tau
 
 
 def test_k0_form_is_integral():
@@ -308,11 +325,10 @@ def test_factorizations_run_no_dense_products(monkeypatch):
         check(self)
 
     monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
-    left, right = _mat_reflect(gamma, a), _mat_reflect_right(gamma, a)
+    left = _mat_reflect(gamma, a)
     monkeypatch.undo()
     assert builds == []
     assert left == mat_mul(reflection_matrix(gamma), a)
-    assert right == mat_mul(a, reflection_matrix(gamma))
 
 
 # -- integer areas in the factorizations --------------------------------------
