@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, default=None)
     p.add_argument("--degree-bound", type=_positive, default=None,
-                   help="cap on the H-coefficient for exceptional sets with n >= 9; not with --bound")
+                   help="cap on the H-coefficient of a rational exceptional set; "
+                        "required for n >= 9, not with --bound")
     p.add_argument("--allow-large", action="store_true", help=allow_large_help)
     p.set_defaults(handler=cmd_enumerate)
 

@@ -44,9 +44,10 @@ _LISTING_LIMIT = 2_000_000
 class ExceptionalSet(_Record):
     """The exceptional classes for K, canonically sorted.
 
-    ``complete`` is true exactly when the listing is provably exhaustive:
-    rational models with n <= 8 and every ruled model.  Otherwise
-    ``degree_bound`` records the |a| cap that was searched.
+    ``complete`` is true exactly when no ``degree_bound`` capped the
+    listing, which is then provably exhaustive: rational models with
+    n <= 8 and every ruled model.  Otherwise ``degree_bound`` records the
+    |a| cap that was searched.
     """
 
     _fields = ("model", "K", "classes", "complete", "degree_bound")
@@ -122,8 +123,10 @@ def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False
     K passes the one check of _k0_signs before anything is listed; the
     classes are walked in the frame where K is K_0 (_upward_orbit) and
     carried back by K's signs.  Rational models with n >= 9 require
-    ``degree_bound``; the set then holds the exceptional classes with
-    |a| <= degree_bound only.  No class is reduced: the walk only climbs.
+    ``degree_bound`` and every rational model accepts one; the set then
+    holds the exceptional classes with |a| <= degree_bound only.  Ruled
+    models take none (ValueError).  No class is reduced: the walk only
+    climbs.
 
     The classes are counted from the walk's sorted forms before any is
     built; unless ``allow_large`` is set, more than 2,000,000 of them
@@ -132,12 +135,13 @@ def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False
     K, signs = _k0_signs(model, K)
     n = model.n
     if model.kind == RULED:
-        classes, complete = _ruled_exceptional(model), True
+        if degree_bound is not None:
+            raise ValueError("degree_bound applies to rational models only")
+        classes = _ruled_exceptional(model)
     else:
-        complete = n <= 8
-        if not complete and degree_bound is None:
+        if n >= 9 and degree_bound is None:
             raise ValueError("degree_bound required for rational models with n >= 9")
-        forms = _upward_orbit(n, None if complete else degree_bound)
+        forms = _upward_orbit(n, degree_bound)
         if sum(_ordering_count(b) for _, *b in forms) > _LISTING_LIMIT and not allow_large:
             raise ValueError("bound exceeds safety limit")
         classes = [
@@ -152,8 +156,8 @@ def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False
         model=model,
         K=K,
         classes=tuple(sorted(classes, key=lambda x: x.coeffs)),
-        complete=complete,
-        degree_bound=None if complete else degree_bound,
+        complete=degree_bound is None,
+        degree_bound=degree_bound,
     )
 
 
@@ -249,28 +253,49 @@ def _cone_decide(model, num, K, closed):
 
 def _chamber_frame(model, num):
     """(frame, chamber): the chronological K_0-twists whose product psi
-    carries the rational form with numerators ``num`` into its reduced
-    chamber with the b_i ascending, and the numerators psi num it
-    reaches there; None when the form is not in the symplectic cone.
+    carries the form with numerators ``num`` into its chamber with the
+    b_i ascending, and the numerators psi num it reaches there; None when
+    a rational form is not in the symplectic cone.
 
-    The ternary cores are the moves of the open cone walk, which also
-    hands back the chamber form they reach; the transpositions after them
-    sort its b_i ascending, ties kept in index order.
+    Rational forms: the ternary cores are the moves of the open cone
+    walk, which also hands back the reduced form they reach.  Ruled
+    forms tT + fF - sum b_i E_i: while the two largest b_i, ties taken
+    in index order, have b_i + b_j > t, the twist along F - E_i - E_j
+    sends b_i to t - b_j and b_j to t - b_i.  Each flip lowers sum b_i,
+    and the twists permute and negate the b_i - t/2 within a finite set,
+    so the walk ends, at every form, with b_i + b_j <= t for every pair.
+    The transpositions after them sort the b_i ascending, ties kept in
+    index order.
     """
-    res, moves, chamber = _cone_decide(model, num, model.k0_form(), closed=False)
-    if not res:
-        return None
+    n, off = model.n, model.e_offset
     classes = model._classes
-    frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
-    a, b = chamber
+    if model.kind == RULED:
+        t, f, b = num[0], num[1], [-c for c in num[off:]]
+        frame = []
+        while n >= 2:
+            i, j = sorted(sorted(range(n), key=b.__getitem__, reverse=True)[:2])
+            d = t - b[i] - b[j]
+            if d >= 0:
+                break
+            f += d
+            b[i] += d
+            b[j] += d
+            frame.append(classes[(1, 1), (i + off, -1), (j + off, -1)])
+        head = (t, f)
+    else:
+        res, moves, chamber = _cone_decide(model, num, model.k0_form(), closed=False)
+        if not res:
+            return None
+        frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
+        head, b = chamber[:1], chamber[1]
     # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
-    keys = [(v, i) for i, v in enumerate(b, start=1)]
-    for p in range(model.n):
-        q = min(range(p, model.n), key=keys.__getitem__)
+    keys = [(v, i) for i, v in enumerate(b)]
+    for p in range(n):
+        q = min(range(p, n), key=keys.__getitem__)
         if q != p:
             keys[p], keys[q] = keys[q], keys[p]
-            frame.append(classes[(p + 1, 1), (q + 1, -1)])
-    return frame, (a,) + tuple(-v for v, _ in keys)
+            frame.append(classes[(p + off, 1), (q + off, -1)])
+    return frame, head + tuple(-v for v, _ in keys)
 
 
 def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:

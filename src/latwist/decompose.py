@@ -44,31 +44,36 @@ decompose_K_alpha  as above, but every generator must also annihilate
                  indices and has area zero too.  Pulling back by psi
                  keeps the product and the area of every core.
 
-decompose_ruled  ruled isometries preserving K_0 and alpha, factored
-                 into twists along E_i-E_j and F-E_i-E_j.  The fiber
-                 class must be fixed outright.  Exceptional indices are
-                 consumed in order of increasing area; the image of the
-                 chosen class is either already in place, orthogonal to
-                 it (one twist), or its fiber complement (two twists
-                 through a spare index).
+decompose_ruled  ruled isometries preserving K_0, alpha and the fiber
+                 class F, factored into twists along E_i-E_j and
+                 F-E_i-E_j, the roots of a D_n system, by the same walk
+                 and pullback as decompose_K_alpha.  Every twist fixes F,
+                 so M must fix it outright.  On a form tT + fF - sum b_i E_i
+                 the twist along F-E_i-E_j sends b_i to t - b_j and b_j
+                 to t - b_i; the chamber is b_1 <= ... <= b_n with
+                 b_{n-1} + b_n <= t, and the walk reaches it from every
+                 form, so alpha need not lie in the cone.  The interior
+                 point is rho = 2n T + F - sum i E_i: its b_i ascend and
+                 are distinct, and b_{n-1} + b_n < t.  The area argument
+                 is the rational one: a flip of the walked point along
+                 F-E_i-E_j has d = t - b_i - b_j < 0 and adds
+                 d (t' - b'_i - b'_j) <= 0 to its alpha'-area, since no
+                 two b'_i sum past t' in the chamber, and
+                 P rho.alpha' >= rho.alpha' as before, so every core has
+                 alpha'-area zero.
 
-The rational walks step integer numerators and read M once, as the
-product M rho.  decompose_ruled applies one reflection per generator to
-its running matrix; a reflection along gamma rewrites only the rows in
-the support of gamma, and a twist core has at most four nonzero entries.
-The kernel does not check the entries, because the running matrix starts
-from the checked input and changes only by reflections.  Every word is
-re-checked at the end: the product is rebuilt from the generators alone
-and compared with the input.
+The walks step integer numerators and read M once, as a product with
+the (conjugated) interior point; no running matrix is kept.  Every word
+is re-checked at the end: the product is rebuilt from the generators
+alone and compared with the input.
 
 Checks once, integer areas.  Each check runs once per matrix: the
 IsometryMatrix keeps its pairing verdict and, by the form's numerators,
 its K and alpha pullback verdicts, so a validate followed by a
-decompose_* call computes each pullback once.  Every alpha-area test and
-the ruled choice of the least-area class read the integer gram product
-of alpha's numerators with the core: alpha's denominator is positive,
-so the zero tests and the order are those of the exact areas, and no
-Fraction is built.
+decompose_* call computes each pullback once.  Every alpha-area test
+reads the integer gram product of alpha's numerators with the core:
+alpha's denominator is positive, so the zero tests are those of the
+exact areas, and no Fraction is built.
 
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
@@ -90,9 +95,7 @@ from .lattice import (
     _check_same_model,
     _Record,
     _gram_product,
-    _mat_reflect,
     _reflect_coeffs,
-    mat_identity,
     mat_transpose,
     mat_vec,
     reflect,
@@ -218,16 +221,19 @@ def _finish(model, M, gens):
     return word
 
 
-def _interior_point(n):
-    # rho = (n^2 + 3)H - sum i E_i, strictly inside the sorted chamber
-    return (n * n + 3,) + tuple(range(-1, -n - 1, -1))
+def _interior_point(model):
+    # rho, strictly inside the sorted chamber: (n^2 + 3)H - sum i E_i for
+    # rational models, 2n T + F - sum i E_i for ruled ones
+    n = model.n
+    head = (n * n + 3,) if model.kind == RATIONAL else (2 * n, 1)
+    return head + tuple(range(-1, -n - 1, -1))
 
 
 def _walk_home(model, v):
-    """The chronological twists f_1, ..., f_m of v's cone walk, when
+    """The chronological twists f_1, ..., f_m of v's chamber walk, when
     R(f_m) ... R(f_1) carries v to rho."""
     walk = _chamber_frame(model, v)
-    if walk is None or walk[1] != _interior_point(model.n):
+    if walk is None or walk[1] != _interior_point(model):
         raise DecompositionError("residual not resolvable")
     return walk[0]
 
@@ -238,26 +244,19 @@ def decompose_K(M: IsometryMatrix) -> ReflectionWord:
     if model.kind != RATIONAL:
         raise ValueError("decompose_K expects a rational model")
     _require_valid(M, model.k0_form())
-    return _finish(model, M, _walk_home(model, mat_vec(M.entries, _interior_point(model.n))))
+    return _finish(model, M, _walk_home(model, mat_vec(M.entries, _interior_point(model))))
 
 
-def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
-    """Factor a (K_0, alpha)-preserving rational isometry into twists
-    whose cores all have alpha-area zero; alpha outside the symplectic
-    cone raises ValueError at every n."""
+def _alpha_walk(M, alpha, chamber):
+    """The twists of M, all of alpha-area zero, from alpha's chamber
+    frame psi and chamber form alpha' = ``chamber``: the walk of
+    psi M psi^{-1} rho, each twist pulled back by psi^{-1}."""
     model = M.model
-    if model.kind != RATIONAL:
-        raise ValueError("decompose_K_alpha expects a rational model")
-    _require_valid(M, model.k0_form(), alpha)
-    chamber = _chamber_frame(model, alpha.num)
-    if chamber is None:
-        raise ValueError("alpha must lie in the symplectic cone")
     frame, alpha_prime = chamber
-
     # psi = R(f_m) ... R(f_1) over the frame word f, and every R(f) is an
     # involution: reflect rho back through the frame, apply M, then
     # reflect forward, giving psi M psi^{-1} rho
-    v = _interior_point(model.n)
+    v = _interior_point(model)
     for f in reversed(frame):
         v = _reflect_coeffs(f, v)
     v = mat_vec(M.entries, v)
@@ -277,72 +276,31 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     return _finish(model, M, gens)
 
 
+def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
+    """Factor a (K_0, alpha)-preserving rational isometry into twists
+    whose cores all have alpha-area zero; alpha outside the symplectic
+    cone raises ValueError at every n."""
+    model = M.model
+    if model.kind != RATIONAL:
+        raise ValueError("decompose_K_alpha expects a rational model")
+    _require_valid(M, model.k0_form(), alpha)
+    chamber = _chamber_frame(model, alpha.num)
+    if chamber is None:
+        raise ValueError("alpha must lie in the symplectic cone")
+    return _alpha_walk(M, alpha, chamber)
+
+
 def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     """Factor a (K_0, alpha)-preserving ruled isometry into twists along
-    E_i-E_j and F-E_i-E_j cores, all of alpha-area zero."""
+    E_i-E_j and F-E_i-E_j cores, all of alpha-area zero; every alpha
+    has a chamber, inside the cone or not."""
     model = M.model
     if model.kind != RULED:
         raise ValueError("decompose_ruled expects a ruled model")
     _require_valid(M, model.k0_form(), alpha)
-    n = model.n
-    classes = model._classes
-    identity = mat_identity(model.rank)
-
-    def core(f, *e_terms):
-        # the class f F + sum s E_j over the pairs (j, s), keyed in index order
-        terms = ((1, f),) if f else ()
-        return classes[terms + tuple(sorted((j + 1, s) for j, s in e_terms))]
-
-    if M._cols[1] != identity[1]:  # column F is the image of F
+    if M._cols[1] != model._classes[((1, 1),)].coeffs:  # column F is the image of F
         raise DecompositionError("fiber class not preserved")
-
-    cur = M.entries
-    gens = []
-    remaining = list(range(1, n + 1))
-
-    def img(j, f, s):
-        # f F + s E_j maps to f (column F) + s (column E_j)
-        return tuple(f * row[1] + s * row[j + 1] for row in cur)
-
-    def push(g):
-        nonlocal cur
-        if _gram_product(model, alpha.num, g.coeffs) != 0:
-            raise DecompositionError("generator with nonzero alpha-area")
-        gens.append(g)
-        cur = _mat_reflect(g, cur)
-
-    # E_j and F - E_j by coefficients, each as (j, f, s) for f F + s E_j.
-    # Their areas never change, so one sort by (area, coefficients) gives
-    # each pass's least-area class: the first one whose index remains.
-    # alpha's denominator is positive, so its numerators keep the order.
-    pool = {core(f, (j, s)).coeffs: (j, f, s) for j in remaining for f, s in ((0, 1), (1, -1))}
-    for e in sorted(pool, key=lambda x: (_gram_product(model, alpha.num, x), x)):
-        j, f, s = pool[e]
-        if j not in remaining:
-            continue
-        c = img(j, f, s)
-        hit = pool.get(c)
-        if hit is None or hit[0] not in remaining:
-            raise DecompositionError("residual not resolvable")
-        if c != e:
-            k, fc, sc = hit
-            if k != j:
-                # c is orthogonal to e
-                push(core(f - fc, (j, s), (k, -sc)))  # e - c
-            else:
-                # c is the fiber complement of e; route through a spare index
-                spare = [k for k in remaining if k != j]
-                if not spare:
-                    raise DecompositionError("residual not resolvable")
-                k = spare[0]
-                push(core(-f, (k, 1), (j, -s)))  # E_k - e
-                push(core(1 - f, (k, -1), (j, -s)))  # F - E_k - e
-            if img(j, f, s) != e:
-                raise DecompositionError("residual not resolvable")
-        remaining.remove(j)
-    if cur != identity:
-        raise DecompositionError("residual not resolvable")
-    return _finish(model, M, gens)
+    return _alpha_walk(M, alpha, _chamber_frame(model, alpha.num))
 
 
 def matrix_to_json(M: IsometryMatrix) -> dict:

@@ -294,6 +294,18 @@ def test_enumerate_complete(capsys):
     assert data["count"] == 45 and data["complete"] is False and data["degree_bound"] == 1
 
 
+def test_enumerate_degree_bound_caps_small_n_and_refuses_ruled(capsys):
+    argv = ["enumerate", "--kind", "exceptional", "--model", "rational:5", "--degree-bound", "1"]
+    code, data = run_json(capsys, argv)
+    assert code == 0
+    assert data["count"] == 15 and data["complete"] is False and data["degree_bound"] == 1
+    assert "2H - E1 - E2 - E3 - E4 - E5" not in data["classes"]
+    argv = ["enumerate", "--kind", "exceptional", "--model", "ruled:h=1,n=2", "--degree-bound", "1"]
+    code, data = run_json(capsys, argv)
+    assert code == 2
+    assert data == {"error": {"type": "input", "message": "degree_bound applies to rational models only"}}
+
+
 def test_enumerate_exceptional_refuses_a_listing_past_the_limit(capsys, monkeypatch):
     import latwist.cone as cone
 

@@ -102,6 +102,25 @@ def test_enumerate_large_n_needs_bound():
     assert len(s) == 9 + 36
 
 
+def test_enumerate_caps_every_rational_n_and_refuses_a_ruled_cap():
+    # a degree bound at n <= 8 caps the listing too, which is then not
+    # complete; 2H - E1 - ... - E5 is the one class of rational(5) past 1
+    m = R(5)
+    full = enumerate_exceptional(m)
+    assert full.complete and full.degree_bound is None and len(full) == 16
+    capped = enumerate_exceptional(m, degree_bound=1)
+    assert not capped.complete and capped.degree_bound == 1
+    assert set(full) - set(capped) == {parse_class("2H-E1-E2-E3-E4-E5", m)}
+    # a cap past the orbit lists every class and still says it was capped
+    assert enumerate_exceptional(m, degree_bound=9).classes == full.classes
+    for n in range(0, 9):
+        for bound in (1, 2, 3):
+            s = enumerate_exceptional(R(n), degree_bound=bound)
+            assert s.classes == tuple(x for x in enumerate_exceptional(R(n)) if x.coeffs[0] <= bound)
+    with pytest.raises(ValueError, match="rational models only"):
+        enumerate_exceptional(LatticeModel.ruled(1, 2), degree_bound=1)
+
+
 def test_enumerate_n10_lists_only_exceptional_classes():
     m = R(10)
     k0 = m.k0_form()

@@ -13,6 +13,8 @@ from latwist.cone import _chamber_frame, in_cone
 from latwist.decompose import (
     DecompositionError,
     IsometryMatrix,
+    _finish,
+    _require_valid,
     decompose_K,
     decompose_K_alpha,
     decompose_ruled,
@@ -24,6 +26,7 @@ from latwist.lattice import (
     FormClass,
     HomClass,
     LatticeModel,
+    _gram_product,
     form_pairing,
     mat_identity,
     mat_transpose,
@@ -396,6 +399,32 @@ def test_chamber_frame_sorts_alpha_into_the_chamber(alpha):
 
 
 @st.composite
+def any_ruled_forms(draw):
+    m = LatticeModel.ruled(draw(st.integers(1, 3)), draw(st.integers(0, 9)))
+    # t of either sign; tied blocks of b come from a few drawn values
+    values = draw(st.lists(st.integers(-8, 12), min_size=1, max_size=4))
+    b = draw(st.lists(st.sampled_from(values), min_size=m.n, max_size=m.n))
+    num = (draw(st.integers(-12, 20)), draw(st.integers(-12, 12))) + tuple(-v for v in b)
+    return m, num
+
+
+@given(any_ruled_forms())
+@settings(max_examples=300, deadline=None)
+def test_ruled_chamber_frame_walks_every_form_into_the_chamber(case):
+    m, num = case
+    frame, reached = _chamber_frame(m, num)
+    dual = HomClass(m, num)
+    for f in frame:
+        assert pairing(f, f) == -2 and form_pairing(m.k0_form(), f) == 0
+        dual = reflect(f, dual)
+    assert reached == dual.coeffs
+    t, b = reached[0], [-c for c in reached[2:]]
+    assert b == sorted(b)
+    if m.n >= 2:
+        assert b[-2] + b[-1] <= t
+
+
+@st.composite
 def small_n_cases(draw):
     m = R(draw(st.integers(0, 2)))
     q = draw(st.integers(1, 4))
@@ -588,9 +617,10 @@ def test_decompose_ruled_round_trip():
 
 
 def test_decompose_ruled_builds_no_class_per_image(monkeypatch):
-    # the pool comes from the class table once, and each image is read
-    # off two columns of the running matrix, so a warm table means that
-    # a factorization builds no class at all
+    # the point is walked as integer numerators and its twists come from
+    # the class table, so with alpha already in its chamber (an empty
+    # frame, nothing to pull back) and a warm table a factorization
+    # builds no class at all
     m = LatticeModel.ruled(1, 4)
     alpha = FormClass(m, (2, 5) + (-1,) * m.n)
     rng = random.Random(5)
@@ -791,3 +821,114 @@ def test_point_walk_matches_the_column_reduction_on_tied_blocks(case):
     word = decompose_K_alpha(M, alpha)
     assert word.matrix == M.entries
     _assert_twist_roots(word, alpha)
+
+
+# -- the ruled point walk against the pool algorithm it replaced ---------------
+
+def _old_decompose_ruled(M, alpha):
+    """The pool factorization: exceptional indices consumed in order of
+    increasing area, each image fixed by one twist or by two through a
+    spare index, on a running matrix."""
+    model = M.model
+    _require_valid(M, model.k0_form(), alpha)
+    n = model.n
+    classes = model._classes
+    identity = mat_identity(model.rank)
+
+    def core(f, *e_terms):
+        terms = ((1, f),) if f else ()
+        return classes[terms + tuple(sorted((j + 1, s) for j, s in e_terms))]
+
+    if M._cols[1] != identity[1]:
+        raise DecompositionError("fiber class not preserved")
+
+    cur = M.entries
+    gens = []
+    remaining = list(range(1, n + 1))
+
+    def img(j, f, s):
+        return tuple(f * row[1] + s * row[j + 1] for row in cur)
+
+    def push(g):
+        nonlocal cur
+        if _gram_product(model, alpha.num, g.coeffs) != 0:
+            raise DecompositionError("generator with nonzero alpha-area")
+        gens.append(g)
+        cur = _mat_reflect(g, cur)
+
+    pool = {core(f, (j, s)).coeffs: (j, f, s) for j in remaining for f, s in ((0, 1), (1, -1))}
+    for e in sorted(pool, key=lambda x: (_gram_product(model, alpha.num, x), x)):
+        j, f, s = pool[e]
+        if j not in remaining:
+            continue
+        c = img(j, f, s)
+        hit = pool.get(c)
+        if hit is None or hit[0] not in remaining:
+            raise DecompositionError("residual not resolvable")
+        if c != e:
+            k, fc, sc = hit
+            if k != j:
+                push(core(f - fc, (j, s), (k, -sc)))
+            else:
+                spare = [k for k in remaining if k != j]
+                if not spare:
+                    raise DecompositionError("residual not resolvable")
+                k = spare[0]
+                push(core(-f, (k, 1), (j, -s)))
+                push(core(1 - f, (k, -1), (j, -s)))
+            if img(j, f, s) != e:
+                raise DecompositionError("residual not resolvable")
+        remaining.remove(j)
+    if cur != identity:
+        raise DecompositionError("residual not resolvable")
+    return _finish(model, M, gens)
+
+
+def _ruled_case(rng):
+    """A ruled isometry and a form: h = 1..3, n = 0..9, t = -3..12, tied
+    blocks of b over a denominator 1..6, scrambled by up to 8 twists.
+    The matrix is a word of up to 40 alpha-null twists, or a short
+    arbitrary twist word that mostly breaks alpha."""
+    m = LatticeModel.ruled(rng.randint(1, 3), rng.randint(0, 9))
+    values = [rng.randint(-2, 8) for _ in range(rng.randint(1, max(1, m.n)))]
+    b = [rng.choice(values) for _ in range(m.n)]
+    t = rng.randint(-3, 12)
+    if m.n >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(m.n), 2)
+        t = b[i] + b[j]
+    dual = HomClass(m, (t, rng.randint(-3, 8)) + tuple(-v for v in b))
+    twists = ruled_generators(m)
+    null = [g for g in twists if pairing(dual, g) == 0]
+    for f in [rng.choice(twists) for _ in range(rng.randint(0, 8))] if twists else ():
+        dual = reflect(f, dual)
+        null = [reflect(f, g) for g in null]
+    alpha = FormClass(m, [Fraction(c, rng.randint(1, 6)) for c in dual.coeffs])
+    if twists and rng.random() < 0.15:
+        picks = [rng.choice(twists) for _ in range(rng.randint(1, 3))]
+    else:
+        picks = [rng.choice(null) for _ in range(rng.randint(0, 40))] if null else []
+    return IsometryMatrix(m, ReflectionWord(m, tuple(picks)).matrix), alpha
+
+
+def _outcome(routine, M, alpha):
+    # a word that reproduces M with alpha-area-zero twist roots, or the error
+    try:
+        word = routine(M, alpha)
+    except (ValueError, DecompositionError) as exc:
+        return type(exc), str(exc)
+    assert word.matrix == M.entries
+    _assert_twist_roots(word, alpha)
+    return "word"
+
+
+def test_ruled_walk_matches_the_pool_algorithm():
+    rng = random.Random(23)
+    m = LatticeModel.ruled(1, 1)
+    fiber_moving = IsometryMatrix(m, ((2, 1, 2), (1, 2, 2), (-2, -2, -3)))
+    cases = [(fiber_moving, -m.k0_form())] + [_ruled_case(rng) for _ in range(600)]
+    seen = set()
+    for M, alpha in cases:
+        old = _outcome(_old_decompose_ruled, M, alpha)
+        assert _outcome(decompose_ruled, M, alpha) == old
+        seen.add(old if old == "word" else old[1])
+    assert seen == {"word", "fiber class not preserved", "matrix fails validation: alpha not preserved"}

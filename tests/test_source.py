@@ -137,3 +137,10 @@ def test_the_oracle_stays_independent_of_the_library():
             if isinstance(node, ast.Name) and node.id in from_reduction
         ]
     assert found == []
+
+
+def test_decompose_keeps_no_running_matrix():
+    # every factorization walks one point home; a reflection applied to
+    # a whole matrix would mean a second algorithm beside the walk
+    path = next(p for p in SOURCES if p.name == "decompose.py")
+    assert "_mat_reflect" not in path.read_text()
