@@ -36,10 +36,7 @@ _EXPORTS = {
     "model_from_json": "classexpr",
     "NormalForm": "reduction",
     "ReflectionWord": "reduction",
-    "EtaBound": "reduction",
     "cremona_reduce": "reduction",
-    "eta_lower_bound": "reduction",
-    "is_reduced": "reduction",
     "is_exceptional": "reduction",
     "is_K_null_spherical": "reduction",
     "ExceptionalSet": "cone",

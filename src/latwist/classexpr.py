@@ -19,12 +19,15 @@ Parsing builds no Fraction: it accumulates integer numerators over the
 lcm of the term denominators, and parse_form hands them to the form
 constructor, which reduces them to lowest terms.
 
-The JSON wire format used by every CLI command is
+The JSON wire format of classes and forms is
 
     {"model": {"type": "rational", "n": N}, "coeffs": [...]}
     {"model": {"type": "ruled", "genus": H, "n": N}, "coeffs": [...]}
 
-with coefficients as integers or "p/q" strings.
+with coefficients as integers or "p/q" strings.  On the command line
+only crosscheck prints classes in it, and only decompose reads it, for
+the model object of its matrix file; every other command prints classes
+as text.
 """
 
 from __future__ import annotations

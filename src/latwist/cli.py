@@ -15,9 +15,11 @@ renderer that walks the payload in insertion order:
 - ``null`` is left out;
 - any other scalar prints as ``key: value``.
 
-Exit codes: 0 for Yes/ok, 1 for No, a violated precondition on
-otherwise well-formed input, or an unfactorable matrix, 2 for input
-errors.
+Exit codes: 0 for Yes/ok; 1 for No (a cone violation, a failed
+validation, a crosscheck disagreement) or an unfactorable matrix; 2 for
+input errors, which include a precondition that well-formed input
+violates, such as a lagrangian --form, or a rational decompose
+--alpha, outside the symplectic cone (error type ``input``).
 """
 
 import argparse

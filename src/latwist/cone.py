@@ -124,15 +124,19 @@ def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False
     classes are walked in the frame where K is K_0 (_upward_orbit) and
     carried back by K's signs.  Rational models with n >= 9 require
     ``degree_bound`` and every rational model accepts one; the set then
-    holds the exceptional classes with |a| <= degree_bound only.  Ruled
-    models take none (ValueError).  No class is reduced: the walk only
-    climbs.
+    holds the exceptional classes with |a| <= degree_bound only.  A bound
+    that is not an int, or is a bool, raises TypeError.  Ruled models take
+    none (ValueError).  No class is reduced: the walk only climbs.
 
     The classes are counted from the walk's sorted forms before any is
     built; unless ``allow_large`` is set, more than 2,000,000 of them
     raise ValueError.
     """
     K, signs = _k0_signs(model, K)
+    if degree_bound is not None and type(degree_bound) is not int:
+        # 2.5 and True would compare inside the walk and come back as the
+        # set's bound; "2" would fail there
+        raise TypeError("degree_bound must be an integer")
     n = model.n
     if model.kind == RULED:
         if degree_bound is not None:

@@ -233,7 +233,8 @@ class HomClass(_Record):
         if len(self.coeffs) != self.model.rank:
             raise ValueError("coefficient vector length does not match rank")
         for c in self.coeffs:
-            if not isinstance(c, int):
+            # type(), not isinstance: a bool is an int and would pass
+            if type(c) is not int:
                 raise TypeError("homology coefficients must be exact integers")
 
     @classmethod
@@ -298,8 +299,8 @@ class FormClass(_Record):
             raise ValueError("coefficient vector length does not match rank")
         exact = []
         for c in coeffs:
-            if isinstance(c, float):
-                raise TypeError("form coefficients must be exact rationals, not floats")
+            if isinstance(c, (float, bool)):
+                raise TypeError(f"form coefficients must be exact rationals, not {type(c).__name__}s")
             exact.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
         den = math.lcm(*(c.denominator for c in exact))
         d = self.__dict__

@@ -1,4 +1,4 @@
-"""Cremona reduction with certificates, the class predicates, and a genus bound.
+"""Cremona reduction with certificates and the class predicates.
 
 The reduction drives the H-coefficient of a rational-model class down by
 reflections along H-E_i-E_j-E_k (written Gamma below) and transpositions
@@ -18,8 +18,6 @@ reduction in the frame where K is K_0.
 from __future__ import annotations
 
 import warnings
-from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 
 from .lattice import (
@@ -35,7 +33,6 @@ from .lattice import (
     LatticeModel,
     mat_identity,
     mat_vec,
-    pairing,
 )
 
 KIND_ZERO = "Zero"
@@ -138,16 +135,6 @@ class NormalForm(_Record):
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown normal form kind {self.kind!r}")
-
-
-def is_reduced(xi: HomClass) -> bool:
-    """a >= 0, all b_i >= 0, and a >= b_1 + b_2 + b_3 after sorting."""
-    if xi.model.kind != RATIONAL:
-        raise ValueError("reduced form defined for rational model only")
-    # the E-coefficients -b_i ascending put the largest b_i first
-    a, *c = xi.coeffs
-    c.sort()
-    return a >= 0 and (not c or c[-1] <= 0) and a + sum(c[:3]) >= 0
 
 
 def _match_terminal(coeffs, n):
@@ -419,24 +406,3 @@ def is_K_null_spherical(xi: HomClass, K: FormClass | None = None) -> bool:
     K, signs = _k0_signs(xi.model, K)
     return _decide(xi, K, signs, "knull")[0]
 
-
-EtaBound = namedtuple("EtaBound", "value exact")
-
-
-def eta_lower_bound(e: HomClass) -> EtaBound:
-    """Certified lower bound for the symplectic genus of e.
-
-    Maximizes eta_K(e) = (K.e + e.e)/2 + 1 over the canonical classes
-    K_delta, which all pair the class into their cones when the
-    H-coefficient is positive.  The max separates per coordinate, so it
-    is computed in closed form.  The bound is exact when e is reduced,
-    reported in the flag.
-    """
-    if e.model.kind != RATIONAL:
-        raise ValueError("eta bound defined for rational model only")
-    a = e.coeffs[0]
-    if a <= 0:
-        raise ValueError("K_delta family not certified for nonpositive H-coefficient")
-    best_k = -3 * a + sum(abs(c) for c in e.coeffs[1:])
-    value = Fraction(best_k + pairing(e, e) + 2, 2)
-    return EtaBound(value, is_reduced(e))

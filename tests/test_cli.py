@@ -129,6 +129,27 @@ def test_lagrangian_bad_form_is_input_error(capsys):
     assert "error" in captured.err
 
 
+def test_a_form_or_alpha_outside_the_cone_is_an_input_error(tmp_path, capsys):
+    # a precondition that well-formed input violates exits 2 with type
+    # input, as malformed input does; a form that starts with "-" is
+    # written with "="
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"model": {"type": "rational", "n": 3},
+                                "entries": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}))
+    cases = (
+        (["lagrangian", "--model", "rational:2", "--form", "0", "E1-E2"], "form fails the cone conditions"),
+        (["lagrangian", "--model", "rational:2", "--form=-2H-E1", "E1-E2"], "form fails the cone conditions"),
+        (["decompose", "--model", "rational:3", "--matrix", str(path), "--alpha=-H"],
+         "alpha must lie in the symplectic cone"),
+    )
+    for argv, message in cases:
+        code, data = run_json(capsys, argv)
+        assert code == 2 and data == {"error": {"type": "input", "message": message}}
+        code, captured = run(capsys, argv)
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error (input): {message}\n"
+
+
 def test_reduce(capsys):
     code, data = run_json(capsys, ["reduce", "--model", "rational:5", "2H-E1-E2-E3-E4-E5"])
     assert code == 0

@@ -121,6 +121,16 @@ def test_enumerate_caps_every_rational_n_and_refuses_a_ruled_cap():
         enumerate_exceptional(LatticeModel.ruled(1, 2), degree_bound=1)
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "2", 2.0])
+def test_enumerate_refuses_a_degree_bound_that_is_not_an_int(bound):
+    # 2.5 and True listed classes and came back as the set's bound; "2"
+    # failed inside the walk.  A ruled model refuses the type first
+    for model in (R(3), R(10), LatticeModel.ruled(1, 2)):
+        with pytest.raises(TypeError, match="degree_bound must be an integer"):
+            enumerate_exceptional(model, degree_bound=bound)
+    assert enumerate_exceptional(R(3), degree_bound=2).degree_bound == 2
+
+
 def test_enumerate_n10_lists_only_exceptional_classes():
     m = R(10)
     k0 = m.k0_form()

@@ -103,6 +103,13 @@ def test_equal_forms_examples():
     assert repr(c) == "FormClass(model=LatticeModel.rational(1), coeffs=(Fraction(1, 2), Fraction(0, 1)))"
 
 
+def test_form_rejects_bools():
+    # True would be read as the rational 1, as a class refuses it
+    for bad in ((True, 0, 0), (3, -1, False)):
+        with pytest.raises(TypeError, match="not bools"):
+            FormClass(R(2), bad)
+
+
 @given(coefficient_vectors(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_form_rejects_floats_and_wrong_lengths(case, data):

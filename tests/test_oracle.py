@@ -209,6 +209,10 @@ def test_public_homclass_keeps_its_checks():
         HomClass(R(2), (1, 0, 0.5))
     with pytest.raises(TypeError, match="exact integers"):
         HomClass(R(2), (1, 0, "1"))
+    # bools compare and add as ints, but a class keeps no True coefficient
+    for bad in ((True, 0, 0, 0), (1, 0, False, 0)):
+        with pytest.raises(TypeError, match="exact integers"):
+            HomClass(R(3), bad)
 
 
 def test_enumerate_binary_pair():

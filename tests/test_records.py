@@ -14,11 +14,9 @@ from latwist.decompose import IsometryMatrix, ValidationReport, validate
 from latwist.lattice import FormClass, HomClass, LatticeModel
 from latwist.oracle import CrosscheckReport, Disagreement, EnumQuery, crosscheck
 from latwist.reduction import (
-    EtaBound,
     NormalForm,
     ReflectionWord,
     cremona_reduce,
-    eta_lower_bound,
     is_K_null_spherical,
 )
 
@@ -187,7 +185,6 @@ TUPLES = [
     (Disagreement, lambda: Disagreement(HomClass(M, (0, 1, -1)), "knull", True, False),
      "Disagreement(cls=HomClass(model=LatticeModel.rational(2), coeffs=(0, 1, -1)), "
      "operation='knull', library=True, oracle=False)"),
-    (EtaBound, lambda: eta_lower_bound(HomClass(M, (2, -1, 0))), "EtaBound(value=Fraction(0, 1), exact=True)"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Cremona reduction certificates, the class predicates and the genus bound."""
+"""Cremona reduction certificates and the class predicates."""
 
 import warnings
 from fractions import Fraction
@@ -44,10 +44,8 @@ from latwist.reduction import (
     _match_terminal,
     _ruled_exceptional,
     cremona_reduce,
-    eta_lower_bound,
     is_exceptional,
     is_K_null_spherical,
-    is_reduced,
 )
 
 from dense import mat_mul
@@ -67,20 +65,8 @@ def check_certificate(xi, nf: NormalForm):
     assert image == tuple(sign * c for c in nf.representative.coeffs)
 
 
-def test_is_reduced():
-    m6 = R(6)
-    assert is_reduced(cls("3H-E1-E2-E3-E4-E5-E6", m6))
-    assert not is_reduced(cls("H-E1-E2", R(2)))
-    assert is_reduced(R(3).zero())
-    # sorting is internal, the scrambled version answers the same
-    assert is_reduced(cls("3H-E6-E5-E4-E3-E2-E1", m6))
-    assert not is_reduced(cls("-H", R(1)))
-    with pytest.raises(ValueError, match="rational model only"):
-        is_reduced(LatticeModel.ruled(1, 1).zero())
-
-
-# Reference for is_reduced and the reduction loop's stop decision: the
-# b_i sorted descending on their own, then tested by the definition.
+# Reference for the reduction loop's stop decision: the b_i sorted
+# descending on their own, then tested by the definition.
 
 def _sorted_b(coeffs):
     """H-coefficient and the b_i of a = aH - sum b_i E_i, b descending."""
@@ -111,20 +97,15 @@ def _reference_stop(coeffs):
 
 
 @st.composite
-def rational_coeffs(draw, sorted_b=False):
+def sorted_rational_coeffs(draw):
+    """a >= 0 and the E-coefficients ascending, so the b_i descend."""
     n = draw(st.integers(0, 10))
-    a = draw(st.integers(0, 30) if sorted_b else st.integers(-30, 30))
+    a = draw(st.integers(0, 30))
     c = draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n))
-    return (a,) + tuple(sorted(c) if sorted_b else c)
+    return (a,) + tuple(sorted(c))
 
 
-@given(rational_coeffs())
-@settings(max_examples=400, deadline=None)
-def test_is_reduced_matches_the_sorting_helpers(coeffs):
-    assert is_reduced(HomClass(R(len(coeffs) - 1), coeffs)) == _is_reduced(coeffs)
-
-
-@given(rational_coeffs(sorted_b=True))
+@given(sorted_rational_coeffs())
 @settings(max_examples=600, deadline=None)
 @example((3, -1, -1, -1, 1))
 @example((2, -1, -1, 1))
@@ -533,20 +514,6 @@ def test_is_k_null_spherical_ruled():
     assert not is_K_null_spherical(m.unit(0) - F, k0)
 
 
-def test_eta_lower_bound():
-    m6 = R(6)
-    b = eta_lower_bound(cls("3H-E1-E2-E3-E4-E5-E6", m6))
-    assert b.value == 1 and b.exact
-    b = eta_lower_bound(R(1).unit(0))
-    assert b.value == 0 and b.exact
-    b = eta_lower_bound(cls("H-E1-E2", R(2)))
-    assert b.value == 0 and not b.exact
-    with pytest.raises(ValueError, match="K_delta family"):
-        eta_lower_bound(-R(1).unit(0))
-    with pytest.raises(ValueError, match="K_delta family"):
-        eta_lower_bound(R(2).E(1))
-
-
 # -- the integer reduction loop against the earlier class-by-class loop --------
 
 def _old_match_terminal(xi):
@@ -604,7 +571,7 @@ def _old_cremona_reduce(xi):
                 g = model.E(pos + 1) - model.E(best + 1)
                 applied.append(g)
                 cur = reflect(g, cur)
-        if is_reduced(cur):
+        if _is_reduced(cur.coeffs):
             return finish(KIND_REDUCED)
         b = [-c for c in cur.coeffs[1:]]
         d = a - sum(b[:3])

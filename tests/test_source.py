@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import latwist
@@ -144,3 +145,39 @@ def test_decompose_keeps_no_running_matrix():
     # a whole matrix would mean a second algorithm beside the walk
     path = next(p for p in SOURCES if p.name == "decompose.py")
     assert "_mat_reflect" not in path.read_text()
+
+
+def test_every_export_has_a_caller_or_a_readme_line():
+    # an exported name that no module of the package, no README code span
+    # and no demo names is surface that nothing reaches; a reference from
+    # inside the name's own definition does not count
+    root = Path(latwist.__file__).resolve().parents[2]
+    # fenced blocks first, so that their backticks pair among themselves
+    readme_code = " ".join(re.findall(r"```.*?```|`[^`]*`", (root / "README.md").read_text(), re.S))
+    demos = sorted((root / "demos").glob("*.py"))
+    assert len(demos) >= 7
+
+    def references(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.lineno, node.attr
+
+    own_lines = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in latwist._EXPORTS:
+                own_lines[node.name] = (path, node.lineno, node.end_lineno)
+    named = {
+        name
+        for path in SOURCES
+        for line, name in references(path)
+        if not (name in own_lines and own_lines[name][0] == path
+                and own_lines[name][1] <= line <= own_lines[name][2])
+    }
+    named |= {name for path in demos for _, name in references(path)}
+    unreached = [name for name in latwist._EXPORTS
+                 if name not in named and not re.search(rf"\b{name}\b", readme_code)]
+    assert unreached == []
