@@ -70,10 +70,16 @@ alone and compared with the input.
 Checks once, integer areas.  Each check runs once per matrix: the
 IsometryMatrix keeps its pairing verdict and, by the form's numerators,
 its K and alpha pullback verdicts, so a validate followed by a
-decompose_* call computes each pullback once.  Every alpha-area test
-reads the integer gram product of alpha's numerators with the core:
-alpha's denominator is positive, so the zero tests are those of the
-exact areas, and no Fraction is built.
+decompose_* call computes each pullback once.  Both checks read G M, not
+the dense gram matrix: G keeps H (or swaps T and F) and negates every E_i
+coefficient, so each column of G M costs O(r).  M^T G M = G is then
+r(r+1)/2 plain dot products of a column of M with a column of G M, and
+a pullback G M^T G v is G v once, one dot product per column and G again.
+Each twist of the alpha walk is pulled back through the frame on its
+coefficient tuple, so a generator builds one class, not one per frame
+step.  Every alpha-area test reads the integer gram product of alpha's
+numerators with the core: alpha's denominator is positive, so the zero
+tests are those of the exact areas, and no Fraction is built.
 
 A matrix that validates but cannot be factored raises
 DecompositionError rather than being silently accepted; such a matrix
@@ -83,7 +89,8 @@ lies outside the subgroup the twist generators span.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from itertools import chain
+from operator import mul
 
 from .classexpr import model_from_json, model_to_json
 from .cone import _chamber_frame
@@ -91,14 +98,16 @@ from .lattice import (
     RATIONAL,
     RULED,
     FormClass,
+    HomClass,
     LatticeModel,
     _check_same_model,
-    _Record,
     _gram_product,
+    _gram_vec,
+    _kept,
+    _Record,
     _reflect_coeffs,
     mat_transpose,
     mat_vec,
-    reflect,
 )
 from .reduction import ReflectionWord
 
@@ -124,24 +133,24 @@ class IsometryMatrix(_Record):
 
     def __post_init__(self):
         rank = self.model.rank
-        entries = tuple(tuple(row) for row in self.entries)
+        entries = tuple(map(tuple, self.entries))
         if len(entries) != rank or any(len(row) != rank for row in entries):
             raise ValueError(f"matrix must be {rank}x{rank}")
-        for row in entries:
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TypeError("matrix entries must be integers")
-        object.__setattr__(self, "entries", entries)
+        # one pass over the entry types; type(), not isinstance: a bool is
+        # an int and would pass
+        if not set(map(type, chain.from_iterable(entries))) <= {int}:
+            raise TypeError("matrix entries must be integers")
+        self.__dict__["entries"] = entries
 
-    @cached_property
+    @_kept
     def _cols(self) -> tuple:
         return mat_transpose(self.entries)
 
-    @cached_property
+    @_kept
     def _preserves_pairing(self) -> bool:
         return _pairing_preserved(self.model, self._cols)
 
-    @cached_property
+    @_kept
     def _fixed_forms(self) -> dict:
         # num -> whether the pullback fixes the form num/den; the pullback
         # is linear, so the numerators decide it, and an equal form built
@@ -167,18 +176,20 @@ class ValidationReport(namedtuple("ValidationReport", "ok failures")):
 
 def _pullback(model, cols, num):
     # form composed with the matrix; in the Poincare-dual coefficient
-    # convention that is G M^T G applied to the form's vector, and entry
-    # i of M^T G v is the gram product of column i with v
-    return mat_vec(model.gram, tuple(_gram_product(model, c, num) for c in cols))
+    # convention that is G M^T G applied to the form's vector: G v once,
+    # one dot product per column, and G again, each G in O(r)
+    gv = _gram_vec(model, num)
+    return _gram_vec(model, [sum(map(mul, c, gv)) for c in cols])
 
 
 def _pairing_preserved(model, cols) -> bool:
-    # M^T G M = G entry by entry; both sides are symmetric
-    gram = model.gram
+    # M^T G M = G entry by entry on the columns of G M, each built once;
+    # both sides are symmetric
+    gcols = [_gram_vec(model, c) for c in cols]
     return all(
-        _gram_product(model, cols[i], cols[j]) == gram[i][j]
-        for i in range(model.rank)
-        for j in range(i, model.rank)
+        sum(map(mul, c, gcols[j])) == row[j]
+        for i, (c, row) in enumerate(zip(cols, model.gram))
+        for j in range(i, len(cols))
     )
 
 
@@ -267,8 +278,11 @@ def _alpha_walk(M, alpha, chamber):
     for g in _walk_home(model, v):
         if _gram_product(model, alpha_prime, g.coeffs) != 0:
             raise DecompositionError("generator with nonzero alpha-area")
-        for f in reversed(frame):
-            g = reflect(f, g)
+        if frame:
+            c = g.coeffs
+            for f in reversed(frame):
+                c = _reflect_coeffs(f, c)
+            g = HomClass._from_ints(model, c)
         gens.append(g)
     for g in gens:
         if _gram_product(model, alpha.num, g.coeffs) != 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul, neg, sub
 
 RATIONAL = "rational"
@@ -35,8 +35,8 @@ class _Record:
     Equality holds between records of the same class with equal fields;
     hash and repr read the fields in order.  Assignment and deletion
     raise AttributeError.  Values a record keeps after construction
-    (cached_property, memos) live in vars() beside the fields and take
-    no part in equality, hash or repr.
+    (kept values, memos) live in vars() beside the fields and take no
+    part in equality, hash or repr.
     """
 
     __slots__ = ()
@@ -61,6 +61,29 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _kept:
+    """A value computed on its first read and kept in the record's vars().
+
+    A non-data descriptor, so later reads find the kept value in vars()
+    and never call it.  Unlike functools.cached_property it takes no lock
+    on the first read.  A direct __get__ call still returns the kept value.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        d = obj.__dict__
+        if self.name in d:
+            return d[self.name]
+        value = d[self.name] = self.fn(obj)
+        return value
 
 
 def _check_model_args(kind: str, n: int, genus: int):
@@ -118,26 +141,26 @@ class LatticeModel(_Record):
     def ruled(h: int, n: int) -> "LatticeModel":
         return _interned(RULED, n, h)
 
-    @cached_property
+    @_kept
     def rank(self) -> int:
         return self.e_offset + self.n
 
-    @cached_property
+    @_kept
     def e_offset(self) -> int:
         """Index of E1 in the coefficient vector."""
         return 1 if self.kind == RATIONAL else 2
 
-    @cached_property
+    @_kept
     def basis_names(self) -> tuple:
         head = ("H",) if self.kind == RATIONAL else ("T", "F")
         return head + tuple(f"E{i}" for i in range(1, self.n + 1))
 
-    @cached_property
+    @_kept
     def _basis_index(self) -> dict:
         # basis name -> coefficient index, the parser's symbol lookup
         return {name: i for i, name in enumerate(self.basis_names)}
 
-    @cached_property
+    @_kept
     def gram(self) -> tuple:
         r = self.rank
         rows = [[0] * r for _ in range(r)]
@@ -164,11 +187,11 @@ class LatticeModel(_Record):
         object per model, so its checks and verdicts are kept once."""
         return self._k0_form
 
-    @cached_property
+    @_kept
     def _k0_form(self) -> "FormClass":
         return FormClass._from_num(self, self._k0_coeffs(), 1)
 
-    @cached_property
+    @_kept
     def _classes(self) -> "_ClassTable":
         # the shared classes, keyed by their nonzero terms; see _ClassTable
         return _ClassTable(self)
@@ -258,7 +281,7 @@ class HomClass(_Record):
     def square(self) -> int:
         return self._square
 
-    @cached_property
+    @_kept
     def _square(self) -> int:
         # kept on the class for every reflection along it; equality and
         # hash read the fields only
@@ -297,15 +320,15 @@ class FormClass(_Record):
     def __init__(self, model: LatticeModel, coeffs):
         if len(coeffs) != model.rank:
             raise ValueError("coefficient vector length does not match rank")
-        exact = []
         for c in coeffs:
-            if isinstance(c, (float, bool)):
+            # ints and Fractions only: a bool is an int, and Fraction(c)
+            # would read floats and strings such as '1e-3' or '٣'
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise TypeError(f"form coefficients must be exact rationals, not {type(c).__name__}s")
-            exact.append(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        den = math.lcm(*(c.denominator for c in exact))
+        den = math.lcm(*(c.denominator for c in coeffs))
         d = self.__dict__
         d["model"] = model
-        d["num"] = tuple(c.numerator * (den // c.denominator) for c in exact)
+        d["num"] = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         d["den"] = den
 
     @classmethod
@@ -331,11 +354,11 @@ class FormClass(_Record):
     def __hash__(self):
         return hash((self.model, self.num, self.den))
 
-    @cached_property
+    @_kept
     def coeffs(self) -> tuple:
         return tuple(Fraction(a, self.den) for a in self.num)
 
-    @cached_property
+    @_kept
     def _cone_verdicts(self) -> dict:
         # the cone module's verdicts on this form, by (K, closed); equality
         # and hash read the fields only
@@ -374,17 +397,26 @@ class _ClassTable(dict):
     the table reads each generator with one dict lookup, builds no class
     per step, and the square kept on each class is computed once per
     process.
+
+    ``terms`` maps the id of each class in the table back to its key,
+    the support that every reflection along the class reads.  The table
+    holds its classes for as long as it lives, so no other class can
+    share one of these ids.  The key is not kept on the class itself: a
+    fourth entry in the class's vars() would unshare the keys of the
+    instance dicts, and every class keeping a square would pay for it.
     """
 
     def __init__(self, model: LatticeModel):
         super().__init__()
         self.model = model
+        self.terms = {}
 
     def __missing__(self, terms: tuple) -> HomClass:
         coeffs = [0] * self.model.rank
         for i, c in terms:
             coeffs[i] = c
         x = self[terms] = HomClass(self.model, tuple(coeffs))
+        self.terms[id(x)] = terms
         return x
 
 
@@ -396,6 +428,13 @@ def _gram_product(model: LatticeModel, u, v) -> int:
     else:
         head = u[0] * v[1] + u[1] * v[0]
     return head - sum(map(mul, u[off:], v[off:]))
+
+
+def _gram_vec(model: LatticeModel, v) -> tuple:
+    """G v on a raw integer coefficient sequence, in O(r): G keeps H (or
+    swaps T and F) and negates every E_i coefficient."""
+    head = (v[0],) if model.kind == RATIONAL else (v[1], v[0])
+    return head + tuple(map(neg, v[model.e_offset:]))
 
 
 def pairing(x: HomClass, y: HomClass) -> int:
@@ -419,7 +458,9 @@ def _reflection(gamma: HomClass):
     Each entry list holds (index, value) pairs; a twist core has at most
     four.  The reflection along gamma is x -> x - q (G gamma . x) gamma,
     so it reads x only on the support of G gamma and changes it only on
-    the support of gamma.
+    the support of gamma.  q reads the square kept on gamma, and a class
+    from the model's table hands over its key as the support, so only a
+    class built elsewhere scans its r coefficients.
     """
     model = gamma.model
     s = gamma._square
@@ -429,7 +470,9 @@ def _reflection(gamma: HomClass):
     if rem:
         # 2/s is an integer for every admissible square, kept as a hard check
         raise ArithmeticError("non-integral reflection coefficient")
-    support = [(i, c) for i, c in enumerate(gamma.coeffs) if c]
+    support = model._classes.terms.get(id(gamma))
+    if support is None:
+        support = [(i, c) for i, c in enumerate(gamma.coeffs) if c]
     # G is -1 on the exceptional diagonal and the antidiagonal 1s of the
     # (H) or (T, F) head block
     off = model.e_offset

@@ -18,12 +18,12 @@ reduction in the frame where K is K_0.
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 
 from .lattice import (
     _ADMISSIBLE_SQUARES,
     _check_same_model,
     _gram_product,
+    _kept,
     _mat_reflect,
     _Record,
     RATIONAL,
@@ -96,7 +96,7 @@ class ReflectionWord(_Record):
             if g._square not in _ADMISSIBLE_SQUARES:
                 raise ValueError("reflection undefined for this square")
 
-    @cached_property
+    @_kept
     def matrix(self) -> tuple:
         m = mat_identity(self.model.rank)
         for g in reversed(self.generators):

@@ -504,21 +504,27 @@ def test_decompose_round_trip_random():
 
 def test_point_walk_builds_no_class_per_step(monkeypatch):
     # the point is walked as integer numerators, its twists come from the
-    # class table, and the identity is built once per rank
+    # class table, and the identity is built once per rank; so with a
+    # warm table a decompose_K call builds no class, checked or not
     import latwist.decompose as decompose
 
     m = R(7)
     rng = random.Random(3)
     gens = rational_generators(m)
-    M = IsometryMatrix(m, ReflectionWord(m, tuple(rng.choice(gens) for _ in range(12))).matrix)
+    entries = ReflectionWord(m, tuple(rng.choice(gens) for _ in range(12))).matrix
+    assert decompose_K(IsometryMatrix(m, entries)).matrix == entries
+    M = IsometryMatrix(m, entries)
 
     def refuse(*args):
         raise AssertionError("a walk step built a class")
 
-    monkeypatch.setattr(decompose, "reflect", refuse)
-    # the module does not name HomClass, so it builds none directly
-    assert not hasattr(decompose, "HomClass")
-    assert decompose_K(M).matrix == M.entries
+    # the module reflects no class, only coefficient tuples
+    assert not hasattr(decompose, "reflect")
+    monkeypatch.setattr(HomClass, "__post_init__", refuse)
+    monkeypatch.setattr(HomClass, "_from_ints", classmethod(refuse))
+    word = decompose_K(M)
+    monkeypatch.undo()
+    assert len(word) > 0 and word.matrix == M.entries
     assert mat_identity(m.rank) is mat_identity(m.rank)
 
 
@@ -666,6 +672,23 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(data) == M
     with pytest.raises(TypeError, match="integers"):
         matrix_from_json({"model": data["model"], "entries": [[1.5] * 4] * 4})
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", None], ids=repr)
+def test_matrix_entries_are_exact_ints_and_rows_are_kept_as_tuples(bad):
+    m = R(2)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    M = IsometryMatrix(m, rows)
+    assert M.entries == mat_identity(m.rank) and type(M.entries) is tuple
+    assert all(type(row) is tuple for row in M.entries)
+    for i in range(m.rank):
+        spot = [list(row) for row in rows]
+        spot[i][(i + 1) % m.rank] = bad
+        with pytest.raises(TypeError, match="^matrix entries must be integers$"):
+            IsometryMatrix(m, spot)
+    # the shape is checked before the entries
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        IsometryMatrix(m, [[bad] * 3] * 2)
 
 
 # -- the No path: validated isometries that are not twist products -------------

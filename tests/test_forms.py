@@ -5,6 +5,7 @@ products out of the factorizations."""
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,16 @@ def test_form_rejects_bools():
     for bad in ((True, 0, 0), (3, -1, False)):
         with pytest.raises(TypeError, match="not bools"):
             FormClass(R(2), bad)
+
+
+def test_form_rejects_strings_and_other_non_rationals():
+    # Fraction(c) would read each of these; a form takes ints and
+    # Fractions only, as the parser reads integers in ASCII digits only
+    for bad, name in (("٣", "strs"), ("1e-3", "strs"), (" 3 ", "strs"), ("1/2", "strs"),
+                      (None, "NoneTypes"), (Decimal("0.5"), "Decimals")):
+        with pytest.raises(TypeError, match=f"^form coefficients must be exact rationals, not {name}$"):
+            FormClass(R(1), (3, bad))
+    assert FormClass(R(1), (3, Fraction(-1, 1000))).coeffs == (3, Fraction(-1, 1000))
 
 
 @given(coefficient_vectors(), st.data())

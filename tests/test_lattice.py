@@ -303,6 +303,55 @@ def test_mat_reflect_matches_dense_product(mg, data):
     assert _mat_reflect(g, a) == mat_mul(dense_reflection(g), a)
 
 
+def _table_cores(m):
+    """The table keys of every twist core the library reflects along, and
+    of the square -1 classes E_i and F - E_i of the ruled exceptional list."""
+    off, n = m.e_offset, m.n
+    e = range(off, off + n)
+    keys = [((i, 1), (j, -1)) for i in e for j in e if i < j]
+    if m.kind == "rational":
+        keys += [((0, 1), (i, -1), (j, -1), (k, -1)) for i in e for j in e for k in e if i < j < k]
+    else:
+        keys += [((1, 1), (i, -1), (j, -1)) for i in e for j in e if i < j]
+        keys += [key for i in e for key in (((i, 1),), ((1, 1), (i, -1)))]
+    return keys
+
+
+TABLE_MODELS = [R(n) for n in range(13)] + [
+    LatticeModel.ruled(h, n) for h in range(1, 4) for n in range(7)
+]
+
+
+@pytest.mark.parametrize("m", TABLE_MODELS, ids=repr)
+def test_table_cores_match_dense_references(m):
+    # a table class reflects along its key; every core must give the
+    # dense reflection, on the identity, on a matrix and on a class
+    rng = random.Random(f"table {m!r}")
+    table = m._classes
+    for key in _table_cores(m):
+        g = table[key]
+        assert table.terms[id(g)] == key
+        dense = dense_reflection(g)
+        assert reflection_matrix(g) == dense
+        a = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(m.rank))
+        assert _mat_reflect(g, a) == mat_mul(dense, a)
+        x = HomClass(m, tuple(rng.randint(-9, 9) for _ in range(m.rank)))
+        assert reflect(g, x).coeffs == mat_vec(dense, x.coeffs)
+    # a table class of inadmissible square raises on every call
+    if m.kind == "rational":
+        bad = [((0, 2),)] + ([((0, 1), (1, -1))] if m.n else [])
+    else:
+        bad = [((1, 1),), ((0, 1),), ((0, 1), (1, 2))]
+    for key in bad:
+        g = table[key]
+        assert g.square() not in (1, -1, 2, -2)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="reflection undefined"):
+                reflect(g, g)
+            with pytest.raises(ValueError, match="reflection undefined"):
+                reflection_matrix(g)
+
+
 def _axes_of_every_square(m):
     """One admissible axis for each of the squares 1, -1, 2, -2."""
     if m.kind == "rational":

@@ -7,11 +7,14 @@ fields, refuse assignment and deletion, and keep their cached values out
 of all three.  The result tuples are named tuples with the same reprs.
 """
 
+import inspect
+from fractions import Fraction
+
 import pytest
 
 from latwist.cone import ConeResult, ExceptionalSet, LagrangianResult, enumerate_exceptional, in_cone
 from latwist.decompose import IsometryMatrix, ValidationReport, validate
-from latwist.lattice import FormClass, HomClass, LatticeModel
+from latwist.lattice import FormClass, HomClass, LatticeModel, _kept
 from latwist.oracle import CrosscheckReport, Disagreement, EnumQuery, crosscheck
 from latwist.reduction import (
     NormalForm,
@@ -56,7 +59,7 @@ RECORDS = [
     ),
     (
         FormClass,
-        lambda: FormClass(M, (3, -1, "1/2")),
+        lambda: FormClass(M, (3, -1, Fraction(1, 2))),
         "FormClass(model=LatticeModel.rational(2), "
         "coeffs=(Fraction(3, 1), Fraction(-1, 1), Fraction(1, 2)))",
         _warm_form,
@@ -172,6 +175,41 @@ def test_cached_values_leave_equality_hash_and_repr(cls, build, text, warm):
     assert vars(fresh).keys() == set(FIELDS[cls])
     assert value == fresh and fresh == value and hash(value) == hash(fresh)
     assert repr(value) == repr(fresh) == text
+
+
+def test_kept_values_live_in_vars_and_are_computed_once():
+    # the descriptor behind every kept value: a non-data descriptor that
+    # stores its value in vars() on the first read
+    calls = []
+
+    class Probe(HomClass):
+        @_kept
+        def _probe(self):
+            calls.append(self.coeffs)
+            return sum(self.coeffs)
+
+    x, fresh = Probe(M, (1, 2, 3)), Probe(M, (1, 2, 3))
+    assert isinstance(vars(Probe)["_probe"], _kept)
+    assert x._probe == 6 and x._probe == 6 and vars(x)["_probe"] == 6
+    assert calls == [(1, 2, 3)]
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        x._probe = 7
+    assert x._probe == 6
+    # a static __get__, as a profiler wrapping the attribute calls it,
+    # returns the kept value and does not compute it again
+    static = inspect.getattr_static(Probe, "_probe")
+    assert static.__get__(x, Probe) == 6 and calls == [(1, 2, 3)]
+    assert static.__get__(None, Probe) is static
+    assert static.__get__(fresh, Probe) == 6 and vars(fresh)["_probe"] == 6
+    assert len(calls) == 2
+
+
+def test_a_word_matrix_read_through_a_static_get_is_the_kept_one():
+    word = ReflectionWord(M, (HomClass(M, (0, 1, -1)),))
+    matrix = word.matrix
+    static = inspect.getattr_static(ReflectionWord, "matrix")
+    assert static.__get__(word, ReflectionWord) is matrix is vars(word)["matrix"]
 
 
 # the result tuples: equal as tuples, immutable, and printed by field

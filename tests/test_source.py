@@ -39,6 +39,23 @@ def test_the_package_imports_neither_dataclasses_nor_typing():
     assert found == []
 
 
+def test_the_package_imports_no_cached_property():
+    # functools.cached_property takes a lock on every first read; the
+    # records keep their values through lattice._kept, which takes none
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "cached_property"]
+    assert found == []
+
+
 def test_no_unused_imports_in_the_package():
     # a name imported but never read is a leftover of deleted code; the
     # package __init__ loads its exports on first use, so it is checked too
