@@ -146,24 +146,22 @@ def parse_form(text: str, model: LatticeModel) -> FormClass:
 
 def print_class(x) -> str:
     """Canonical text form of a HomClass or FormClass."""
-    parts = []
+    out = []
     for name, c in zip(x.model.basis_names, x.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if mag == 1:
-            body = name
-        elif isinstance(mag, Fraction) and mag.denominator != 1:
-            body = f"{mag.numerator}/{mag.denominator}*{name}"
-        else:
-            body = f"{int(mag)}{name}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
+        if c:
+            if c < 0:
+                out.append(" - ")
+                c = -c
+            else:
+                out.append(" + ")
+            if c != 1:
+                # ints and Fractions both carry numerator and denominator
+                d = c.denominator
+                name = f"{c.numerator}{name}" if d == 1 else f"{c.numerator}/{d}*{name}"
+            out.append(name)
+    if not out:
         return "0"
-    sign0, body0 = parts[0]
-    out = [body0 if sign0 == "+" else f"-{body0}"]
-    for sign, body in parts[1:]:
-        out.append(f" {sign} {body}")
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
 

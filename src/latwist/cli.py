@@ -71,9 +71,16 @@ def _positive(text: str) -> int:
 
 
 def _word_payload(word) -> dict:
+    # a word repeats its generators (each Γ step is H - E1 - E2 - E3), so
+    # each distinct one is printed once; the word holds them, so their ids
+    # stay distinct while it is read
+    text = {}
+    for g in word.generators:
+        if id(g) not in text:
+            text[id(g)] = print_class(g)
     return {
         "length": len(word),
-        "generators": [print_class(g) for g in word.generators],
+        "generators": [text[id(g)] for g in word.generators],
     }
 
 
@@ -338,12 +345,12 @@ def _text_lines(payload: dict) -> list:
 
 
 def _emit(payload, output):
+    # one write: json.dump would write each of its many chunks alone
     if output == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        for line in _text_lines(payload):
-            sys.stdout.write(line + "\n")
+        text = "".join(line + "\n" for line in _text_lines(payload))
+    sys.stdout.write(text)
 
 
 def _wants_json(argv) -> bool:

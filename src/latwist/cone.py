@@ -292,12 +292,14 @@ def _chamber_frame(model, num):
             return None
         frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
         head, b = chamber[:1], chamber[1]
-    # selection sort on (b_i, i); E_p - E_q swaps coefficients p and q
+    # the transpositions of a selection sort on (b_i, i); E_p - E_q swaps
+    # coefficients p and q.  The keys are distinct, so the p-th sorted key
+    # is the least of keys[p:] and has one place
     keys = [(v, i) for i, v in enumerate(b)]
-    for p in range(n):
-        q = min(range(p, n), key=keys.__getitem__)
-        if q != p:
-            keys[p], keys[q] = keys[q], keys[p]
+    for p, key in enumerate(sorted(keys)):
+        if keys[p] != key:
+            q = keys.index(key, p + 1)
+            keys[p], keys[q] = key, keys[p]
             frame.append(classes[(p + off, 1), (q + off, -1)])
     return frame, head + tuple(-v for v, _ in keys)
 

@@ -299,7 +299,8 @@ class HomClass(_Record):
         return HomClass(self.model, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k):
-        if not isinstance(k, int):
+        # the constructor's rule: a bool is an int, but no coefficient
+        if type(k) is not int:
             raise TypeError("homology classes scale by integers only")
         return HomClass(self.model, tuple(k * a for a in self.coeffs))
 
@@ -383,7 +384,9 @@ class FormClass(_Record):
         return FormClass._from_num(self.model, tuple(-a for a in self.num), self.den)
 
     def __rmul__(self, k):
-        k = k if isinstance(k, (int, Fraction)) else Fraction(k)
+        # the constructor's rule: Fraction(k) would read floats and strings
+        if isinstance(k, bool) or not isinstance(k, (int, Fraction)):
+            raise TypeError(f"forms scale by exact rationals only, not {type(k).__name__}s")
         return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
     __mul__ = __rmul__

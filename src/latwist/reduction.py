@@ -146,6 +146,8 @@ def _match_terminal(coeffs, n):
     match ExceptionalEi, and the loop's finish marks the net -E_i.
     """
     a = coeffs[0]
+    if a != 0 and a != 1:
+        return None
     nonzero = [c for c in coeffs[1:] if c]
     if a == 0:
         if not nonzero:
@@ -155,11 +157,10 @@ def _match_terminal(coeffs, n):
         if len(nonzero) == 2 and sorted(nonzero) == [-1, 1]:
             return KIND_BINARY
         return None
-    if a == 1:
-        if nonzero == [-1, -1] and n == 2:
-            return KIND_EXC_HEIEJ
-        if nonzero == [-1, -1, -1]:
-            return KIND_TERNARY
+    if nonzero == [-1, -1] and n == 2:
+        return KIND_EXC_HEIEJ
+    if nonzero == [-1, -1, -1]:
+        return KIND_TERNARY
     return None
 
 
@@ -221,11 +222,17 @@ def _cremona_reduce(xi: HomClass) -> tuple:
 
     The loop runs on the coefficient list, applying each reflection on
     its support: a transposition swaps two coefficients, and Gamma moves
-    only a and b_1, b_2, b_3.  After the transpositions the coefficients
-    cur[1:] = -b ascend, so the defect and the least b_i are read off
-    cur[1:4] and cur[n] without another sort.  The generators come from
-    the model's shared class table, fetched once per call, so the loop
-    builds one class, the representative.
+    only a and b_1, b_2, b_3.  Each pass sorts cur[1:] once and walks
+    the sorted values: a position that already holds its value is left
+    alone, and otherwise it swaps with the first later place of that
+    value, found by list.index.  These are exactly the transpositions of
+    a selection sort that takes the first least coefficient at or after
+    each position, at O(n log n) per pass plus one C-level scan per
+    transposition.  After them the coefficients cur[1:] = -b ascend, so
+    the defect and the least b_i are read off cur[1:4] and cur[n] without
+    another sort.  The generators come from the model's shared class
+    table, fetched once per call, so the loop builds one class, the
+    representative.
     """
     model = xi.model
     classes = model._classes
@@ -258,15 +265,13 @@ def _cremona_reduce(xi: HomClass) -> tuple:
             return finish(kind)
         a = cur[0]
         # sort b descending with explicit transpositions; the reflection
-        # along E_i - E_j swaps the coefficients of E_i and E_j
-        for pos in range(1, n + 1):
-            best = pos
-            for q in range(pos + 1, n + 1):
-                if cur[q] < cur[best]:
-                    best = q
-            if best != pos:
+        # along E_i - E_j swaps the coefficients of E_i and E_j.  v is the
+        # least of cur[pos:], and index finds its first place after pos
+        for pos, v in enumerate(sorted(cur[1:]), 1):
+            if cur[pos] != v:
+                best = cur.index(v, pos + 1)
                 applied.append(classes[(pos, 1), (best, -1)])
-                cur[pos], cur[best] = cur[best], cur[pos]
+                cur[pos], cur[best] = v, cur[pos]
         # d = a - b_1 - b_2 - b_3, absent b_2, b_3 counting as zero when
         # n < 3; -cur[n] is the least b_i (none when n = 0)
         d = a + sum(cur[1:4])

@@ -129,6 +129,9 @@ def test_print_class_examples():
     assert print_class(HomClass(R3, (0, 1, -1, 0))) == "E1 - E2"
     assert print_class(HomClass(R2, (-2, 0, 3))) == "-2H + 3E2"
     assert print_class(FormClass(R2, (3, Fraction(-3, 2), 0))) == "3H - 3/2*E1"
+    assert print_class(FormClass(R2, (0, Fraction(-3, 2), Fraction(4, 2)))) == "-3/2*E1 + 2E2"
+    assert print_class(FormClass(R2, (Fraction(-1), 0, Fraction(1, 12)))) == "-H + 1/12*E2"
+    assert print_class(HomClass(LatticeModel.ruled(1, 1), (0, -1, 5))) == "-F + 5E1"
 
 
 def test_print_parse_round_trip_on_forms():

@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, output formats."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from latwist.cli import main, parse_model_spec
 from latwist.decompose import IsometryMatrix, matrix_to_json
 from latwist.lattice import LatticeModel, form_pairing, mat_identity, reflection_matrix
 from latwist.reduction import ReflectionWord
-from latwist.classexpr import parse_class, parse_form
+from latwist.classexpr import parse_class, parse_form, print_class
 
 
 def run(capsys, argv):
@@ -81,6 +82,42 @@ def test_classify_squares_the_class_once(capsys, monkeypatch, spec, text):
     code, data = run_json(capsys, ["classify", "--model", spec, text])
     assert code == 0 and data["square"] == inner(parse_model_spec(spec), coeffs, coeffs)
     assert len(squares) == 1
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# exceptional at n = 10 with a word of 40 generators; the golden files
+# hold the CLI's output bytes for it
+GOLDEN_CLASS = "12H - 4E1 - 5E2 - 2E3 - 3E4 - 6E5 - 2E6 - 3E7 - 4E8 - 5E9 - E10"
+
+
+@pytest.mark.parametrize("output, name", [("json", "classify_rational10.json"), ("text", "classify_rational10.txt")])
+def test_classify_output_bytes_match_the_golden_files(capsys, output, name):
+    expected = (GOLDEN / name).read_bytes()
+    argv = ["classify", "--model", "rational:10", "--output", output, "--", GOLDEN_CLASS]
+    code, captured = run(capsys, argv)
+    assert code == 0 and captured.out.encode() == expected
+    fresh = subprocess.run([sys.executable, "-m", "latwist.cli", *argv], capture_output=True)
+    assert fresh.returncode == 0 and fresh.stdout == expected
+    if output == "json":
+        assert json.loads(expected)["word"]["length"] >= 30
+
+
+def test_classify_prints_each_generator_of_a_word_once(capsys, monkeypatch):
+    # the golden word repeats H - E1 - E2 - E3 and some transpositions
+    import latwist.cli as cli
+
+    printed = []
+
+    def counted(x):
+        printed.append(x)
+        return print_class(x)
+
+    monkeypatch.setattr(cli, "print_class", counted)
+    code, data = run_json(capsys, ["classify", "--model", "rational:10", GOLDEN_CLASS])
+    generators = data["word"]["generators"]
+    assert code == 0 and len(set(generators)) < len(generators)
+    # the class and its normal form, then each distinct generator once
+    assert [print_class(x) for x in printed[2:]] == list(dict.fromkeys(generators))
 
 
 def test_classify_characteristic(capsys):

@@ -190,11 +190,17 @@ def test_classes_and_forms_scale_from_either_side():
     assert tau * Fraction(2, 3) == Fraction(2, 3) * tau == FormClass(m, (-2,) + (Fraction(2, 3),) * 3)
     assert x * 2 == 2 * x == x + x
     assert x * -1 == -1 * x == -x
-    for k in (Fraction(1, 2), 1.0):
+    for k in (Fraction(1, 2), 1.0, True, False):
         with pytest.raises(TypeError, match="integers only"):
             x * k
         with pytest.raises(TypeError, match="integers only"):
             k * x
+    # forms scale by what the constructor takes as a coefficient
+    for k, name in ((0.1, "floats"), ("2", "strs"), (True, "bools")):
+        with pytest.raises(TypeError, match=f"^forms scale by exact rationals only, not {name}$"):
+            tau * k
+        with pytest.raises(TypeError, match=f"^forms scale by exact rationals only, not {name}$"):
+            k * tau
     with pytest.raises(TypeError):
         tau * x
     with pytest.raises(TypeError, match="integers only"):

@@ -1,5 +1,6 @@
 """Cremona reduction certificates and the class predicates."""
 
+import random
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -598,8 +599,14 @@ def _k0_twists(m):
 
 @st.composite
 def reduction_inputs(draw):
-    m = R(draw(st.integers(0, 12)))
-    shape = draw(st.sampled_from(("wide", "stuck", "orbit")))
+    shape = draw(st.sampled_from(("wide", "stuck", "orbit", "tied")))
+    m = R(draw(st.integers(0, 14 if shape == "tied" else 12)))
+    if shape == "tied":
+        # a few drawn values in tied blocks, both signs, so the sort of a
+        # pass meets equal b_i
+        values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+        tail = draw(st.lists(st.sampled_from(values), min_size=m.n, max_size=m.n))
+        return HomClass(m, (draw(st.integers(-30, 30)),) + tuple(tail))
     if shape == "wide":
         # any sign of the H-coefficient; many of these hit the cap
         top = draw(st.sampled_from((3, 12, 60)))
@@ -618,7 +625,8 @@ def reduction_inputs(draw):
 
 
 @given(reduction_inputs())
-@example(HomClass(R(3), (-1, 2, 2, 2)))
+@example(HomClass(R(3), (-1, 2, 2, 2)))  # hits the cap
+@example(HomClass(R(14), (7,) + (-2, 1) * 7))
 @example(HomClass(R(3), (0, 2, -1, 1)))
 @example(HomClass(R(2), (1, 3, -2)))
 @example(HomClass(R(0), (-4,)))
@@ -632,6 +640,54 @@ def test_reduction_matches_class_loop_on_the_small_grid():
     for n in range(5):
         for coeffs in product(range(-2, 3), repeat=n + 1):
             assert_matches_class_loop(HomClass(R(n), coeffs))
+
+
+def _walk(rng, m, start, steps, cap):
+    """start moved by up to ``steps`` random K_0-twists, each kept while
+    the H-coefficient stays within cap, then E_1..E_n relabeled."""
+    x, twists = start, _k0_twists(m)
+    for _ in range(steps):
+        y = reflect(rng.choice(twists), x)
+        if abs(y.coeffs[0]) <= cap:
+            x = y
+    perm = rng.sample(range(1, m.rank), m.n)
+    return HomClass(m, (x.coeffs[0],) + tuple(x.coeffs[p] for p in perm))
+
+
+def test_reduction_matches_class_loop_on_classify_walks():
+    # the shape of a classify query: an exceptional class, a root or a
+    # reduced class of positive square, walked to H-degree up to 127
+    rng = random.Random(26)
+    for n in range(3, 13):
+        m = R(n)
+        for k in range(40):
+            if k % 3 == 0:
+                start = m.E(rng.randint(1, n))
+            elif k % 3 == 1:
+                start = rng.choice(_k0_twists(m))
+            else:
+                b = sorted((rng.randint(0, 3) for _ in range(n)), reverse=True)
+                a = sum(b[:3]) + rng.randint(1, 3)
+                while a * a <= sum(v * v for v in b):
+                    a += 1
+                start = HomClass(m, (a,) + tuple(-v for v in b))
+            cap = 2 ** rng.randint(0, 7) - 1
+            xi = _walk(rng, m, start, 4 * cap + rng.randint(0, 6), max(cap, abs(start.coeffs[0])))
+            assert_matches_class_loop(xi)
+            assert_matches_class_loop(-xi)
+
+
+def test_reduction_matches_class_loop_under_k_delta():
+    # each K_delta itself, and classes moved by its signs, which is how a
+    # K_delta decision reaches the reduction
+    rng = random.Random(261)
+    for n in range(3, 11):
+        m = R(n)
+        for _ in range(6):
+            signs = tuple(rng.choice((1, -1)) for _ in range(n))
+            assert_matches_class_loop(HomClass(m, (-3,) + signs))
+            x = _walk(rng, m, rng.choice(_k0_twists(m) + [m.E(1)]), 30, 40)
+            assert_matches_class_loop(_conjugate_to_k0(x, signs))
 
 
 def assert_matches_class_loop(xi):
