@@ -25,6 +25,7 @@ from .lattice import (
     _check_same_model,
     _Record,
     _gram_product,
+    _kept,
     form_pairing,
     is_characteristic,
     pairing,
@@ -34,8 +35,6 @@ from .reduction import _conjugate_to_k0, _decide, _k0_signs, _ruled_exceptional
 
 CONE_YES = "yes"
 CONE_NO = "no"
-
-_RULED_CONE_NOTE = "positive square and exceptional areas only"
 
 # the most classes an exceptional listing builds without allow_large
 _LISTING_LIMIT = 2_000_000
@@ -178,64 +177,107 @@ class ConeResult(namedtuple("ConeResult", "verdict witness note")):
         return self.verdict != CONE_NO
 
 
-def _cone_decide(model, num, K, closed):
-    """Whether the form with integer coefficients ``num`` has positive
-    square and positive (``closed``: nonnegative) area on every
-    exceptional class.  The conditions do not change when the form is
-    scaled, so a form's numerators stand for it.  A No of positive square
-    has a witness unless rational n <= 1 and a <= 0, or ruled n = 0 and
-    t, f < 0.
+_YES = ConeResult(CONE_YES, None, None)
+_RULED_YES = ConeResult(CONE_YES, None, "positive square and exceptional areas only")
 
-    Returns (ConeResult, moves, chamber): the walk's reflections along
-    H - E_{i+1} - E_{j+1} - E_{k+1} as 0-based triples (i, j, k) in order,
-    in the frame where K is K_0; on a Yes they carry the form into the
-    chamber a >= b_i + b_j + b_k, and ``chamber`` is the form (a, b)
-    they reach there, aH - sum b_i E_i in index order.  Ruled models make
-    no moves, and chamber is None on a No and on a ruled Yes.
 
-    K passes the one check of _k0_signs first, so a K that is not K_0
-    or a K_delta variant raises whatever the form; the walk runs on the
-    numerators after K's sign change, and the witness is carried back.
-    """
-    K, signs = _k0_signs(model, K)
-    moves = []
-    if _gram_product(model, num, num) <= 0:
-        return ConeResult(CONE_NO, None, "nonpositive square"), moves, None
+class _Walk(namedtuple("_Walk", "model open closed moves chamber")):
+    """A chamber walk in the frame where K is K_0 (see _walk): the open and
+    closed ConeResults, the moves as 0-based index tuples in order, and
+    the chamber form (a, b) or (t, f, b) they reach, b in index order;
+    None for a rational form outside the closed cone.  Without __slots__
+    the record has the vars() that its kept frame needs."""
 
-    def violates(area):
-        return area < 0 or (area == 0 and not closed)
+    @_kept
+    def frame(self):
+        """(frame, reached), None without a chamber: the chronological
+        K_0-twists whose product psi carries the form to its chamber with
+        the b_i ascending, the moves' cores and then the transpositions of
+        a selection sort on the distinct keys (b_i, i), and psi num."""
+        if self.chamber is None:
+            return None
+        model = self.model
+        off = model.e_offset
+        frame = _cores(model, self.moves)
+        *head, b = self.chamber
+        keys = [(v, i) for i, v in enumerate(b)]
+        for p, key in enumerate(sorted(keys)):
+            if keys[p] != key:
+                q = keys.index(key, p + 1)
+                keys[p], keys[q] = key, keys[p]
+                frame.append(model._classes[(p + off, 1), (q + off, -1)])
+        return frame, tuple(head) + tuple(-v for v, _ in keys)
 
-    if model.kind == RULED:
-        if model.n == 0 and (num[0] <= 0 or num[1] <= 0):
-            # with no exceptional class the square alone admits -T-F;
-            # from n = 1 on the areas of E_1 and F - E_1 rule it out
-            return ConeResult(CONE_NO, None, "outside the forward cone"), moves, None
-        for E in _ruled_exceptional(model):
-            if violates(_gram_product(model, num, E.coeffs)):
-                return ConeResult(CONE_NO, E, None), moves, None
-        return ConeResult(CONE_YES, None, _RULED_CONE_NOTE), moves, None
 
+def _cores(model, moves):
+    # the table classes H (ruled: F) - sum E_{m+1} of moves, keyed in index order
+    off, classes = model.e_offset, model._classes
+    return [classes[((off - 1, 1),) + tuple((m + off, -1) for m in sorted(move))] for move in moves]
+
+
+def _walk(model, num, signs) -> _Walk:
+    """The chamber walk, under K_0 after the sign change ``signs`` from
+    _k0_signs, of the form with integer numerators ``num``; the cone
+    conditions (positive square, positive or, closed, nonnegative area on
+    every exceptional class) read the same on them.  A No of positive
+    square has a witness unless rational n <= 1 and a <= 0, or ruled
+    n = 0 and t, f < 0.  Rational forms: with the b_i sorted, the walk
+    stops at the closed No, E_n or else H - E_1 - E_2 of negative area,
+    or at the Yes a >= b_1 + b_2 + b_3, and else reflects along
+    H - E_1 - E_2 - E_3; the open walk moves alike up to its first such
+    class of area <= 0, the open No noted on the way.  Ruled forms: the
+    exceptional areas decide, and the D_n walk flips along F - E_i - E_j
+    while the two largest b_i (ties in index order) have b_i + b_j > t,
+    sending b_i to t - b_j and b_j to t - b_i.  Each flip lowers sum b_i
+    within the finite set of permuted, negated b_i - t/2, so it ends with
+    b_i + b_j <= t for every pair."""
     n = model.n
+    gate = None
+    if _gram_product(model, num, num) <= 0:
+        gate = ConeResult(CONE_NO, None, "nonpositive square")
+    elif n < 3 - model.e_offset and min(num[:model.e_offset]) <= 0:
+        # the forward cone, a > 0 (rational n <= 1) or t, f > 0 (ruled
+        # n = 0); from there on a witness rules the other side out
+        gate = ConeResult(CONE_NO, None, "outside the forward cone")
+    if model.kind == RULED:
+        t, f, b = num[0], num[1], [-c for c in num[2:]]
+        moves = []
+        while n >= 2:
+            i, j = sorted(sorted(range(n), key=b.__getitem__, reverse=True)[:2])
+            d = t - b[i] - b[j]
+            if d >= 0:
+                break
+            f, b[i], b[j] = f + d, b[i] + d, b[j] + d
+            moves.append((i, j))
+        if gate is not None:
+            return _Walk(model, gate, gate, moves, (t, f, b))
+        # the areas of E_i and F - E_i, b_i and t - b_i, in _ruled_exceptional's
+        # order; the open No is the first area <= 0, the closed one the first < 0
+        areas = [x for c in num[2:] for x in (-c, t + c)]
+        opened, closed = (_RULED_YES if min(areas, default=1) > most else ConeResult(
+            CONE_NO, _ruled_exceptional(model)[next(j for j, x in enumerate(areas) if x <= most)], None)
+            for most in (0, -1))
+        return _Walk(model, opened, closed, moves, (t, f, b))
+    if gate is not None:
+        return _Walk(model, gate, gate, [], None)
+
     # the sign change carrying K to K_0, read off the numerators directly
     a, b = num[0], [-s * c for s, c in zip(signs, num[1:])]
-    if n < 2 and a <= 0:
-        # the forward cone; for n >= 2 the loop finds a witness instead
-        return ConeResult(CONE_NO, None, "outside the forward cone"), moves, None
-    # with the b_i sorted: No once E_n or H - E_1 - E_2 has nonpositive area,
-    # Yes once a >= b_1 + b_2 + b_3, else reflect along H - E_1 - E_2 - E_3
+    # a No is (whether it is E_n, the sorted order, the moves made before)
+    moves, first, last, chamber = [], None, None, None
     while True:
         order = sorted(range(n), key=b.__getitem__, reverse=True)
-        if n and violates(b[order[-1]]):
-            witness = model.E(order[-1] + 1)
+        low, high = b[order[-1]] if n else 1, a - sum(b[i] for i in order[:2])
+        if first is None and min(low, high) <= 0:
+            first = low <= 0, order, len(moves)
+        if min(low, high) < 0:
+            last = low < 0, order, len(moves)
             break
-        top = sum(b[i] for i in order[:2])
-        if violates(a - top):
-            witness = model.unit(0) - model.E(order[0] + 1) - model.E(order[1] + 1)
+        if n < 3 or high >= b[order[2]]:
+            chamber = (a, b)
             break
-        if n < 3 or a >= top + b[order[2]]:
-            return ConeResult(CONE_YES, None, None), moves, (a, b)
         triple = order[:3]
-        d = a - sum(b[m] for m in triple)
+        d = high - b[triple[2]]
         # each move lowers the positive integer a, so the loop ends
         if not 0 < a + d < a:
             raise ArithmeticError("Cremona move failed to lower the positive H-area")
@@ -243,80 +285,36 @@ def _cone_decide(model, num, K, closed):
         for m in triple:
             b[m] += d
         moves.append(triple)
-    # reflections permute the exceptional classes; undo them on the witness.
-    # A move lists its triple by b-order, so the table key sorts it.
-    classes = model._classes
-    for triple in reversed(moves):
-        witness = reflect(classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(triple))], witness)
+    # areas are integers: the open No's is at most 0, the closed No's -1,
+    # and a No that answers both questions meets the closed bound
+    opened = closed = _YES
+    if first is not None:
+        opened = _cone_no(model, num, signs, moves, first, -1 if first == last else 0)
+    if last is not None:
+        closed = opened if last == first else _cone_no(model, num, signs, moves, last, -1)
+    return _Walk(model, opened, closed, moves, chamber)
+
+
+def _cone_no(model, num, signs, moves, no, most) -> ConeResult:
+    # the witness of a No, carried back to the frame of K, with its area
+    is_e, order, made = no
+    witness = model._classes[((order[-1] + 1, 1),)] if is_e else _cores(model, [order[:2]])[0]
+    # reflections permute the exceptional classes; undo them on the witness
+    for core in reversed(_cores(model, moves[:made])):
+        witness = reflect(core, witness)
     # the sign change is an involution, so it also carries K_0 back to K
     witness = _conjugate_to_k0(witness, signs)
-    if not violates(_gram_product(model, num, witness.coeffs)):
+    if _gram_product(model, num, witness.coeffs) > most:
         raise ArithmeticError("cone witness does not violate the cone conditions")
-    return ConeResult(CONE_NO, witness, None), moves, None
+    return ConeResult(CONE_NO, witness, None)
 
 
-def _chamber_frame(model, num):
-    """(frame, chamber): the chronological K_0-twists whose product psi
-    carries the form with numerators ``num`` into its chamber with the
-    b_i ascending, and the numerators psi num it reaches there; None when
-    a rational form is not in the symplectic cone.
-
-    Rational forms: the ternary cores are the moves of the open cone
-    walk, which also hands back the reduced form they reach.  Ruled
-    forms tT + fF - sum b_i E_i: while the two largest b_i, ties taken
-    in index order, have b_i + b_j > t, the twist along F - E_i - E_j
-    sends b_i to t - b_j and b_j to t - b_i.  Each flip lowers sum b_i,
-    and the twists permute and negate the b_i - t/2 within a finite set,
-    so the walk ends, at every form, with b_i + b_j <= t for every pair.
-    The transpositions after them sort the b_i ascending, ties kept in
-    index order.
-    """
-    n, off = model.n, model.e_offset
-    classes = model._classes
-    if model.kind == RULED:
-        t, f, b = num[0], num[1], [-c for c in num[off:]]
-        frame = []
-        while n >= 2:
-            i, j = sorted(sorted(range(n), key=b.__getitem__, reverse=True)[:2])
-            d = t - b[i] - b[j]
-            if d >= 0:
-                break
-            f += d
-            b[i] += d
-            b[j] += d
-            frame.append(classes[(1, 1), (i + off, -1), (j + off, -1)])
-        head = (t, f)
-    else:
-        res, moves, chamber = _cone_decide(model, num, model.k0_form(), closed=False)
-        if not res:
-            return None
-        frame = [classes[((0, 1),) + tuple((m + 1, -1) for m in sorted(t))] for t in moves]
-        head, b = chamber[:1], chamber[1]
-    # the transpositions of a selection sort on (b_i, i); E_p - E_q swaps
-    # coefficients p and q.  The keys are distinct, so the p-th sorted key
-    # is the least of keys[p:] and has one place
-    keys = [(v, i) for i, v in enumerate(b)]
-    for p, key in enumerate(sorted(keys)):
-        if keys[p] != key:
-            q = keys.index(key, p + 1)
-            keys[p], keys[q] = key, keys[p]
-            frame.append(classes[(p + off, 1), (q + off, -1)])
-    return frame, head + tuple(-v for v, _ in keys)
-
-
-def _form_cone(tau: FormClass, K: FormClass, closed: bool) -> ConeResult:
-    """_cone_decide on a form, decided once per (K, closed) and kept on tau.
-
-    An open Yes also answers the closed question, whose conditions are
-    weaker; both verdicts are the same ConeResult.
-    """
-    verdicts = tau._cone_verdicts
-    res = verdicts.get((K, closed))
-    if res is None:
-        res = verdicts.get((K, False)) if closed else None
-        if not res:
-            res = verdicts[K, closed] = _cone_decide(tau.model, tau.num, K, closed)[0]
-    return res
+def _form_walk(tau: FormClass, signs: tuple) -> _Walk:
+    # tau's walk under the K of these signs, walked once and kept on tau
+    walk = tau._walks.get(signs)
+    if walk is None:
+        walk = tau._walks[signs] = _walk(tau.model, tau.num, signs)
+    return walk
 
 
 def in_cone(tau: FormClass, K=None) -> ConeResult:
@@ -325,10 +323,10 @@ def in_cone(tau: FormClass, K=None) -> ConeResult:
     The cone is open, and rational forms need a > 0, ruled forms at n = 0
     t > 0 and f > 0 (the forward cone).
     Ruled verdicts check exactly these conditions and say so in the note.
+    The verdict is read from tau's kept walk; its frame is not built.
     """
-    if K is None:
-        K = tau.model.k0_form()
-    return _form_cone(tau, K, closed=False)
+    K, signs = _k0_signs(tau.model, K)
+    return _form_walk(tau, signs).open
 
 
 class LagrangianResult(namedtuple("LagrangianResult", "yes reason word kind area characteristic")):
@@ -353,9 +351,9 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     tau must satisfy the closed cone conditions: positive square and
     nonnegative area on every exceptional class.  Boundary forms are
     admitted because a zero-area exceptional class does not interfere
-    with either clause of the criterion.  The cone verdict is kept on
-    tau, so testing many classes against one form decides it once, and
-    an earlier in_cone Yes on tau already answers it.
+    with either clause of the criterion.  The closed verdict is read
+    from tau's kept walk, so tau is walked once for many classes and for
+    an in_cone before them.
 
     The spherical clause is reduction._decide on the K checked at entry:
     for rational models one Cremona reduction, after the sign change
@@ -366,7 +364,7 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     model = xi.model
     _check_same_model(tau.model, model)
     K, signs = _k0_signs(model, K)
-    if not _form_cone(tau, K, closed=True):
+    if not _form_walk(tau, signs).closed:
         raise ValueError("form fails the cone conditions")
     spherical, nf = _decide(xi, K, signs, "knull")
     area = form_pairing(tau, xi)
@@ -396,9 +394,8 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     """
     model = A.model
     _check_same_model(tau.model, model)
-    if K is None:
-        K = model.k0_form()
-    if not in_cone(tau, K):
+    K, signs = _k0_signs(model, K)
+    if not _form_walk(tau, signs).open:
         raise ValueError("form fails the cone conditions")
     pd_k = HomClass(model, K.num)
     B = A - pd_k
@@ -408,4 +405,4 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     if pairing(B, B) < 0 or _gram_product(model, tau.num, B.coeffs) <= 0:
         return False
     # A^2 > 0 here, so the closed cone test reduces to A.E >= 0
-    return bool(_cone_decide(model, A.coeffs, K, closed=True)[0])
+    return bool(_walk(model, A.coeffs, signs).closed)

@@ -16,7 +16,7 @@ decompose_K      rational isometries preserving K_0, factored into
                  where it sends one interior point,
                  rho = (n^2 + 3)H - sum i E_i: its b_i ascend and are
                  distinct, a > b_{n-2} + b_{n-1} + b_n and a^2 > sum b_i^2.
-                 The walk of M rho (cone._chamber_frame) gives twists
+                 The walk of M rho (cone._walk) gives twists
                  f_1, ..., f_m whose product psi = R(f_m) ... R(f_1)
                  carries M rho into the chamber.  For M in W it lands on
                  rho, and psi M, in W and fixing rho, is 1, so
@@ -93,7 +93,7 @@ from itertools import chain
 from operator import mul
 
 from .classexpr import model_from_json, model_to_json
-from .cone import _chamber_frame
+from .cone import _form_walk, _walk
 from .lattice import (
     RATIONAL,
     RULED,
@@ -242,11 +242,12 @@ def _interior_point(model):
 
 def _walk_home(model, v):
     """The chronological twists f_1, ..., f_m of v's chamber walk, when
-    R(f_m) ... R(f_1) carries v to rho."""
-    walk = _chamber_frame(model, v)
-    if walk is None or walk[1] != _interior_point(model):
+    R(f_m) ... R(f_1) carries v to rho; v is no form, so nothing keeps
+    its walk.  The walk is under K_0, whose signs are all +1."""
+    frame = _walk(model, v, (1,) * model.n).frame
+    if frame is None or frame[1] != _interior_point(model):
         raise DecompositionError("residual not resolvable")
-    return walk[0]
+    return frame[0]
 
 
 def decompose_K(M: IsometryMatrix) -> ReflectionWord:
@@ -298,10 +299,10 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
     _require_valid(M, model.k0_form(), alpha)
-    chamber = _chamber_frame(model, alpha.num)
-    if chamber is None:
+    walk = _form_walk(alpha, (1,) * model.n)
+    if not walk.open:
         raise ValueError("alpha must lie in the symplectic cone")
-    return _alpha_walk(M, alpha, chamber)
+    return _alpha_walk(M, alpha, walk.frame)
 
 
 def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
@@ -314,7 +315,7 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     _require_valid(M, model.k0_form(), alpha)
     if M._cols[1] != model._classes[((1, 1),)].coeffs:  # column F is the image of F
         raise DecompositionError("fiber class not preserved")
-    return _alpha_walk(M, alpha, _chamber_frame(model, alpha.num))
+    return _alpha_walk(M, alpha, _form_walk(alpha, (1,) * model.n).frame)
 
 
 def matrix_to_json(M: IsometryMatrix) -> dict:

@@ -123,8 +123,8 @@ class LatticeModel(_Record):
         _check_model_args(self.kind, self.n, self.genus)
 
     # the equality and hash of the models, classes and forms are spelled
-    # out: they run on every dict lookup of a form's cone verdicts, and
-    # _Record's generic pair costs about twice as much
+    # out: they run wherever a model, class or form is compared, hashed
+    # or used as a key, and _Record's generic pair costs about twice as much
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.kind, self.n, self.genus) == (other.kind, other.n, other.genus)
@@ -360,9 +360,9 @@ class FormClass(_Record):
         return tuple(Fraction(a, self.den) for a in self.num)
 
     @_kept
-    def _cone_verdicts(self) -> dict:
-        # the cone module's verdicts on this form, by (K, closed); equality
-        # and hash read the fields only
+    def _walks(self) -> dict:
+        # the cone module's chamber walks of this form, by the signs of K;
+        # equality and hash read the fields only
         return {}
 
     def __repr__(self):

@@ -28,7 +28,7 @@ from latwist.lattice import (
     reflect,
     reflection_matrix,
 )
-from latwist.decompose import IsometryMatrix, decompose_ruled
+from latwist.decompose import IsometryMatrix, decompose_K_alpha, decompose_ruled
 from latwist import cone, reduction
 from latwist.reduction import cremona_reduce, is_exceptional, is_K_null_spherical
 
@@ -351,8 +351,7 @@ def test_lagrangian_spherical_ruled():
 
 
 def test_ruled_lagrangian_checks_k_once(monkeypatch):
-    # the spherical clause reuses the K checked at entry; the only other
-    # check is _cone_decide's, once per form
+    # the spherical clause and the kept walk reuse the K checked at entry
     from latwist import cone, reduction
 
     m = LatticeModel.ruled(1, 3)
@@ -366,7 +365,7 @@ def test_ruled_lagrangian_checks_k_once(monkeypatch):
 
         monkeypatch.setattr(module, "_k0_signs", counting)
     assert is_lagrangian_spherical(parse_class("E1-E2", m), tau).yes
-    assert calls == ["latwist.cone", "latwist.cone"]
+    assert calls == ["latwist.cone"]
     calls.clear()
     res = is_lagrangian_spherical(parse_class("F-E1", m), tau)
     assert not res.yes and res.reason.startswith("not K-null spherical")
@@ -549,10 +548,9 @@ def _ruled_forms(draw):
 @given(st.one_of(_rational_forms(), _ruled_forms()), st.booleans())
 @settings(max_examples=600, deadline=None)
 def test_cone_reduction_matches_exceptional_scan(case, closed):
-    from latwist.cone import _cone_decide
-
     tau, K = case
-    res, _, _ = _cone_decide(tau.model, tau.num, K, closed)
+    walk = cone._walk(tau.model, tau.num, reduction._k0_signs(tau.model, K)[1])
+    res = walk.closed if closed else walk.open
     assert bool(res) == _scan(tau, K, closed)
     if not closed:
         assert in_cone(tau, K) == res
@@ -562,23 +560,21 @@ def test_cone_reduction_matches_exceptional_scan(case, closed):
         assert res.witness is not None
 
 
-@given(_rational_forms(), st.booleans())
+@given(_rational_forms())
 @settings(max_examples=300, deadline=None)
-def test_cone_walk_hands_back_the_form_its_moves_reach(case, closed):
-    # on a Yes the chamber form is the form, moved to the K_0 frame and
-    # reflected along each move's core in order
-    from latwist.cone import _cone_decide
-
+def test_cone_walk_hands_back_the_form_its_moves_reach(case):
+    # on a closed Yes the chamber form is the form, moved to the K_0 frame
+    # and reflected along each move's core in order
     tau, K = case
     m = tau.model
-    res, moves, chamber = _cone_decide(m, tau.num, K, closed)
-    if not res:
-        assert chamber is None
+    walk = cone._walk(m, tau.num, K.num[1:])
+    if not walk.closed:
+        assert walk.chamber is None
         return
     x = reduction._conjugate_to_k0(HomClass(m, tau.num), K.num[1:])
-    for triple in moves:
+    for triple in walk.moves:
         x = reflect(m.unit(0) - sum((m.E(i + 1) for i in triple), m.zero()), x)
-    a, b = chamber
+    a, b = walk.chamber
     assert x.coeffs == (a,) + tuple(-v for v in b)
 
 
@@ -660,28 +656,30 @@ def test_inflation_matches_exceptional_scan(case):
 
 # -- each decision runs once per query -----------------------------------------
 
-def _count_cone_decisions(monkeypatch):
-    from latwist import cone
+def _count_walks(monkeypatch):
+    # (numerators, signs) of each walk, from every module that holds it
+    from latwist import decompose
 
     calls = []
-    decide = cone._cone_decide
+    walk = cone._walk
 
-    def counting(model, num, K, closed):
-        calls.append((K, closed))
-        return decide(model, num, K, closed)
+    def counting(model, num, signs):
+        calls.append((num, signs))
+        return walk(model, num, signs)
 
-    monkeypatch.setattr(cone, "_cone_decide", counting)
+    for module in (cone, decompose):
+        monkeypatch.setattr(module, "_walk", counting)
     return calls
 
 
 def test_cone_conditions_decided_once_per_form(monkeypatch):
     m = R(4)
     tau = parse_form("3H-E1-E2-E3-1/2*E4", m)
-    calls = _count_cone_decisions(monkeypatch)
+    calls = _count_walks(monkeypatch)
     assert in_cone(tau).verdict == CONE_YES
     texts = ("E1-E2", "H-E1-E2-E3", "E3-E4", "2H-2E1-E2-E3", "E1")
     results = [is_lagrangian_spherical(parse_class(t, m), tau) for t in texts]
-    assert calls == [(m.k0_form(), False)]
+    assert calls == [(tau.num, (1, 1, 1, 1))]
     assert [r.yes for r in results] == [True, True, False, False, False]
     # an equal form built separately keeps its own verdicts
     assert is_lagrangian_spherical(m.E(1) - m.E(2), parse_form("3H-E1-E2-E3-1/2*E4", m)).yes
@@ -692,23 +690,52 @@ def test_cone_conditions_decided_once_per_form(monkeypatch):
     res = in_cone(tau, k_delta)
     assert res.verdict == CONE_NO and res.witness == -m.E(4)
     assert in_cone(tau, k_delta) is res and in_cone(tau) == (CONE_YES, None, None)
-    assert calls[2:] == [(k_delta, False)]
+    assert calls[2:] == [(tau.num, (1, 1, 1, -1))]
+    # the closed verdict comes from the same walk
     with pytest.raises(ValueError, match="cone"):
         is_lagrangian_spherical(m.E(1) - m.E(2), tau, k_delta)
-    assert calls[3:] == [(k_delta, True)]
+    assert len(calls) == 3
 
 
 def test_boundary_form_still_admitted_after_open_no(monkeypatch):
     m = R(3)
     # H - E1 - E2 has area zero: closed Yes, open No
     tau = parse_form("2H-E1-E2-1/2*E3", m)
-    calls = _count_cone_decisions(monkeypatch)
+    calls = _count_walks(monkeypatch)
     res = in_cone(tau)
     assert res.verdict == CONE_NO and res.witness == parse_class("H-E1-E2", m)
     for _ in range(3):
         lag = is_lagrangian_spherical(parse_class("E1-E2", m), tau)
         assert lag.yes and lag.kind == "Binary"
-    assert [closed for _, closed in calls] == [False, True]
+    # one walk answers both questions: it notes the open No and walks on
+    assert calls == [(tau.num, (1, 1, 1))]
+
+
+def test_alpha_walked_once_across_cone_and_decompose(monkeypatch):
+    # decompose_K_alpha reads alpha's kept walk and walks only the point
+    # it carries home
+    m = R(4)
+    alpha = parse_form("3H-E1-E2-E3-1/2*E4", m)
+    M = IsometryMatrix(m, reflection_matrix(m.E(1) - m.E(2)))
+    calls = _count_walks(monkeypatch)
+    assert in_cone(alpha)
+    words = [decompose_K_alpha(M, alpha) for _ in range(2)]
+    assert words[0] == words[1] and words[0].matrix == M.entries
+    assert [num for num, _ in calls].count(alpha.num) == 1
+    assert len(calls) == 3
+
+
+def test_a_form_keeps_one_dict_of_walks():
+    # a further instance-dict entry on a form would unshare CPython's key
+    # table for every form; the walks sit in the one dict that the cone
+    # module keeps on the form
+    m = R(4)
+    tau = parse_form("3H-E1-E2-E3-1/2*E4", m)
+    assert in_cone(tau)
+    assert is_lagrangian_spherical(m.E(1) - m.E(2), tau).yes
+    decompose_K_alpha(IsometryMatrix(m, reflection_matrix(m.E(1) - m.E(2))), tau)
+    assert set(vars(tau)) <= {"model", "num", "den", "coeffs", "_walks"}
+    assert list(tau._walks) == [(1, 1, 1, 1)]
 
 
 def test_lagrangian_yes_reduces_once(monkeypatch):

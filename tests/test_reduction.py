@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import parse_class
-from latwist.cone import LagrangianResult, _form_cone, is_lagrangian_spherical
+from latwist.cone import LagrangianResult, _form_walk, is_lagrangian_spherical
 from latwist.oracle import bfs_is_exceptional, bfs_is_knull_spherical
 from latwist.lattice import (
     RATIONAL,
@@ -844,7 +844,7 @@ def _old_is_lagrangian_spherical(xi, tau, K=None):
     """is_lagrangian_spherical with its own ruled/rational branch."""
     model = xi.model
     K, signs = _k0_signs(model, K)
-    if not _form_cone(tau, K, closed=True):
+    if not _form_walk(tau, signs).closed:
         raise ValueError("form fails the cone conditions")
     nf = None
     if model.kind == RULED:
@@ -941,7 +941,7 @@ def test_classifier_matches_the_replaced_decisions_rational(n):
     flipped = [cls(t, m) for k, t in _FLIPPED if k == n]
     for K in (m.k0_form(), _k_delta(m)):
         tau = _closed_cone_form(m, K)
-        assert _form_cone(tau, K, closed=True)
+        assert _form_walk(tau, _k0_signs(m, K)[1]).closed
         answers = set()
         for x in _rational_grid(n, K) + flipped:
             _assert_same_decisions(x, K, tau)
@@ -960,7 +960,7 @@ def test_classifier_matches_the_replaced_decisions_ruled(h):
         m = LatticeModel.ruled(h, n)
         K = m.k0_form()
         tau = FormClass(m, (2, 3) + (-1,) * n)
-        assert _form_cone(tau, K, closed=True)
+        assert _form_walk(tau, _k0_signs(m, K)[1]).closed
         for coeffs in product(range(-2, 3), repeat=m.rank):
             x = HomClass(m, coeffs)
             if n >= 4 and pairing(x, x) not in (-1, -2):

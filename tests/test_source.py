@@ -103,7 +103,7 @@ def test_every_private_definition_is_referenced_in_the_package():
     ]
     # the walk must see the package's private definitions; a count would
     # fail on the next deletion, so name a few that the package keeps
-    assert {"_cremona_reduce", "_cone_decide", "_chamber_frame"} <= {node.name for _, node in defined}
+    assert {"_cremona_reduce", "_walk", "_form_walk"} <= {node.name for _, node in defined}
     assert unreferenced == []
 
 
@@ -123,6 +123,25 @@ def test_models_are_compared_only_in_check_same_model():
             ):
                 found.append(f"{path.name}:{ast.unparse(node)}")
     assert found == ["cli.py:M.model != model"]
+
+
+def test_forms_are_walked_only_through_their_kept_walk():
+    # a form keeps its chamber walk (cone._form_walk), so every reader of
+    # a form's verdicts or frame walks it once; only _walk_home (a point
+    # M rho) and inflation_admissible (a class A) walk what is no form
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for definition in ast.walk(tree):
+            if not isinstance(definition, ast.FunctionDef):
+                continue
+            for node in ast.walk(definition):
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "_walk"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "_walk"
+                ):
+                    callers.append(f"{path.name}:{definition.name}")
+    assert sorted(callers) == ["cone.py:_form_walk", "cone.py:inflation_admissible", "decompose.py:_walk_home"]
 
 
 def test_the_oracle_stays_independent_of_the_library():
