@@ -251,10 +251,13 @@ def _walk(model, num, signs) -> _Walk:
             moves.append((i, j))
         if gate is not None:
             return _Walk(model, gate, gate, moves, (t, f, b))
-        # the areas of E_i and F - E_i, b_i and t - b_i, in _ruled_exceptional's
-        # order; the open No is the first area <= 0, the closed one the first < 0
-        areas = [x for c in num[2:] for x in (-c, t + c)]
-        opened, closed = (_RULED_YES if min(areas, default=1) > most else ConeResult(
+        # the areas of E_i and F - E_i, b_i and t - b_i, are least at the
+        # largest or the smallest b_i; a No names the first area <= 0
+        # (open) or < 0 (closed) in _ruled_exceptional's order
+        e = num[2:]
+        least = min(-max(e), t + min(e)) if e else 1
+        areas = [x for c in e for x in (-c, t + c)] if least <= 0 else None
+        opened, closed = (_RULED_YES if least > most else ConeResult(
             CONE_NO, _ruled_exceptional(model)[next(j for j, x in enumerate(areas) if x <= most)], None)
             for most in (0, -1))
         return _Walk(model, opened, closed, moves, (t, f, b))

@@ -6,6 +6,11 @@ generators with canonical-form dedup.  Cross-checking runs both sides
 of every classification decision and reports disagreements, which are
 expected to be none.
 
+A search first gates on the square and the K_0-pairing, which twists
+preserve, then walks the orbit level by level towards the predicate's
+seed set, built once per model.  The last level is tested against the
+seeds but not kept: it is never expanded, so no child of it is stored.
+
 An enumeration completes each head (H, or T and F) by the E-tails of
 its suffix state: the tail length and the sum and square-sum still to
 reach.  Each scan first counts the tails of every state, once, and
@@ -16,6 +21,7 @@ to the scan, so they are freed when it returns.
 
 import random
 from collections import namedtuple
+from functools import lru_cache
 
 from .classexpr import class_to_json, model_to_json, print_class
 from .lattice import (
@@ -23,7 +29,7 @@ from .lattice import (
     HomClass,
     LatticeModel,
     _Record,
-    form_pairing,
+    _gram_product,
     is_characteristic,
     pairing,
 )
@@ -253,7 +259,8 @@ def _children(model, node):
     side by side: each index loop steps from an index to the first one
     after it that holds another value.  Every distinct value tuple is
     then reached once, at the first index tuple that holds it, and the
-    children come in the lexicographic order of those index tuples.
+    children come in the lexicographic order of those index tuples, in
+    one list.
     """
     head = model.e_offset
     c = node[head:]
@@ -262,6 +269,7 @@ def _children(model, node):
     after = [n] * n
     for i in range(n - 2, -1, -1):
         after[i] = i + 1 if c[i + 1] != c[i] else after[i + 1]
+    out = []
     if model.kind == RATIONAL:
         a = node[0]
         i = 0
@@ -277,7 +285,8 @@ def _children(model, node):
                         tail[i] -= d
                         tail[j] -= d
                         tail[k] -= d
-                        yield (a + d,) + tuple(sorted(tail))
+                        tail.sort()
+                        out.append((a + d, *tail))
                     k = after[k]
                 j = after[j]
             i = after[i]
@@ -293,16 +302,20 @@ def _children(model, node):
                     tail = list(c)
                     tail[i] -= d
                     tail[j] -= d
-                    yield (t, f + d) + tuple(sorted(tail))
+                    tail.sort()
+                    out.append((t, f + d, *tail))
                 j = after[j]
             i = after[i]
+    return out
 
 
+@lru_cache(maxsize=128)
 def _seeds(model, predicate):
     """The canonical nodes the orbit search stops at.  ``exceptional``:
     E_i, and F-E_i (ruled) or H-E1-E2 (rational n = 2 only, which has
     no ternary twist).  ``knull``: E_i-E_j and +-(H-E_i-E_j-E_k), or
-    +-(F-E_i-E_j) in the ruled model."""
+    +-(F-E_i-E_j) in the ruled model.  Built once per model and
+    predicate and kept as a frozenset; equal models share it."""
     zero = (0,) * model.e_offset
     # the head of H or F, and how many E's a twist core subtracts from it
     line, width = ((1,), 3) if model.kind == RATIONAL else ((0, 1), 2)
@@ -313,14 +326,19 @@ def _seeds(model, predicate):
     else:
         shapes = [(zero, (-1, 1)), (line, (-1,) * width), (tuple(-v for v in line), (1,) * width)]
     n = model.n
-    return {
+    return frozenset(
         head + tuple(sorted(tail + (0,) * (n - len(tail))))
         for head, tail in shapes
         if len(tail) <= n
-    }
+    )
 
 
 def _orbit_search(x: HomClass, seeds, depth) -> bool:
+    """Whether a seed lies within ``depth`` twists of x (None: 2n),
+    breadth first over canonical nodes.  Every node kept in ``seen`` was
+    tested against the seeds when it was first reached, so the children
+    of the last level are tested against the seeds only: none of them is
+    kept, as none is expanded."""
     model = x.model
     if depth is None:
         depth = 2 * model.n
@@ -329,29 +347,35 @@ def _orbit_search(x: HomClass, seeds, depth) -> bool:
         return True
     seen = {node}
     frontier = [node]
-    for _ in range(depth):
+    for _ in range(depth - 1):
         nxt = []
         for node in frontier:
             for child in _children(model, node):
-                if child in seen:
-                    continue
-                seen.add(child)
+                if child not in seen:
+                    if child in seeds:
+                        return True
+                    seen.add(child)
+                    nxt.append(child)
+        if not nxt:
+            return False
+        frontier = nxt
+    if depth > 0:
+        for node in frontier:
+            for child in _children(model, node):
                 if child in seeds:
                     return True
-                nxt.append(child)
-        frontier = nxt
-        if not frontier:
-            break
     return False
 
 
 def _gated_search(x: HomClass, predicate, depth) -> bool:
     # twists preserve the square and the K_0-pairing, so a class that
-    # fails either gate has no seed in its orbit
+    # fails either gate has no seed in its orbit; K_0 has denominator 1,
+    # so the pairing is the integer product with its numerators
     square, k_pairing = _PREDICATES[predicate]
-    if pairing(x, x) != square or form_pairing(x.model.k0_form(), x) != k_pairing:
+    model = x.model
+    if x._square != square or _gram_product(model, model.k0_form().num, x.coeffs) != k_pairing:
         return False
-    return _orbit_search(x, _seeds(x.model, predicate), depth)
+    return _orbit_search(x, _seeds(model, predicate), depth)
 
 
 def bfs_is_exceptional(x: HomClass, *, depth: int | None = None) -> bool:

@@ -545,9 +545,51 @@ def _ruled_forms(draw):
     return tau, m.k0_form()
 
 
+def _ruled_case(h, t, f, b, q=1):
+    """The ruled form (t, f; b) / q under K_0, the b_i being the E-areas."""
+    m = LatticeModel.ruled(h, len(b))
+    return FormClass(m, (Fraction(t, q), Fraction(f, q)) + tuple(Fraction(-v, q) for v in b)), m.k0_form()
+
+
+# ruled forms of positive square on the boundary (an area 0) and outside
+# (an area < 0), at E_i and at F - E_i; the last two fail the open and the
+# closed cone at different classes
+_RULED_EDGES = [
+    _ruled_case(1, 1, 1, ()),
+    _ruled_case(1, 2, 5, (1, 1, 1)),
+    _ruled_case(1, 2, 5, (0, 1, 1)),
+    _ruled_case(1, 2, 5, (1, 2, 1)),
+    _ruled_case(2, 2, 5, (-1, 1)),
+    _ruled_case(1, 2, 5, (3, 1)),
+    _ruled_case(1, 2, 5, (1, 0, 3, -1)),
+    _ruled_case(3, 6, 9, (2, 6, 7, 3, 0), q=3),
+]
+
+
+def _edge_id(case):
+    tau = case[0]
+    return f"{tau.model.genus}:{tau.num}/{tau.den}"
+
+
 @given(st.one_of(_rational_forms(), _ruled_forms()), st.booleans())
 @settings(max_examples=600, deadline=None)
 def test_cone_reduction_matches_exceptional_scan(case, closed):
+    _check_walk_against_scan(case, closed)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("case", _RULED_EDGES, ids=_edge_id)
+def test_ruled_cone_edges_match_exceptional_scan(case, closed):
+    # the verdicts read the extreme b_i; a No names the first class of
+    # area <= 0 (open) or < 0 (closed) in the listing order
+    res = _check_walk_against_scan(case, closed)
+    tau = case[0]
+    most = -1 if closed else 0
+    failing = [E for E in reduction._ruled_exceptional(tau.model) if form_pairing(tau, E) * tau.den <= most]
+    assert res.witness == (failing[0] if failing else None)
+
+
+def _check_walk_against_scan(case, closed):
     tau, K = case
     walk = cone._walk(tau.model, tau.num, reduction._k0_signs(tau.model, K)[1])
     res = walk.closed if closed else walk.open
@@ -558,6 +600,7 @@ def test_cone_reduction_matches_exceptional_scan(case, closed):
         _assert_witness(res, tau, K, closed)
     if not res and form_pairing(tau, tau) > 0 and tau.model.n >= 2:
         assert res.witness is not None
+    return res
 
 
 @given(_rational_forms())

@@ -28,7 +28,6 @@ from latwist.decompose import (
     decompose_ruled,
     validate,
 )
-from latwist import lattice
 from latwist.lattice import (
     _mat_reflect,
     FormClass,
@@ -40,6 +39,7 @@ from latwist.lattice import (
 from latwist.reduction import ReflectionWord, is_exceptional, is_K_null_spherical
 
 from dense import mat_mul
+from spies import count_form_pairing
 
 
 def R(n):
@@ -357,22 +357,6 @@ def test_factorizations_run_no_dense_products(monkeypatch):
 
 # -- integer areas in the factorizations --------------------------------------
 
-def _count_form_pairing(monkeypatch):
-    """The list that every later form_pairing call inside the package appends to."""
-    calls = []
-    inner = lattice.form_pairing
-
-    def counting_form_pairing(*args):
-        calls.append(args)
-        return inner(*args)
-
-    # every module that imported the function holds its own reference
-    for name, module in list(sys.modules.items()):
-        if name.startswith("latwist") and getattr(module, "form_pairing", None) is inner:
-            monkeypatch.setattr(module, "form_pairing", counting_form_pairing)
-    return calls
-
-
 def test_factorizations_never_reach_form_pairing(monkeypatch):
     m5, m2, mr = R(5), R(2), LatticeModel.ruled(1, 3)
     alpha = parse_form("5/3 H - 2/3 E1 - 2/3 E2 - 1/3 E3 - 1/3 E4 - 1/3 E5", m5)
@@ -382,7 +366,7 @@ def test_factorizations_never_reach_form_pairing(monkeypatch):
     alpha_r = parse_form("5/2 T + 1/2 F - E1 - 3/2 E2 - E3", mr)
     Mr = _word_matrix(mr, ["E1-E3", "F-E1-E2", "E1-E3"])
 
-    calls = _count_form_pairing(monkeypatch)
+    calls = count_form_pairing(monkeypatch)
     words = (decompose_K(M), decompose_K_alpha(M, alpha), decompose_K_alpha(M2, alpha2),
              decompose_ruled(Mr, alpha_r))
     assert calls == []
@@ -409,7 +393,7 @@ def test_inflation_areas_never_reach_form_pairing(monkeypatch):
         (parse_class("-2H+E1", m3), tau3, False),
         (parse_class("E1", m3), tau3, False),
     ]
-    calls = _count_form_pairing(monkeypatch)
+    calls = count_form_pairing(monkeypatch)
     verdicts = [inflation_admissible(A, tau) for A, tau, _ in cases]
     monkeypatch.undo()
     assert calls == []
@@ -421,7 +405,7 @@ def test_k_pairing_checks_never_reach_form_pairing(monkeypatch):
     # K-null checks and the listing's re-check pair on its numerators
     m9, mr = R(9), LatticeModel.ruled(2, 3)
     k_delta = parse_form("-3H + E1 - E2 + E3 + E4 - E5 + E6 + E7 + E8 - E9", m9)
-    calls = _count_form_pairing(monkeypatch)
+    calls = count_form_pairing(monkeypatch)
     for K in (m9.k0_form(), k_delta):
         assert is_exceptional(parse_class("H - E1 - E2", m9), K) == (K == m9.k0_form())
         assert len(enumerate_exceptional(m9, K, degree_bound=2)) == 9 + 36 + 126
