@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--square", type=_integer, default=None)
     p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, required=True)
-    p.add_argument("--depth", type=_positive, default=None)
+    p.add_argument("--depth", type=_positive, default=None,
+                   help="orbit search depth, by default 2n; required for rational n >= 9")
     p.add_argument("--sample", type=_positive, default=None)
     p.add_argument("--seed", type=_integer, default=None,
                    help="seed for the --sample subset, echoed with --sample")

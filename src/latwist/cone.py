@@ -182,11 +182,11 @@ _RULED_YES = ConeResult(CONE_YES, None, "positive square and exceptional areas o
 
 
 class _Walk(namedtuple("_Walk", "model open closed moves chamber")):
-    """A chamber walk in the frame where K is K_0 (see _walk): the open and
-    closed ConeResults, the moves as 0-based index tuples in order, and
-    the chamber form (a, b) or (t, f, b) they reach, b in index order;
-    None for a rational form outside the closed cone.  Without __slots__
-    the record has the vars() that its kept frame needs."""
+    """A chamber walk under K_0 (see _walk): the open and closed
+    ConeResults, the moves as 0-based index tuples in order, and the
+    chamber form (a, b) or (t, f, b) they reach, b in index order; None
+    for a rational form outside the closed cone.  Without __slots__ the
+    record has the vars() that its kept frame needs."""
 
     @_kept
     def frame(self):
@@ -215,15 +215,15 @@ def _cores(model, moves):
     return [classes[((off - 1, 1),) + tuple((m + off, -1) for m in sorted(move))] for move in moves]
 
 
-def _walk(model, num, signs) -> _Walk:
-    """The chamber walk, under K_0 after the sign change ``signs`` from
-    _k0_signs, of the form with integer numerators ``num``; the cone
-    conditions (positive square, positive or, closed, nonnegative area on
-    every exceptional class) read the same on them.  A No of positive
-    square has a witness unless rational n <= 1 and a <= 0, or ruled
-    n = 0 and t, f < 0.  Rational forms: with the b_i sorted, the walk
-    stops at the closed No, E_n or else H - E_1 - E_2 of negative area,
-    or at the Yes a >= b_1 + b_2 + b_3, and else reflects along
+def _walk(model, num) -> _Walk:
+    """The chamber walk under K_0 of the form with integer numerators
+    ``num``; the cone conditions (positive square, positive or, closed,
+    nonnegative area on every exceptional class) read the same on them.
+    A K_delta caller moves the form by _conjugate_to_k0 first.  A No of
+    positive square has a witness unless rational n <= 1 and a <= 0, or
+    ruled n = 0 and t, f < 0.  Rational forms: with the b_i sorted, the
+    walk stops at the closed No, E_n or else H - E_1 - E_2 of negative
+    area, or at the Yes a >= b_1 + b_2 + b_3, and else reflects along
     H - E_1 - E_2 - E_3; the open walk moves alike up to its first such
     class of area <= 0, the open No noted on the way.  Ruled forms: the
     exceptional areas decide, and the D_n walk flips along F - E_i - E_j
@@ -264,8 +264,7 @@ def _walk(model, num, signs) -> _Walk:
     if gate is not None:
         return _Walk(model, gate, gate, [], None)
 
-    # the sign change carrying K to K_0, read off the numerators directly
-    a, b = num[0], [-s * c for s, c in zip(signs, num[1:])]
+    a, b = num[0], [-c for c in num[1:]]
     # a No is (whether it is E_n, the sorted order, the moves made before)
     moves, first, last, chamber = [], None, None, None
     while True:
@@ -292,31 +291,29 @@ def _walk(model, num, signs) -> _Walk:
     # and a No that answers both questions meets the closed bound
     opened = closed = _YES
     if first is not None:
-        opened = _cone_no(model, num, signs, moves, first, -1 if first == last else 0)
+        opened = _cone_no(model, num, moves, first, -1 if first == last else 0)
     if last is not None:
-        closed = opened if last == first else _cone_no(model, num, signs, moves, last, -1)
+        closed = opened if last == first else _cone_no(model, num, moves, last, -1)
     return _Walk(model, opened, closed, moves, chamber)
 
 
-def _cone_no(model, num, signs, moves, no, most) -> ConeResult:
-    # the witness of a No, carried back to the frame of K, with its area
+def _cone_no(model, num, moves, no, most) -> ConeResult:
+    # the witness of a No, carried back through the moves, with its area
     is_e, order, made = no
     witness = model._classes[((order[-1] + 1, 1),)] if is_e else _cores(model, [order[:2]])[0]
     # reflections permute the exceptional classes; undo them on the witness
     for core in reversed(_cores(model, moves[:made])):
         witness = reflect(core, witness)
-    # the sign change is an involution, so it also carries K_0 back to K
-    witness = _conjugate_to_k0(witness, signs)
     if _gram_product(model, num, witness.coeffs) > most:
         raise ArithmeticError("cone witness does not violate the cone conditions")
     return ConeResult(CONE_NO, witness, None)
 
 
-def _form_walk(tau: FormClass, signs: tuple) -> _Walk:
-    # tau's walk under the K of these signs, walked once and kept on tau
-    walk = tau._walks.get(signs)
+def _form_walk(tau: FormClass) -> _Walk:
+    # tau's walk under K_0, walked once and kept outside tau's fields
+    walk = vars(tau).get("_cone_walk")
     if walk is None:
-        walk = tau._walks[signs] = _walk(tau.model, tau.num, signs)
+        walk = tau.__dict__["_cone_walk"] = _walk(tau.model, tau.num)
     return walk
 
 
@@ -326,17 +323,21 @@ def in_cone(tau: FormClass, K=None) -> ConeResult:
     The cone is open, and rational forms need a > 0, ruled forms at n = 0
     t > 0 and f > 0 (the forward cone).
     Ruled verdicts check exactly these conditions and say so in the note.
-    The verdict is read from tau's kept walk; its frame is not built.
+    The verdict is read from the kept walk of tau moved to K_0, and a
+    K_delta No's witness is moved back; the walk's frame is not built.
     """
-    K, signs = _k0_signs(tau.model, K)
-    return _form_walk(tau, signs).open
+    _, signs = _k0_signs(tau.model, K)
+    res = _form_walk(_conjugate_to_k0(tau, signs)).open
+    if res.witness is not None and -1 in signs:
+        res = res._replace(witness=_conjugate_to_k0(res.witness, signs))
+    return res
 
 
 class LagrangianResult(namedtuple("LagrangianResult", "yes reason word kind area characteristic")):
     """Verdict of the Lagrangian-sphere-class criterion.
 
     On yes, ``word``/``kind`` hold the reduction certificate for rational
-    models (computed after the sign change when K is a K_delta variant):
+    models (of the class moved to K_0 when K is a K_delta variant):
     a ReflectionWord and a normal-form kind, else None.  On no,
     ``reason`` names every failed clause.  ``area`` is the exact Fraction
     tau-area and ``characteristic`` a bool.
@@ -354,22 +355,22 @@ def is_lagrangian_spherical(xi: HomClass, tau: FormClass, K=None) -> LagrangianR
     tau must satisfy the closed cone conditions: positive square and
     nonnegative area on every exceptional class.  Boundary forms are
     admitted because a zero-area exceptional class does not interfere
-    with either clause of the criterion.  The closed verdict is read
-    from tau's kept walk, so tau is walked once for many classes and for
-    an in_cone before them.
+    with either clause of the criterion.  xi and tau are moved to K_0 at
+    entry.  The closed verdict is read from tau's kept walk, so tau is
+    walked once for many classes and for an in_cone before them.
 
-    The spherical clause is reduction._decide on the K checked at entry:
-    for rational models one Cremona reduction, after the sign change
-    that carries K to K_0, decides it and gives the Yes certificate,
-    ``word`` and ``kind`` being that normal form's; for ruled models it
-    is the x.F = 0 rule, with no certificate.
+    The spherical clause is reduction._decide on the moved xi: for
+    rational models one Cremona reduction decides it and gives the Yes
+    certificate, ``word`` and ``kind`` being that normal form's; for
+    ruled models it is the x.F = 0 rule, with no certificate.  The area
+    and the parity are read from the caller's xi and tau.
     """
     model = xi.model
     _check_same_model(tau.model, model)
-    K, signs = _k0_signs(model, K)
-    if not _form_walk(tau, signs).closed:
+    _, signs = _k0_signs(model, K)
+    if not _form_walk(_conjugate_to_k0(tau, signs)).closed:
         raise ValueError("form fails the cone conditions")
-    spherical, nf = _decide(xi, K, signs, "knull")
+    spherical, nf = _decide(_conjugate_to_k0(xi, signs), "knull")
     area = form_pairing(tau, xi)
     failures = []
     if not spherical:
@@ -393,19 +394,19 @@ def inflation_admissible(A: HomClass, tau: FormClass, K=None) -> bool:
     """The four inflation hypotheses, evaluated exactly.
 
     A^2 > 0, tau(A) > 0, A - PD(K) has nonnegative square and positive
-    tau-value, and A.E >= 0 for every exceptional class E.
+    tau-value, and A.E >= 0 for every exceptional class E; the last and
+    tau's cone check are asked of A and tau moved to K_0.
     """
     model = A.model
     _check_same_model(tau.model, model)
     K, signs = _k0_signs(model, K)
-    if not _form_walk(tau, signs).open:
+    if not _form_walk(_conjugate_to_k0(tau, signs)).open:
         raise ValueError("form fails the cone conditions")
-    pd_k = HomClass(model, K.num)
-    B = A - pd_k
+    B = A - HomClass(model, K.num)
     # tau's denominator is positive, so its numerators give the area signs
     if pairing(A, A) <= 0 or _gram_product(model, tau.num, A.coeffs) <= 0:
         return False
     if pairing(B, B) < 0 or _gram_product(model, tau.num, B.coeffs) <= 0:
         return False
     # A^2 > 0 here, so the closed cone test reduces to A.E >= 0
-    return bool(_walk(model, A.coeffs, signs).closed)
+    return bool(_walk(model, _conjugate_to_k0(A, signs).coeffs).closed)

@@ -243,8 +243,8 @@ def _interior_point(model):
 def _walk_home(model, v):
     """The chronological twists f_1, ..., f_m of v's chamber walk, when
     R(f_m) ... R(f_1) carries v to rho; v is no form, so nothing keeps
-    its walk.  The walk is under K_0, whose signs are all +1."""
-    frame = _walk(model, v, (1,) * model.n).frame
+    its walk."""
+    frame = _walk(model, v).frame
     if frame is None or frame[1] != _interior_point(model):
         raise DecompositionError("residual not resolvable")
     return frame[0]
@@ -299,7 +299,7 @@ def decompose_K_alpha(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     if model.kind != RATIONAL:
         raise ValueError("decompose_K_alpha expects a rational model")
     _require_valid(M, model.k0_form(), alpha)
-    walk = _form_walk(alpha, (1,) * model.n)
+    walk = _form_walk(alpha)
     if not walk.open:
         raise ValueError("alpha must lie in the symplectic cone")
     return _alpha_walk(M, alpha, walk.frame)
@@ -315,7 +315,7 @@ def decompose_ruled(M: IsometryMatrix, alpha: FormClass) -> ReflectionWord:
     _require_valid(M, model.k0_form(), alpha)
     if M._cols[1] != model._classes[((1, 1),)].coeffs:  # column F is the image of F
         raise DecompositionError("fiber class not preserved")
-    return _alpha_walk(M, alpha, _form_walk(alpha, (1,) * model.n).frame)
+    return _alpha_walk(M, alpha, _form_walk(alpha).frame)
 
 
 def matrix_to_json(M: IsometryMatrix) -> dict:

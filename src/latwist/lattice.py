@@ -359,12 +359,6 @@ class FormClass(_Record):
     def coeffs(self) -> tuple:
         return tuple(Fraction(a, self.den) for a in self.num)
 
-    @_kept
-    def _walks(self) -> dict:
-        # the cone module's chamber walks of this form, by the signs of K;
-        # equality and hash read the fields only
-        return {}
-
     def __repr__(self):
         return f"FormClass(model={self.model!r}, coeffs={self.coeffs!r})"
 

@@ -367,7 +367,15 @@ def _orbit_search(x: HomClass, seeds, depth) -> bool:
     return False
 
 
+def _check_depth(model, depth):
+    # the twist orbit is infinite at rational n >= 9, where a search of
+    # depth 2n on a gated class with no seed in its orbit does not end
+    if depth is None and model.kind == RATIONAL and model.n >= 9:
+        raise ValueError("depth required for rational models with n >= 9")
+
+
 def _gated_search(x: HomClass, predicate, depth) -> bool:
+    _check_depth(x.model, depth)
     # twists preserve the square and the K_0-pairing, so a class that
     # fails either gate has no seed in its orbit; K_0 has denominator 1,
     # so the pairing is the integer product with its numerators
@@ -380,14 +388,15 @@ def _gated_search(x: HomClass, predicate, depth) -> bool:
 
 def bfs_is_exceptional(x: HomClass, *, depth: int | None = None) -> bool:
     """Exceptional test from the definition: numeric invariants plus a
-    bounded-depth orbit search reaching a seed class."""
+    bounded-depth orbit search reaching a seed class.  ``depth`` (default
+    2n) is required for rational models with n >= 9 (ValueError)."""
     return _gated_search(x, "exceptional", depth)
 
 
 def bfs_is_knull_spherical(x: HomClass, *, depth: int | None = None) -> bool:
     """K-null spherical test from the definition: numeric invariants
     plus a bounded-depth orbit search reaching a binary or ternary
-    class (fiber-binary in the ruled model)."""
+    class (fiber-binary in the ruled model); ``depth`` as above."""
     return _gated_search(x, "knull", depth)
 
 
@@ -455,8 +464,10 @@ def crosscheck(
 
     ``sample`` keeps a seeded random subset when the query matches more
     classes than requested.  The report lists all disagreements; an
-    empty list means the two sides agree everywhere.
+    empty list means the two sides agree everywhere.  ``depth`` bounds
+    the orbit searches; rational n >= 9 requires it, before the scan.
     """
+    _check_depth(q.model, depth)
     classes = enumerate_classes(q, allow_large=allow_large)
     if sample is not None and len(classes) > sample:
         rng = random.Random(seed)

@@ -11,13 +11,15 @@ or at an explicit Irreducible report.
 
 is_exceptional, is_K_null_spherical and the spherical clause of
 cone.is_lagrangian_spherical are one classifier, _decide: a gate on square
-and K-pairing from one table, then the ruled x.F = 0 rule or one
-reduction in the frame where K is K_0.
+and K_0-pairing from one table, then the ruled x.F = 0 rule or one
+reduction.  A routine that takes a K asks its K_delta question in K_0,
+after moving its input by the sign isometry (_conjugate_to_k0).
 """
 
 from __future__ import annotations
 
 import warnings
+from operator import mul
 
 from .lattice import (
     _ADMISSIBLE_SQUARES,
@@ -193,11 +195,11 @@ def cremona_reduce(xi: HomClass) -> NormalForm:
 
     The normal form is kept on xi, so is_exceptional,
     is_K_null_spherical and a later cremona_reduce of the same class
-    object share one reduction under K_0 (under a K_delta variant they
-    share the one of the class _k0_frame keeps on xi); equality and hash
-    still read the coefficients only.  A result that hit the cap is not
-    kept, so every call on such a class reduces it again and warns at its
-    caller.
+    object share one reduction under K_0 (a K_delta question reduces the
+    class that _conjugate_to_k0 moved, a new object each time); equality
+    and hash still read the coefficients only.  A result that hit the cap
+    is not kept, so every call on such a class reduces it again and warns
+    at its caller.
     """
     nf = vars(xi).get("_normal_form")
     if nf is not None:
@@ -326,17 +328,19 @@ def _k0_signs(model: LatticeModel, K: FormClass | None) -> tuple:
     return K, signs
 
 
-def _conjugate_to_k0(xi: HomClass, signs: tuple) -> HomClass:
-    """Map xi by the sign isometry with the E-signs from _k0_signs.
-
-    Under K_0 every sign is +1 and xi itself comes back, so a normal form
-    kept on it serves the caller's later reductions of the same object.
+def _conjugate_to_k0(x, signs: tuple):
+    """Map the class or form x by the sign isometry with the E-signs from
+    _k0_signs: a K_delta question about x is the K_0 question about the
+    moved x, and the involution also moves a K_0 answer's class back.
+    Under K_0 every sign is +1 and x itself comes back, so the normal
+    form or walk kept on it serves later questions about that object.
     """
     if -1 not in signs:
-        return xi
-    off = xi.model.e_offset
-    coeffs = xi.coeffs[:off] + tuple(s * c for s, c in zip(signs, xi.coeffs[off:]))
-    return HomClass(xi.model, coeffs)
+        return x
+    off = x.model.e_offset
+    if isinstance(x, FormClass):
+        return FormClass._from_num(x.model, x.num[:off] + tuple(map(mul, signs, x.num[off:])), x.den)
+    return HomClass(x.model, x.coeffs[:off] + tuple(map(mul, signs, x.coeffs[off:])))
 
 
 def _ruled_exceptional(model: LatticeModel) -> list:
@@ -353,46 +357,29 @@ _PREDICATES = {
 }
 
 
-def _decide(xi: HomClass, K: FormClass, signs: tuple, predicate: str) -> tuple:
-    """(verdict, normal form or None) of an exceptional or K-null
-    spherical class, for a K and its signs from _k0_signs.
+def _decide(xi: HomClass, predicate: str) -> tuple:
+    """(verdict, normal form or None) of an exceptional or K_0-null
+    spherical class; a K_delta caller moves xi by _conjugate_to_k0 first.
 
-    Both predicates gate on square and K-pairing first.  A ruled class
+    Both predicates gate on square and K_0-pairing first.  A ruled class
     x = tT + fF + sum c_i E_i passing the gate is decided by x.F = t:
     when t = 0, x^2 = -sum c_i^2 and K_0.x = -2f - sum c_i, so square -1
     leaves one c_k = 1 - 2f, the class E_k or F - E_k, and square -2
     leaves two c_i = +-1 summing to -2f, the class +-(E_i-E_j) or
-    +-(F-E_i-E_j).  A rational class is reduced once, after the sign
-    change that carries K to K_0, and the Yes kinds of the table decide
-    it; the normal form comes back on a Yes only.
+    +-(F-E_i-E_j).  A rational class is reduced once, and the Yes kinds
+    of the table decide it; the normal form comes back on a Yes only.
 
     No flipped reduction is exceptional: one ending at E_i is reported as
     PlusMinusBasisE, and -(H-E_i-E_j) pairs K_0 to +1, which twists fix.
     """
     square, k_pairing, kinds = _PREDICATES[predicate]
-    if xi._square != square or _gram_product(xi.model, K.num, xi.coeffs) != k_pairing:
+    model = xi.model
+    if xi._square != square or _gram_product(model, model.k0_form().num, xi.coeffs) != k_pairing:
         return False, None
-    if xi.model.kind == RULED:
+    if model.kind == RULED:
         return xi.coeffs[0] == 0, None
-    nf = cremona_reduce(_k0_frame(xi, signs))
+    nf = cremona_reduce(xi)
     return (True, nf) if nf.kind in kinds else (False, None)
-
-
-def _k0_frame(xi: HomClass, signs: tuple) -> HomClass:
-    """xi moved by _conjugate_to_k0, kept on xi by the signs.
-
-    Under K_0 that is xi itself.  Under a K_delta variant the moved class
-    is kept in xi's ``_k0_frames`` by the signs, so the normal form that
-    cremona_reduce keeps on it serves every later decision of xi under
-    the same K, as the one kept on xi does under K_0.
-    """
-    if -1 not in signs:
-        return xi
-    frames = vars(xi).setdefault("_k0_frames", {})
-    moved = frames.get(signs)
-    if moved is None:
-        moved = frames[signs] = _conjugate_to_k0(xi, signs)
-    return moved
 
 
 def is_exceptional(xi: HomClass, K: FormClass | None = None) -> bool:
@@ -400,14 +387,14 @@ def is_exceptional(xi: HomClass, K: FormClass | None = None) -> bool:
     n = 2); ruled: E_i or F - E_i.  K (default K_0) passes the one check
     of _k0_signs: rational K may be K_0 or a K_delta variant, ruled K_0.
     """
-    K, signs = _k0_signs(xi.model, K)
-    return _decide(xi, K, signs, "exceptional")[0]
+    _, signs = _k0_signs(xi.model, K)
+    return _decide(_conjugate_to_k0(xi, signs), "exceptional")[0]
 
 
 def is_K_null_spherical(xi: HomClass, K: FormClass | None = None) -> bool:
     """Square -2, K-pairing 0, and equivalence to a binary or ternary class;
     ruled: +-(E_i-E_j) or +-(F-E_i-E_j).  K as for is_exceptional.
     """
-    K, signs = _k0_signs(xi.model, K)
-    return _decide(xi, K, signs, "knull")[0]
+    _, signs = _k0_signs(xi.model, K)
+    return _decide(_conjugate_to_k0(xi, signs), "knull")[0]
 

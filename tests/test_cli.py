@@ -431,6 +431,9 @@ def test_exceptional_listing_accepts_matching_constraints(capsys):
 @pytest.mark.parametrize("constraint", ["--k-pairing=0", "--square=-1"])
 def test_scans_over_the_candidate_cap_are_refused(capsys, command, constraint):
     argv = [command, "--model", "rational:12", "--bound", "8", constraint]
+    if command == "crosscheck":
+        # required at rational n >= 9; the scan is refused before any search
+        argv += ["--depth", "8"]
     code, data = run_json(capsys, argv)
     assert code == 2
     assert data == {"error": {"type": "input", "message": "bound exceeds safety limit"}}
@@ -480,6 +483,20 @@ def test_crosscheck_clean(capsys):
     assert code == 0
     assert data["summary"]["checked"] == 6
     assert data["summary"]["disagreements"] == []
+
+
+def test_crosscheck_requires_depth_at_rational_n9_and_up(capsys):
+    argv = ["crosscheck", "--model", "rational:10", "--kind", "exceptional", "--bound", "3"]
+    message = "depth required for rational models with n >= 9"
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": {"type": "input", "message": message}}
+    code, captured = run(capsys, argv)
+    assert code == 2 and captured.out == "" and captured.err == f"error (input): {message}\n"
+    # with a depth the scan runs; the class that passes the gate but has
+    # no seed in its orbit is in it, and both sides say No
+    code, data = run_json(capsys, argv + ["--depth", "8"])
+    assert code == 0 and data["summary"] == {"checked": 1158, "disagreements": []}
+    assert "3H - E1 - E2 - E3 - E4 - E5 - E6 - E7 - E8 - E9 + E10" in [c["text"] for c in data["classes"]]
 
 
 def test_crosscheck_names_each_class(capsys):

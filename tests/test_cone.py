@@ -591,8 +591,12 @@ def test_ruled_cone_edges_match_exceptional_scan(case, closed):
 
 def _check_walk_against_scan(case, closed):
     tau, K = case
-    walk = cone._walk(tau.model, tau.num, reduction._k0_signs(tau.model, K)[1])
+    # the walk under K_0 of tau moved there, its witness moved back
+    signs = reduction._k0_signs(tau.model, K)[1]
+    walk = cone._walk(tau.model, reduction._conjugate_to_k0(tau, signs).num)
     res = walk.closed if closed else walk.open
+    if res.witness is not None:
+        res = res._replace(witness=reduction._conjugate_to_k0(res.witness, signs))
     assert bool(res) == _scan(tau, K, closed)
     if not closed:
         assert in_cone(tau, K) == res
@@ -610,11 +614,11 @@ def test_cone_walk_hands_back_the_form_its_moves_reach(case):
     # and reflected along each move's core in order
     tau, K = case
     m = tau.model
-    walk = cone._walk(m, tau.num, K.num[1:])
+    x = reduction._conjugate_to_k0(HomClass(m, tau.num), K.num[1:])
+    walk = cone._walk(m, x.coeffs)
     if not walk.closed:
         assert walk.chamber is None
         return
-    x = reduction._conjugate_to_k0(HomClass(m, tau.num), K.num[1:])
     for triple in walk.moves:
         x = reflect(m.unit(0) - sum((m.E(i + 1) for i in triple), m.zero()), x)
     a, b = walk.chamber
@@ -697,18 +701,99 @@ def test_inflation_matches_exceptional_scan(case):
     assert inflation_admissible(A, tau, K) == expected
 
 
+# -- a K_delta answer is the K_0 answer carried by the sign isometry -------------
+
+
+def _sigma(x, signs):
+    # the sign isometry E_i -> s_i E_i, written out from the coefficients
+    moved = x.coeffs[:1] + tuple(s * c for s, c in zip(signs, x.coeffs[1:]))
+    return FormClass(x.model, moved) if isinstance(x, FormClass) else HomClass(x.model, moved)
+
+
+def _k0_roots(m):
+    # E_i - E_j and H - E_i - E_j - E_k
+    e = [m.E(i) for i in range(1, m.n + 1)]
+    return [e[i] - e[j] for i in range(m.n) for j in range(m.n) if i != j] + [
+        m.unit(0) - e[i] - e[j] - e[k]
+        for i in range(m.n) for j in range(i + 1, m.n) for k in range(j + 1, m.n)
+    ]
+
+
+@st.composite
+def _sign_cases(draw):
+    """(x, tau, K): K a K_delta variant at n = 2..9, and x, tau the
+    images under its sign isometry of a class and a K_0 form.  The form
+    is a chamber form a >= b_1 + b_2 + b_3 (or a little below) with tied
+    b_i, at times one zero or negative, scrambled by K_0 twists, so it
+    lies inside, on the boundary of or outside the cone; the class is
+    random, exceptional, or a root of zero area before the same twists."""
+    n = draw(st.integers(2, 9))
+    m = R(n)
+    signs = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    values = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)) + draw(st.sampled_from(([], [0], [-1])))
+    b = sorted(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), reverse=True)
+    rho = HomClass(m, (sum(b[:3]) + draw(st.integers(-2, 4)),) + tuple(-v for v in b))
+    roots = _k0_roots(m)
+    flat = [r for r in roots if pairing(r, rho) == 0]
+    kind = draw(st.sampled_from(("random", "exceptional", "flat root")))
+    if kind == "flat root" and flat:
+        x = draw(st.sampled_from(flat))
+    elif kind == "exceptional":
+        x = draw(st.sampled_from([m.E(i) for i in range(1, n + 1)] + [m.unit(0) - m.E(1) - m.E(2)]))
+    else:
+        x = HomClass(m, (draw(st.integers(-3, 6)),) + tuple(draw(st.integers(-3, 3)) for _ in range(n)))
+    for g in draw(st.lists(st.sampled_from(roots), max_size=6)):
+        rho, x = reflect(g, rho), reflect(g, x)
+    tau = FormClass(m, rho.coeffs) * Fraction(1, draw(st.integers(1, 4)))
+    return _sigma(x, signs), _sigma(tau, signs), FormClass(m, (-3,) + signs)
+
+
+def _answers(x, tau, K):
+    """Every answer of the routines that take a K, an exception as its
+    type and message."""
+
+    def answer(call, *args):
+        try:
+            return call(*args, K)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+
+    return {
+        "in_cone": in_cone(tau, K),
+        "lagrangian": answer(is_lagrangian_spherical, x, tau),
+        "exceptional": is_exceptional(x, K),
+        "knull": is_K_null_spherical(x, K),
+        "inflation": answer(inflation_admissible, x, tau),
+    }
+
+
+@given(_sign_cases())
+@settings(max_examples=400, deadline=None)
+def test_the_sign_isometry_carries_every_answer(case):
+    # under K_delta every answer is the K_0 answer about (sigma x,
+    # sigma tau); in_cone's witness comes back through sigma
+    x, tau, K = case
+    signs = K.num[1:]
+    got = _answers(x, tau, K)
+    want = _answers(_sigma(x, signs), _sigma(tau, signs), None)
+    res = want["in_cone"]
+    if res.witness is not None:
+        want["in_cone"] = res._replace(witness=_sigma(res.witness, signs))
+    assert got == want
+
+
 # -- each decision runs once per query -----------------------------------------
 
 def _count_walks(monkeypatch):
-    # (numerators, signs) of each walk, from every module that holds it
+    # the numerators of each walk, from every module that holds it
     from latwist import decompose
 
     calls = []
     walk = cone._walk
 
-    def counting(model, num, signs):
-        calls.append((num, signs))
-        return walk(model, num, signs)
+    def counting(model, num):
+        calls.append(num)
+        return walk(model, num)
 
     for module in (cone, decompose):
         monkeypatch.setattr(module, "_walk", counting)
@@ -722,22 +807,24 @@ def test_cone_conditions_decided_once_per_form(monkeypatch):
     assert in_cone(tau).verdict == CONE_YES
     texts = ("E1-E2", "H-E1-E2-E3", "E3-E4", "2H-2E1-E2-E3", "E1")
     results = [is_lagrangian_spherical(parse_class(t, m), tau) for t in texts]
-    assert calls == [(tau.num, (1, 1, 1, 1))]
+    assert calls == [tau.num]
     assert [r.yes for r in results] == [True, True, False, False, False]
     # an equal form built separately keeps its own verdicts
     assert is_lagrangian_spherical(m.E(1) - m.E(2), parse_form("3H-E1-E2-E3-1/2*E4", m)).yes
     assert len(calls) == 2
-    # a K_delta variant is a separate question with its own answer: after
-    # the sign change on E4 the area of E4 is -1/2
+    # a K_delta variant is the K_0 question about the form moved by the
+    # sign change: on E4 the area becomes -1/2, and the witness E4 of the
+    # moved form comes back as -E4.  The moved form is a new object per
+    # question, so each one walks it again
     k_delta = FormClass(m, (-3, 1, 1, 1, -1))
     res = in_cone(tau, k_delta)
     assert res.verdict == CONE_NO and res.witness == -m.E(4)
-    assert in_cone(tau, k_delta) is res and in_cone(tau) == (CONE_YES, None, None)
-    assert calls[2:] == [(tau.num, (1, 1, 1, -1))]
-    # the closed verdict comes from the same walk
+    assert in_cone(tau, k_delta) == res and in_cone(tau) == (CONE_YES, None, None)
+    moved = tau.num[:4] + (-tau.num[4],)
+    assert calls[2:] == [moved, moved]
     with pytest.raises(ValueError, match="cone"):
         is_lagrangian_spherical(m.E(1) - m.E(2), tau, k_delta)
-    assert len(calls) == 3
+    assert calls[2:] == [moved] * 3
 
 
 def test_boundary_form_still_admitted_after_open_no(monkeypatch):
@@ -751,7 +838,7 @@ def test_boundary_form_still_admitted_after_open_no(monkeypatch):
         lag = is_lagrangian_spherical(parse_class("E1-E2", m), tau)
         assert lag.yes and lag.kind == "Binary"
     # one walk answers both questions: it notes the open No and walks on
-    assert calls == [(tau.num, (1, 1, 1))]
+    assert calls == [tau.num]
 
 
 def test_alpha_walked_once_across_cone_and_decompose(monkeypatch):
@@ -764,21 +851,22 @@ def test_alpha_walked_once_across_cone_and_decompose(monkeypatch):
     assert in_cone(alpha)
     words = [decompose_K_alpha(M, alpha) for _ in range(2)]
     assert words[0] == words[1] and words[0].matrix == M.entries
-    assert [num for num, _ in calls].count(alpha.num) == 1
+    assert calls.count(alpha.num) == 1
     assert len(calls) == 3
 
 
-def test_a_form_keeps_one_dict_of_walks():
+def test_a_form_keeps_one_walk():
     # a further instance-dict entry on a form would unshare CPython's key
-    # table for every form; the walks sit in the one dict that the cone
-    # module keeps on the form
+    # table for every form; the one K_0 walk sits in one entry, and a
+    # K_delta question keeps nothing on the caller's form
     m = R(4)
     tau = parse_form("3H-E1-E2-E3-1/2*E4", m)
     assert in_cone(tau)
     assert is_lagrangian_spherical(m.E(1) - m.E(2), tau).yes
     decompose_K_alpha(IsometryMatrix(m, reflection_matrix(m.E(1) - m.E(2))), tau)
-    assert set(vars(tau)) <= {"model", "num", "den", "coeffs", "_walks"}
-    assert list(tau._walks) == [(1, 1, 1, 1)]
+    assert in_cone(tau, FormClass(m, (-3, 1, 1, 1, -1))).verdict == CONE_NO
+    assert set(vars(tau)) <= {"model", "num", "den", "coeffs", "_cone_walk"}
+    assert vars(tau)["_cone_walk"] is cone._form_walk(tau)
 
 
 def test_lagrangian_yes_reduces_once(monkeypatch):

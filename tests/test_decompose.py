@@ -266,11 +266,6 @@ def test_validate_matches_dense_formula(case):
     assert validate(M, K, alpha).failures == _dense_validate(M, K, alpha)
 
 
-def _k0_walk(model, num):
-    # the chamber walk under K_0, whose signs are all +1
-    return _walk(model, num, (1,) * model.n)
-
-
 def _rho(n):
     # the interior chamber point the factorizations walk home
     return (n * n + 3,) + tuple(-i for i in range(1, n + 1))
@@ -281,7 +276,7 @@ def _dense_conjugate(M, alpha):
     isometry psi of alpha's walk and psi^{-1} = G psi^T G."""
     model = M.model
     psi = mat_identity(model.rank)
-    for f in _k0_walk(model, alpha.num).frame[0]:
+    for f in _walk(model, alpha.num).frame[0]:
         psi = mat_mul(reflection_matrix(f), psi)
     gram = model.gram
     psi_inv = mat_mul(gram, mat_mul(mat_transpose(psi), gram))
@@ -296,7 +291,7 @@ def _dense_conjugation_word(M, alpha):
     conjugate, psi, psi_inv = _dense_conjugate(M, alpha)
     alpha_prime = FormClass(model, mat_vec(psi, alpha.coeffs))
     rho = _rho(model.n)
-    walk = _k0_walk(model, mat_vec(conjugate, rho)).frame
+    walk = _walk(model, mat_vec(conjugate, rho)).frame
     if walk is None or walk[1] != rho:
         raise DecompositionError("residual not resolvable")
     gens = []
@@ -387,7 +382,7 @@ def any_rational_forms(draw):
 @settings(max_examples=300, deadline=None)
 def test_chamber_frame_sorts_alpha_into_the_chamber(alpha):
     m = alpha.model
-    walk = _k0_walk(m, alpha.num)
+    walk = _walk(m, alpha.num)
     # the open verdict is in_cone's; the frame is the closed walk's, so a
     # boundary form has one too
     assert walk.open == in_cone(alpha)
@@ -420,7 +415,7 @@ def any_ruled_forms(draw):
 @settings(max_examples=300, deadline=None)
 def test_ruled_chamber_frame_walks_every_form_into_the_chamber(case):
     m, num = case
-    frame, reached = _k0_walk(m, num).frame
+    frame, reached = _walk(m, num).frame
     dual = HomClass(m, num)
     for f in frame:
         assert pairing(f, f) == -2 and form_pairing(m.k0_form(), f) == 0

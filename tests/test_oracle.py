@@ -303,6 +303,35 @@ def test_bfs_ruled():
     assert not bfs_is_knull_spherical(parse_class("T-E1-E3", m))
 
 
+def test_default_depth_is_refused_at_rational_n9_and_up(monkeypatch):
+    # the twist orbit is infinite at rational n >= 9, where a search of
+    # the default depth 2n does not end on a class that passes the gate
+    # but has no seed in its orbit: depth is required there, as
+    # degree_bound is for enumerate_exceptional, and checked at entry
+    message = "depth required for rational models with n >= 9"
+    x = parse_class("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9+E10", R(10))
+    for search, y in itertools.product(
+        (bfs_is_exceptional, bfs_is_knull_spherical), (x, R(9).E(1), R(12).zero())
+    ):
+        with pytest.raises(ValueError, match=message):
+            search(y)
+    assert not bfs_is_exceptional(x, depth=8)
+    assert bfs_is_exceptional(R(9).E(1), depth=1)
+    # crosscheck refuses before it scans
+    scans = []
+    monkeypatch.setattr(oracle, "enumerate_classes", lambda q, **kw: scans.append(q) or [])
+    q = EnumQuery(R(10), 3, predicate="exceptional")
+    with pytest.raises(ValueError, match=message):
+        crosscheck(q)
+    assert scans == []
+    assert crosscheck(q, depth=8).checked == 0 and scans == [q]
+    monkeypatch.undo()
+    # smaller rational models and ruled models keep the default
+    assert bfs_is_knull_spherical(parse_class("2H-E1-E2-E3-E4-E5-E6", R(8)))
+    assert bfs_is_exceptional(parse_class("F-E2", LatticeModel.ruled(1, 9)))
+    assert crosscheck(EnumQuery(LatticeModel.ruled(1, 9), 1, predicate="exceptional")).ok
+
+
 # The targets as the oracle once wrote them, one predicate per family on
 # canonical nodes; kept here as the reference for the seed sets.
 def _reference_exceptional(model, node):
@@ -610,8 +639,10 @@ def test_crosscheck_characteristic_and_ruled():
 )
 def test_crosscheck_ruled_and_n9(model, checked, predicate):
     # library against BFS on every class of coefficients in [-2, 2]
-    # with the predicate's square and K-pairing
-    r = crosscheck(EnumQuery(model, 2, predicate=predicate))
+    # with the predicate's square and K-pairing; rational n >= 9 takes an
+    # explicit depth, here 2n, the default of the smaller models
+    depth = 2 * model.n if model.kind == RATIONAL else None
+    r = crosscheck(EnumQuery(model, 2, predicate=predicate), depth=depth)
     assert r.ok and r.checked == checked[predicate]
 
 
@@ -621,7 +652,7 @@ def test_bounded_listing_matches_bfs(n, bound):
     # with a <= bound are exactly those with coefficients in [-bound, bound]
     m = R(n)
     scan = enumerate_classes(EnumQuery(m, bound, predicate="exceptional"))
-    expected = [x for x in scan if bfs_is_exceptional(x)]
+    expected = [x for x in scan if bfs_is_exceptional(x, depth=2 * n)]
     assert list(enumerate_exceptional(m, degree_bound=bound)) == expected
 
 
@@ -633,7 +664,7 @@ def test_bounded_k_delta_listing_matches_bfs():
     flipped = [
         HomClass(m, x.coeffs[:1] + tuple(s * c for s, c in zip(signs, x.coeffs[1:])))
         for x in scan
-        if bfs_is_exceptional(x)
+        if bfs_is_exceptional(x, depth=18)
     ]
     es = enumerate_exceptional(m, FormClass(m, (-3,) + signs), degree_bound=3)
     assert list(es) == sorted(flipped, key=lambda x: x.coeffs)

@@ -740,21 +740,20 @@ def test_classification_and_reduction_share_one_reduction(monkeypatch, text, exc
     assert calls == [xi] and calls[0] is xi
     check_certificate(xi, nf)
     # under a K_delta variant the routines reduce the sign-changed class,
-    # another object; it is kept on the input by K's signs, and the
-    # input's own K_0 normal form stays unset
+    # another object (only one of the two passes the gate), and nothing
+    # is kept on the input
     k_delta = FormClass(m, (-3, -1) + (1,) * 5)
     y = HomClass(m, (xi.coeffs[0], -xi.coeffs[1]) + xi.coeffs[2:])
     assert is_exceptional(y, k_delta) is exceptional
     assert is_K_null_spherical(y, k_delta) is knull
     assert len(calls) == 2 and calls[1] == xi and calls[1] is not xi
-    assert "_normal_form" not in vars(y)
-    assert vars(y)["_k0_frames"] == {k_delta.num[1:]: xi}
+    assert set(vars(y)) <= {"model", "coeffs", "_square"}
 
 
-def test_a_k_delta_decision_is_kept_on_the_class_by_its_signs(monkeypatch):
+def test_a_k_delta_decision_reduces_the_moved_class(monkeypatch):
     # K_delta = -3H - E1 + E2 + ... + E6, and a class that is K_delta-null
-    # spherical of zero area for -K_delta: the Lagrangian test after the
-    # K-null one reduces nothing more, as under K_0
+    # spherical of zero area for -K_delta: each K_delta question moves the
+    # class to K_0 and reduces the moved class, once per question
     m = R(6)
     k_delta = FormClass(m, (-3, -1) + (1,) * 5)
     tau = -k_delta
@@ -763,14 +762,14 @@ def test_a_k_delta_decision_is_kept_on_the_class_by_its_signs(monkeypatch):
     assert is_K_null_spherical(x, k_delta)
     res = is_lagrangian_spherical(x, tau, k_delta)
     assert res.yes and res.kind == KIND_TERNARY
-    assert len(calls) == 1
-    # each K_delta variant is its own frame, reduced once
+    assert calls == [cls("2H-E1-E2-E3-E4-E5-E6", m)] * 2
+    # each K_delta variant moves the class its own way
     other = FormClass(m, (-3, 1, -1) + (1,) * 4)
     y = cls("E4-E5", m)
     for K in (k_delta, other, k_delta, other):
         assert is_K_null_spherical(y, K)
-    assert len(calls) == 3
-    assert vars(y)["_k0_frames"].keys() == {k_delta.num[1:], other.num[1:]}
+    assert calls[2:] == [y] * 4 and all(c is not y for c in calls[2:])
+    assert set(vars(y)) <= {"model", "coeffs", "_square"}
 
 
 def test_kept_normal_form_leaves_equality_and_hash():
@@ -844,7 +843,7 @@ def _old_is_lagrangian_spherical(xi, tau, K=None):
     """is_lagrangian_spherical with its own ruled/rational branch."""
     model = xi.model
     K, signs = _k0_signs(model, K)
-    if not _form_walk(tau, signs).closed:
+    if not _form_walk(_conjugate_to_k0(tau, signs)).closed:
         raise ValueError("form fails the cone conditions")
     nf = None
     if model.kind == RULED:
@@ -941,7 +940,7 @@ def test_classifier_matches_the_replaced_decisions_rational(n):
     flipped = [cls(t, m) for k, t in _FLIPPED if k == n]
     for K in (m.k0_form(), _k_delta(m)):
         tau = _closed_cone_form(m, K)
-        assert _form_walk(tau, _k0_signs(m, K)[1]).closed
+        assert _form_walk(_conjugate_to_k0(tau, _k0_signs(m, K)[1])).closed
         answers = set()
         for x in _rational_grid(n, K) + flipped:
             _assert_same_decisions(x, K, tau)
@@ -960,7 +959,7 @@ def test_classifier_matches_the_replaced_decisions_ruled(h):
         m = LatticeModel.ruled(h, n)
         K = m.k0_form()
         tau = FormClass(m, (2, 3) + (-1,) * n)
-        assert _form_walk(tau, _k0_signs(m, K)[1]).closed
+        assert _form_walk(_conjugate_to_k0(tau, _k0_signs(m, K)[1])).closed
         for coeffs in product(range(-2, 3), repeat=m.rank):
             x = HomClass(m, coeffs)
             if n >= 4 and pairing(x, x) not in (-1, -2):

@@ -144,6 +144,23 @@ def test_forms_are_walked_only_through_their_kept_walk():
     assert sorted(callers) == ["cone.py:_form_walk", "cone.py:inflation_admissible", "decompose.py:_walk_home"]
 
 
+def test_the_library_works_in_k0_below_its_entry_points():
+    # a routine that takes a K moves its inputs to K_0 once, by
+    # reduction._conjugate_to_k0; no function below it takes K's signs
+    found = []
+    for path in SOURCES:
+        if path.name not in ("cone.py", "reduction.py", "decompose.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                found += [f"{path.name}:{node.name}" for p in params if p is not None and p.arg == "signs"]
+    # the walk must see the one function that takes them
+    assert found == ["reduction.py:_conjugate_to_k0"]
+
+
 def test_the_oracle_stays_independent_of_the_library():
     # the oracle decides from the definitions: only crosscheck, which
     # compares the two sides, may read a name imported from reduction,

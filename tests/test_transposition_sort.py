@@ -117,7 +117,7 @@ def _selection_chamber_frame(model, num):
 
 
 def assert_same_frame(model, num):
-    walk = _walk(model, num, (1,) * model.n)
+    walk = _walk(model, num)
     want = _selection_chamber_frame(model, num)
     if want is None:
         assert not walk.open
@@ -161,6 +161,13 @@ def test_ruled_chamber_frame_matches_the_selection_sort(case):
 # -- the walk ------------------------------------------------------------------------
 
 
+def _in_frame(res, signs):
+    # a ConeResult with its witness moved by the sign change
+    if res.witness is None:
+        return res
+    return res._replace(witness=_conjugate_to_k0(res.witness, signs))
+
+
 @st.composite
 def walk_cases(draw):
     """(model, num, K): rational n = 0..12 under K_0 or a K_delta variant,
@@ -190,20 +197,21 @@ def walk_cases(draw):
 @settings(max_examples=500, deadline=None)
 def test_walk_matches_the_open_and_closed_reference_walks(case):
     m, num, K = case
-    walk = _walk(m, num, _k0_signs(m, K)[1])
+    # the walk runs under K_0 on the form after the sign change, and each
+    # witness is moved back to the frame of K, as in_cone does
+    signs = _k0_signs(m, K)[1]
+    k0_num = _conjugate_to_k0(HomClass(m, num), signs).coeffs
+    walk = _walk(m, k0_num)
     opened, _, _ = _ref_cone_decide(m, num, K, closed=False)
     closed, moves, chamber = _ref_cone_decide(m, num, K, closed=True)
     # verdict, witness and note each
-    assert walk.open == opened and walk.closed == closed
+    assert [_in_frame(res, signs) for res in (walk.open, walk.closed)] == [opened, closed]
     if m.kind == RULED:
         assert_same_frame(m, num)
         return
     assert walk.moves == moves and walk.chamber == chamber
-    # the frame under K is the K_0 frame of the form after the sign change
-    k0_num = num[:1] + tuple(s * c for s, c in zip(K.num[1:], num[1:]))
     if walk.open:
         assert_same_frame(m, k0_num)
-        assert walk.frame == _walk(m, k0_num, (1,) * m.n).frame
     elif walk.closed:
         # a boundary form: the frame is the closed walk's, and it carries
         # the form to the chamber form with the b_i sorted
