@@ -54,8 +54,10 @@ def parse_model_spec(text: str) -> LatticeModel:
         if kind == "rational" and sep:
             return LatticeModel.rational(_integer(rest))
         if kind == "ruled" and sep:
-            parts = dict(item.split("=", 1) for item in rest.split(","))
-            if set(parts) != {"h", "n"}:
+            items = [item.split("=", 1) for item in rest.split(",")]
+            parts = dict(items)
+            # dict() keeps the last of a repeated key, so count the items
+            if len(items) != 2 or set(parts) != {"h", "n"}:
                 raise ValueError
             return LatticeModel.ruled(_integer(parts["h"]), _integer(parts["n"]))
     except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:

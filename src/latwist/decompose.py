@@ -128,19 +128,15 @@ class IsometryMatrix(_Record):
     _fields = ("model", "entries")
 
     def __init__(self, model: LatticeModel, entries: tuple):
-        self.__dict__.update(model=model, entries=entries)
-        self.__post_init__()
-
-    def __post_init__(self):
-        rank = self.model.rank
-        entries = tuple(map(tuple, self.entries))
+        rank = model.rank
+        entries = tuple(map(tuple, entries))
         if len(entries) != rank or any(len(row) != rank for row in entries):
             raise ValueError(f"matrix must be {rank}x{rank}")
         # one pass over the entry types; type(), not isinstance: a bool is
         # an int and would pass
         if not set(map(type, chain.from_iterable(entries))) <= {int}:
             raise TypeError("matrix entries must be integers")
-        self.__dict__["entries"] = entries
+        self.__dict__.update(model=model, entries=entries)
 
     @_kept
     def _cols(self) -> tuple:

@@ -30,8 +30,8 @@ _ADMISSIBLE_SQUARES = (1, -1, 2, -2)
 class _Record:
     """Base of the library's immutable records.
 
-    A record lists its fields in ``_fields`` and sets them in its own
-    ``__init__``, which then calls its ``__post_init__`` check, if any.
+    A record lists its fields in ``_fields``; its own ``__init__`` checks
+    the arguments, if it checks any, and then sets the fields.
     Equality holds between records of the same class with equal fields;
     hash and repr read the fields in order.  Assignment and deletion
     raise AttributeError.  Values a record keeps after construction
@@ -116,11 +116,8 @@ class LatticeModel(_Record):
     _fields = ("kind", "n", "genus")
 
     def __init__(self, kind: str, n: int, genus: int = 0):
+        _check_model_args(kind, n, genus)
         self.__dict__.update(kind=kind, n=n, genus=genus)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_model_args(self.kind, self.n, self.genus)
 
     # the equality and hash of the models, classes and forms are spelled
     # out: they run wherever a model, class or form is compared, hashed
@@ -245,20 +242,17 @@ class HomClass(_Record):
     _fields = ("model", "coeffs")
 
     def __init__(self, model: LatticeModel, coeffs: tuple):
+        if len(coeffs) != model.rank:
+            raise ValueError("coefficient vector length does not match rank")
+        for c in coeffs:
+            # type(), not isinstance: a bool is an int and would pass
+            if type(c) is not int:
+                raise TypeError("homology coefficients must be exact integers")
         # item writes: the fastest way past the frozen __setattr__, and a
         # reduction or reflection builds a class per step
         d = self.__dict__
         d["model"] = model
         d["coeffs"] = coeffs
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.model.rank:
-            raise ValueError("coefficient vector length does not match rank")
-        for c in self.coeffs:
-            # type(), not isinstance: a bool is an int and would pass
-            if type(c) is not int:
-                raise TypeError("homology coefficients must be exact integers")
 
     @classmethod
     def _from_ints(cls, model: LatticeModel, coeffs: tuple) -> "HomClass":
@@ -463,10 +457,7 @@ def _reflection(gamma: HomClass):
     s = gamma._square
     if s not in _ADMISSIBLE_SQUARES:
         raise ValueError("reflection undefined for this square")
-    q, rem = divmod(2, s)
-    if rem:
-        # 2/s is an integer for every admissible square, kept as a hard check
-        raise ArithmeticError("non-integral reflection coefficient")
+    q = 2 // s  # exact: every admissible square divides 2
     support = model._classes.terms.get(id(gamma))
     if support is None:
         support = [(i, c) for i, c in enumerate(gamma.coeffs) if c]

@@ -19,6 +19,7 @@ it lists each non-empty state once.  Both memos are plain dicts local
 to the scan, so they are freed when it returns.
 """
 
+import itertools
 import random
 from collections import namedtuple
 from functools import lru_cache
@@ -35,16 +36,6 @@ from .lattice import (
 )
 from .reduction import is_K_null_spherical, is_exceptional
 
-__all__ = [
-    "SAFETY_LIMIT",
-    "EnumQuery",
-    "enumerate_classes",
-    "bfs_is_exceptional",
-    "bfs_is_knull_spherical",
-    "CrosscheckReport",
-    "crosscheck",
-]
-
 SAFETY_LIMIT = 8
 
 # cap on the candidates one scan may list, counted before any is built
@@ -58,9 +49,11 @@ _PREDICATES = {
 }
 
 
-def _check_int(value, label):
+def _check_int(value, label, least=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{label} must be an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{label} must be {'positive' if least else 'nonnegative'}")
 
 
 class EnumQuery(_Record):
@@ -77,25 +70,19 @@ class EnumQuery(_Record):
 
     def __init__(self, model: LatticeModel, coeff_bound: int, square: int | None = None,
                  k_pairing: int | None = None, predicate: str | None = None):
-        self.__dict__.update(model=model, coeff_bound=coeff_bound, square=square,
-                             k_pairing=k_pairing, predicate=predicate)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_int(self.coeff_bound, "coeff_bound")
-        if self.coeff_bound < 1:
-            raise ValueError("coeff_bound must be positive")
-        for label in ("square", "k_pairing"):
-            value = getattr(self, label)
+        _check_int(coeff_bound, "coeff_bound", 1)
+        for value, label in ((square, "square"), (k_pairing, "k_pairing")):
             if value is not None:
                 _check_int(value, label)
-        if self.predicate is not None:
-            if self.predicate not in _PREDICATES:
-                raise ValueError(f"unknown predicate {self.predicate!r}")
-            implied_s, implied_k = _PREDICATES[self.predicate]
-            for value, implied in ((self.square, implied_s), (self.k_pairing, implied_k)):
+        if predicate is not None:
+            if predicate not in _PREDICATES:
+                raise ValueError(f"unknown predicate {predicate!r}")
+            implied_s, implied_k = _PREDICATES[predicate]
+            for value, implied in ((square, implied_s), (k_pairing, implied_k)):
                 if value is not None and implied is not None and value != implied:
                     raise ValueError("predicate conflicts with explicit constraints")
+        self.__dict__.update(model=model, coeff_bound=coeff_bound, square=square,
+                             k_pairing=k_pairing, predicate=predicate)
 
     @property
     def resolved_square(self):
@@ -202,24 +189,19 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     bound = q.coeff_bound
     s = q.resolved_square
     k = q.resolved_k_pairing
-    span = range(-bound, bound + 1)
-    # (head coefficients, E-sum target, E-square-sum target) per head
-    if model.kind == RATIONAL:
-        heads = [
-            ((a,), None if k is None else -3 * a - k, None if s is None else a * a - s)
-            for a in span
-        ]
-    else:
-        g = model.genus
-        heads = [
-            (
-                (t, f),
-                None if k is None else (2 * g - 2) * t - 2 * f - k,
-                None if s is None else 2 * t * f - s,
-            )
-            for t in span
-            for f in span
-        ]
+    # x = head + tail has K_0.x = K_0.head - sum(c_i) and
+    # x.x = head.head - sum(c_i^2), so each head (H, or T and F) sets the
+    # E-sum and E-square-sum its tails must reach
+    off = model.e_offset
+    k0_head = model.k0_form().num[:off]
+    heads = [
+        (
+            head,
+            None if k is None else _gram_product(model, k0_head, head) - k,
+            None if s is None else _gram_product(model, head, head) - s,
+        )
+        for head in itertools.product(range(-bound, bound + 1), repeat=off)
+    ]
 
     n = model.n
     counts = {}
@@ -372,6 +354,8 @@ def _check_depth(model, depth):
     # depth 2n on a gated class with no seed in its orbit does not end
     if depth is None and model.kind == RATIONAL and model.n >= 9:
         raise ValueError("depth required for rational models with n >= 9")
+    if depth is not None:
+        _check_int(depth, "depth", 0)
 
 
 def _gated_search(x: HomClass, predicate, depth) -> bool:
@@ -389,7 +373,8 @@ def _gated_search(x: HomClass, predicate, depth) -> bool:
 def bfs_is_exceptional(x: HomClass, *, depth: int | None = None) -> bool:
     """Exceptional test from the definition: numeric invariants plus a
     bounded-depth orbit search reaching a seed class.  ``depth`` (default
-    2n) is required for rational models with n >= 9 (ValueError)."""
+    2n) is an int >= 0 and is required for rational models with n >= 9
+    (ValueError)."""
     return _gated_search(x, "exceptional", depth)
 
 
@@ -465,9 +450,13 @@ def crosscheck(
     ``sample`` keeps a seeded random subset when the query matches more
     classes than requested.  The report lists all disagreements; an
     empty list means the two sides agree everywhere.  ``depth`` bounds
-    the orbit searches; rational n >= 9 requires it, before the scan.
+    the orbit searches; rational n >= 9 requires it.  A depth that is not
+    an int >= 0, or a sample that is not an int >= 1, raises TypeError or
+    ValueError; every check runs before the scan.
     """
     _check_depth(q.model, depth)
+    if sample is not None:
+        _check_int(sample, "sample", 1)
     classes = enumerate_classes(q, allow_large=allow_large)
     if sample is not None and len(classes) > sample:
         rng = random.Random(seed)

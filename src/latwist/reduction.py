@@ -85,18 +85,14 @@ class ReflectionWord(_Record):
     _fields = ("model", "generators")
 
     def __init__(self, model: LatticeModel, generators: tuple):
-        self.__dict__.update(model=model, generators=generators)
-        self.__post_init__()
-
-    def __post_init__(self):
-        model = self.model
-        for g in self.generators:
+        for g in generators:
             # a word's generators share its model object, so the common
             # case costs no call
             if g.model is not model:
                 _check_same_model(g.model, model)
             if g._square not in _ADMISSIBLE_SQUARES:
                 raise ValueError("reflection undefined for this square")
+        self.__dict__.update(model=model, generators=generators)
 
     @_kept
     def matrix(self) -> tuple:
@@ -130,13 +126,10 @@ class NormalForm(_Record):
 
     def __init__(self, kind: str, representative: HomClass, word: ReflectionWord,
                  sign_flipped: bool):
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown normal form kind {kind!r}")
         self.__dict__.update(kind=kind, representative=representative, word=word,
                              sign_flipped=sign_flipped)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise ValueError(f"unknown normal form kind {self.kind!r}")
 
 
 def _match_terminal(coeffs, n):

@@ -30,10 +30,15 @@ def test_model_spec_parsing():
     import argparse
 
     for bad in ("rational", "rational:x", "ruled:h=2", "ruled:n=1,h=2,x=3", "weird:1",
+                # a repeated key, which dict() would keep the last of
+                "ruled:h=1,n=2,h=3", "ruled:h=1,h=1,n=2",
                 # sizes are ASCII digits, though int() reads all of these
                 "rational:\u0663", "rational:1_0", "rational: 3", "ruled:h=\u0661,n=2"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_model_spec(bad)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--model", "ruled:h=1,n=2,h=3", "T-E1"])
+    assert exc.value.code == 2
 
 
 def test_classify_ternary_reduction(capsys):
@@ -621,6 +626,28 @@ def test_crosscheck_disagreement_is_reported(capsys, monkeypatch):
     code, data = run_json(capsys, argv)
     assert code == 1
     assert data["summary"]["disagreements"][0]["text"] == "E1 - E2"
+
+
+@pytest.mark.parametrize("operation, library", [
+    ("exceptional", "is_exceptional"),
+    ("characteristic", "is_characteristic"),
+])
+def test_crosscheck_reports_a_library_that_disagrees(capsys, monkeypatch, operation, library):
+    # the real crosscheck, with one library predicate turned around: every
+    # scanned class disagrees, the report names each, and the CLI exits 1
+    import latwist.oracle as oracle
+
+    real = getattr(oracle, library)
+    monkeypatch.setattr(oracle, library, lambda *args: not real(*args))
+    argv = ["crosscheck", "--model", "rational:3", "--bound", "1", "--kind", operation]
+    code, data = run_json(capsys, argv)
+    assert code == 1
+    texts = [c["text"] for c in data["classes"]]
+    found = [d for d in data["summary"]["disagreements"] if d["operation"] == operation]
+    assert texts and [d["text"] for d in found] == texts
+    assert all(d["library"] is not d["oracle"] for d in found)
+    code, captured = run(capsys, argv)
+    assert code == 1 and f"disagreements: {len(texts)}" in captured.out.splitlines()
 
 
 def test_parse_error_exit_code(capsys):

@@ -445,6 +445,18 @@ def test_class_table_holds_each_class_under_one_key():
         assert len(set(table.values())) == len(table)
 
 
+def test_inflation_needs_a_nonnegative_square_of_a_minus_k():
+    # at n = 17, A = H has A^2 > 0 and tau(A) > 0, but A - K = 4H - E1 - ... - E17
+    # has square 16 - 17 < 0
+    m = R(17)
+    tau = parse_form("5H" + "".join(f"-E{i}" for i in range(1, 18)), m)
+    H = m.unit(0)
+    B = H - m.k0()
+    assert pairing(H, H) > 0 and form_pairing(tau, H) > 0
+    assert pairing(B, B) == -1 and form_pairing(tau, B) > 0
+    assert not inflation_admissible(H, tau)
+
+
 def test_inflation_negative_e_pairing():
     m2 = R(2)
     tau = parse_form("3H-E1-E2", m2)

@@ -80,10 +80,11 @@ def test_validate_examples():
     alpha = parse_form("3H-E1-E2-E3", m3)
     M = word_matrix(m3, ["E1-E2"])
     assert validate(M, m3.k0_form(), alpha).ok
-    assert validate(IsometryMatrix(m3, mat_identity(m3.rank))).ok
+    rep = validate(IsometryMatrix(m3, mat_identity(m3.rank)))
+    assert rep.ok and bool(rep) is True
     flip = IsometryMatrix(m3, ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     rep = validate(flip)
-    assert not rep.ok
+    assert not rep.ok and bool(rep) is False
     assert rep.failures == ("K not preserved",)
 
 
@@ -117,6 +118,14 @@ def test_validate_non_isometry():
     m1 = R(1)
     rep = validate(IsometryMatrix(m1, ((2, 0), (0, 1))))
     assert "pairing not preserved" in rep.failures
+
+
+def test_constrained_factorizations_refuse_the_other_model_kind():
+    m, mr = R(2), LatticeModel.ruled(1, 2)
+    with pytest.raises(ValueError, match="decompose_K_alpha expects a rational model"):
+        decompose_K_alpha(IsometryMatrix(mr, mat_identity(4)), parse_form("2T+3F-E1-E2", mr))
+    with pytest.raises(ValueError, match="decompose_ruled expects a ruled model"):
+        decompose_ruled(IsometryMatrix(m, mat_identity(3)), parse_form("3H-E1-E2", m))
 
 
 def count_pairing_checks(monkeypatch):
@@ -523,7 +532,7 @@ def test_point_walk_builds_no_class_per_step(monkeypatch):
 
     # the module reflects no class, only coefficient tuples
     assert not hasattr(decompose, "reflect")
-    monkeypatch.setattr(HomClass, "__post_init__", refuse)
+    monkeypatch.setattr(HomClass, "__init__", refuse)
     monkeypatch.setattr(HomClass, "_from_ints", classmethod(refuse))
     word = decompose_K(M)
     monkeypatch.undo()
@@ -638,13 +647,13 @@ def test_decompose_ruled_builds_no_class_per_image(monkeypatch):
     assert decompose_ruled(IsometryMatrix(m, entries), alpha).matrix == entries
     M = IsometryMatrix(m, entries)
     builds = []
-    check = HomClass.__post_init__
+    init = HomClass.__init__
 
-    def counting_post_init(self):
-        builds.append(self.coeffs)
-        check(self)
+    def counting_init(self, model, coeffs):
+        builds.append(coeffs)
+        init(self, model, coeffs)
 
-    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    monkeypatch.setattr(HomClass, "__init__", counting_init)
     word = decompose_ruled(M, alpha)
     monkeypatch.undo()
     assert builds == []

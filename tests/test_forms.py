@@ -342,13 +342,13 @@ def test_factorizations_run_no_dense_products(monkeypatch):
         assert word.matrix == matrix.entries
 
     builds = []
-    check = HomClass.__post_init__
+    init = HomClass.__init__
 
-    def counting_post_init(self):
-        builds.append(self.coeffs)
-        check(self)
+    def counting_init(self, model, coeffs):
+        builds.append(coeffs)
+        init(self, model, coeffs)
 
-    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    monkeypatch.setattr(HomClass, "__init__", counting_init)
     left = _mat_reflect(gamma, a)
     monkeypatch.undo()
     assert builds == []

@@ -54,6 +54,19 @@ def test_model_validation():
         LatticeModel.rational(-1)
     with pytest.raises(ValueError):
         LatticeModel.ruled(0, 2)
+    # the constructor checks what the factories cannot pass it
+    with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+        LatticeModel("bogus", 1)
+    with pytest.raises(ValueError, match="rational model carries no genus"):
+        LatticeModel("rational", 1, 2)
+
+
+def test_exceptional_basis_index_is_checked():
+    m = R(3)
+    assert m.E(1).coeffs == (0, 1, 0, 0) and m.E(3).coeffs == (0, 0, 0, 1)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"index out of range: E{i} in a model with n=3"):
+            m.E(i)
 
 
 def test_pairing_examples():
@@ -94,6 +107,13 @@ def test_form_pairing_is_exact_rational():
 def test_form_class_rejects_floats():
     with pytest.raises(TypeError):
         FormClass(R(1), (1.5, 0))
+
+
+def test_form_from_numerators_needs_a_positive_denominator():
+    assert FormClass._from_num(R(1), (2, 4), 6) == FormClass(R(1), (Fraction(1, 3), Fraction(2, 3)))
+    for den in (0, -1):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            FormClass._from_num(R(1), (1, 0), den)
 
 
 def test_reflect_transposition():

@@ -63,11 +63,11 @@ def test_warm_classify_builds_no_model_and_no_form(monkeypatch):
     assert cli.main(argv) == 0
     first = library_query()
     built = []
-    post_init, from_num, form_init = LatticeModel.__post_init__, FormClass._from_num, FormClass.__init__
+    model_init, from_num, form_init = LatticeModel.__init__, FormClass._from_num, FormClass.__init__
 
-    def counted_post_init(self):
+    def counted_model_init(self, *args):
+        model_init(self, *args)
         built.append(("model", self))
-        post_init(self)
 
     def counted_from_num(cls, model, num, den):
         built.append(("form", num))
@@ -77,7 +77,7 @@ def test_warm_classify_builds_no_model_and_no_form(monkeypatch):
         built.append(("form", coeffs))
         form_init(self, model, coeffs)
 
-    monkeypatch.setattr(LatticeModel, "__post_init__", counted_post_init)
+    monkeypatch.setattr(LatticeModel, "__init__", counted_model_init)
     monkeypatch.setattr(FormClass, "_from_num", classmethod(counted_from_num))
     monkeypatch.setattr(FormClass, "__init__", counted_form_init)
     assert cli.main(argv) == 0

@@ -185,13 +185,13 @@ def test_listed_classes_equal_checked_classes(monkeypatch, query):
     # the scan builds its classes without re-checking each coefficient;
     # they must be the classes the public constructor builds
     builds = []
-    check = HomClass.__post_init__
+    init = HomClass.__init__
 
-    def counting_post_init(self):
-        builds.append(self.coeffs)
-        check(self)
+    def counting_init(self, model, coeffs):
+        builds.append(coeffs)
+        init(self, model, coeffs)
 
-    monkeypatch.setattr(HomClass, "__post_init__", counting_post_init)
+    monkeypatch.setattr(HomClass, "__init__", counting_init)
     listed = enumerate_classes(query)
     assert builds == []
     monkeypatch.undo()
@@ -330,6 +330,33 @@ def test_default_depth_is_refused_at_rational_n9_and_up(monkeypatch):
     assert bfs_is_knull_spherical(parse_class("2H-E1-E2-E3-E4-E5-E6", R(8)))
     assert bfs_is_exceptional(parse_class("F-E2", LatticeModel.ruled(1, 9)))
     assert crosscheck(EnumQuery(LatticeModel.ruled(1, 9), 1, predicate="exceptional")).ok
+
+
+def _refuse_scans(*args, **kwargs):
+    raise AssertionError("the scan started")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda x, q: crosscheck(q, depth=-1), ValueError, "depth must be nonnegative"),
+    (lambda x, q: crosscheck(q, depth=True), TypeError, "depth must be an integer"),
+    (lambda x, q: crosscheck(q, depth=2.5), TypeError, "depth must be an integer"),
+    (lambda x, q: crosscheck(q, sample=0), ValueError, "sample must be positive"),
+    (lambda x, q: crosscheck(q, sample=-1), ValueError, "sample must be positive"),
+    (lambda x, q: crosscheck(q, sample=True), TypeError, "sample must be an integer"),
+    (lambda x, q: crosscheck(q, sample=2.5), TypeError, "sample must be an integer"),
+    (lambda x, q: bfs_is_exceptional(x, depth=-3), ValueError, "depth must be nonnegative"),
+    (lambda x, q: bfs_is_exceptional(x, depth=True), TypeError, "depth must be an integer"),
+    (lambda x, q: bfs_is_knull_spherical(x, depth=2.5), TypeError, "depth must be an integer"),
+], ids=["crosscheck-depth-negative", "crosscheck-depth-bool", "crosscheck-depth-float",
+        "crosscheck-sample-zero", "crosscheck-sample-negative", "crosscheck-sample-bool",
+        "crosscheck-sample-float", "bfs-depth-negative", "bfs-depth-bool", "bfs-knull-depth-float"])
+def test_depth_and_sample_are_checked_before_the_scan(monkeypatch, call, error, message):
+    # a negative depth would search nothing, a bool would search as 0 or
+    # 1, and a float or a bad sample would fail only after the scan
+    monkeypatch.setattr(oracle, "enumerate_classes", _refuse_scans)
+    x = parse_class("H-E1-E2", R(4))
+    with pytest.raises(error, match=message):
+        call(x, EnumQuery(R(4), 2, predicate="exceptional"))
 
 
 # The targets as the oracle once wrote them, one predicate per family on
@@ -676,6 +703,7 @@ def test_crosscheck_sampling():
     r2 = crosscheck(q, sample=10, seed=42)
     assert r1.checked == 10 and r1.classes == r2.classes
     assert r1.ok
+    assert crosscheck(q, sample=1, seed=42).checked == 1
 
 
 def test_report_json():

@@ -240,6 +240,18 @@ def test_reduce_zero_and_sign_handling():
     check_certificate(xi, nf)
 
 
+def test_reduction_is_refused_outside_the_rational_model():
+    m = LatticeModel.ruled(1, 2)
+    with pytest.raises(ValueError, match="Cremona reduction defined for rational model only"):
+        cremona_reduce(cls("F-E1", m))
+
+
+def test_normal_form_kind_is_checked():
+    m = R(2)
+    with pytest.raises(ValueError, match="unknown normal form kind 'Spherical'"):
+        NormalForm("Spherical", m.E(1), ReflectionWord(m, ()), False)
+
+
 def test_reduce_h_minus_ei_ej_continues_at_n3():
     # terminal only in the n = 2 model; one more step lands on a basis class
     m2 = R(2)

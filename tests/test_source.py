@@ -6,7 +6,8 @@ from pathlib import Path
 
 import latwist
 
-SOURCES = sorted(Path(latwist.__file__).resolve().parent.rglob("*.py"))
+PACKAGE = Path(latwist.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 
 def test_no_assert_statements_in_the_package():
@@ -234,3 +235,30 @@ def test_every_export_has_a_caller_or_a_readme_line():
     unreached = [name for name in latwist._EXPORTS
                  if name not in named and not re.search(rf"\b{name}\b", readme_code)]
     assert unreached == []
+
+
+def test_records_check_their_arguments_in_init():
+    # a record checks its arguments in its own __init__, before it stores
+    # them; a separate __post_init__ would be a second place for the rule
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}:{node.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "__post_init__"]
+    assert found == []
+
+
+def test_only_the_package_init_assigns_all():
+    # the package's _EXPORTS is the one export table; a module's own
+    # __all__ would be a second list for nothing to read
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [str(path.relative_to(PACKAGE)) for t in targets
+                          if isinstance(t, ast.Name) and t.id == "__all__"]
+    assert found == ["__init__.py"]
