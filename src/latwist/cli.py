@@ -178,10 +178,12 @@ def cmd_enumerate(args) -> tuple:
     if args.bound is not None and args.degree_bound is not None:
         raise ValueError("--degree-bound cannot be combined with --bound")
     if args.kind == "exceptional" and args.bound is None:
-        # the listing holds exactly the classes of square -1 and K-pairing -1
-        if args.square not in (None, -1) or args.k_pairing not in (None, -1):
-            raise ValueError("predicate conflicts with explicit constraints")
         from .cone import enumerate_exceptional
+        from .oracle import _resolve_predicate
+
+        # the listing holds exactly the classes of square -1 and K-pairing
+        # -1, so a conflicting constraint is refused as the scan's query is
+        _resolve_predicate(args.kind, args.square, args.k_pairing)
 
         es = enumerate_exceptional(model, degree_bound=args.degree_bound, allow_large=args.allow_large)
         classes = list(es)
@@ -257,6 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help='lattice model, "rational:6" or "ruled:h=2,n=3"')
     common.add_argument("--output", choices=("text", "json"), default="text")
     allow_large_help = "lift the scan limits: --bound above 8, and more than 2,000,000 candidates"
+    # the constraints of an enumerate or crosscheck scan
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--kind", choices=("exceptional", "knull", "characteristic"), default=None)
+    scan.add_argument("--square", type=_integer, default=None)
+    scan.add_argument("--k-pairing", type=_integer, default=None)
 
     parser = _Parser(
         prog="latwist",
@@ -286,11 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help="area form for the constrained variants")
     p.set_defaults(handler=cmd_decompose)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[common, scan],
                        help="enumerate classes: complete exceptional sets or bounded scans")
-    p.add_argument("--kind", choices=("exceptional", "knull", "characteristic"), default=None)
-    p.add_argument("--square", type=_integer, default=None)
-    p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, default=None)
     p.add_argument("--degree-bound", type=_positive, default=None,
                    help="cap on the H-coefficient of a rational exceptional set; "
@@ -303,11 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.set_defaults(handler=cmd_cone)
 
-    p = sub.add_parser("crosscheck", parents=[common],
+    p = sub.add_parser("crosscheck", parents=[common, scan],
                        help="compare library classifications against brute-force oracles")
-    p.add_argument("--kind", choices=("exceptional", "knull", "characteristic"), default=None)
-    p.add_argument("--square", type=_integer, default=None)
-    p.add_argument("--k-pairing", type=_integer, default=None)
     p.add_argument("--bound", type=_positive, required=True)
     p.add_argument("--depth", type=_positive, default=None,
                    help="orbit search depth, by default 2n; required for rational n >= 9")

@@ -22,6 +22,7 @@ from .lattice import (
     FormClass,
     HomClass,
     LatticeModel,
+    _check_int,
     _check_same_model,
     _Record,
     _gram_product,
@@ -132,10 +133,8 @@ def enumerate_exceptional(model, K=None, degree_bound=None, *, allow_large=False
     raise ValueError.
     """
     K, signs = _k0_signs(model, K)
-    if degree_bound is not None and type(degree_bound) is not int:
-        # 2.5 and True would compare inside the walk and come back as the
-        # set's bound; "2" would fail there
-        raise TypeError("degree_bound must be an integer")
+    if degree_bound is not None:
+        _check_int(degree_bound, "degree_bound")
     n = model.n
     if model.kind == RULED:
         if degree_bound is not None:

@@ -86,13 +86,21 @@ class _kept:
         return value
 
 
+def _check_int(value, label, least=None):
+    """The one check of an integer argument: an int (a subclass passes),
+    never a bool, and at least ``least`` when one is given.  True and 2.5
+    both compare with ints, so a bare range check would take them."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{label} must be an integer")
+    if least is not None and value < least:
+        raise ValueError(f"{label} must be {'positive' if least else 'nonnegative'}")
+
+
 def _check_model_args(kind: str, n: int, genus: int):
     if kind not in (RATIONAL, RULED):
         raise ValueError(f"unknown model kind {kind!r}")
-    for name, size in (("n", n), ("genus", genus)):
-        # True and 2.5 are not sizes, though both compare with 0
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise TypeError(f"model {name} must be an integer")
+    _check_int(n, "model n")
+    _check_int(genus, "model genus")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if kind == RULED and genus < 1:
@@ -118,17 +126,6 @@ class LatticeModel(_Record):
     def __init__(self, kind: str, n: int, genus: int = 0):
         _check_model_args(kind, n, genus)
         self.__dict__.update(kind=kind, n=n, genus=genus)
-
-    # the equality and hash of the models, classes and forms are spelled
-    # out: they run wherever a model, class or form is compared, hashed
-    # or used as a key, and _Record's generic pair costs about twice as much
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.n, self.genus) == (other.kind, other.n, other.genus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.genus))
 
     @staticmethod
     def rational(n: int) -> "LatticeModel":
@@ -197,12 +194,17 @@ class LatticeModel(_Record):
         return HomClass(self, (0,) * self.rank)
 
     def unit(self, index: int) -> "HomClass":
+        """The basis class at coefficient index 0 <= index < rank."""
+        _check_int(index, "index")
+        if not 0 <= index < self.rank:
+            raise ValueError(f"index {index} out of range for rank {self.rank}")
         coeffs = [0] * self.rank
         coeffs[index] = 1
         return HomClass(self, tuple(coeffs))
 
     def E(self, i: int) -> "HomClass":
         """The i-th exceptional basis class, 1-based."""
+        _check_int(i, "index")
         if not 1 <= i <= self.n:
             raise ValueError(f"index out of range: E{i} in a model with n={self.n}")
         return self.unit(self.e_offset + i - 1)
@@ -264,14 +266,6 @@ class HomClass(_Record):
         d["coeffs"] = coeffs
         return x
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.model, self.coeffs) == (other.model, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.model, self.coeffs))
-
     def square(self) -> int:
         return self._square
 
@@ -301,6 +295,13 @@ class HomClass(_Record):
     __mul__ = __rmul__
 
 
+def _check_exact(value, message: str):
+    # ints and Fractions only: a bool is an int, and Fraction(value)
+    # would read floats and strings such as '1e-3' or '٣'
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{message}, not {type(value).__name__}s")
+
+
 class FormClass(_Record):
     """A cohomology class: exact rational coefficients in basis order.
 
@@ -316,10 +317,7 @@ class FormClass(_Record):
         if len(coeffs) != model.rank:
             raise ValueError("coefficient vector length does not match rank")
         for c in coeffs:
-            # ints and Fractions only: a bool is an int, and Fraction(c)
-            # would read floats and strings such as '1e-3' or '٣'
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise TypeError(f"form coefficients must be exact rationals, not {type(c).__name__}s")
+            _check_exact(c, "form coefficients must be exact rationals")
         den = math.lcm(*(c.denominator for c in coeffs))
         d = self.__dict__
         d["model"] = model
@@ -340,14 +338,6 @@ class FormClass(_Record):
         d["num"] = tuple(num)
         d["den"] = den
         return form
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.model, self.num, self.den) == (other.model, other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.model, self.num, self.den))
 
     @_kept
     def coeffs(self) -> tuple:
@@ -372,9 +362,7 @@ class FormClass(_Record):
         return FormClass._from_num(self.model, tuple(-a for a in self.num), self.den)
 
     def __rmul__(self, k):
-        # the constructor's rule: Fraction(k) would read floats and strings
-        if isinstance(k, bool) or not isinstance(k, (int, Fraction)):
-            raise TypeError(f"forms scale by exact rationals only, not {type(k).__name__}s")
+        _check_exact(k, "forms scale by exact rationals only")
         return FormClass._from_num(self.model, tuple(k.numerator * a for a in self.num), k.denominator * self.den)
 
     __mul__ = __rmul__

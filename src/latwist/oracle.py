@@ -29,6 +29,7 @@ from .lattice import (
     RATIONAL,
     HomClass,
     LatticeModel,
+    _check_int,
     _Record,
     _gram_product,
     is_characteristic,
@@ -49,11 +50,20 @@ _PREDICATES = {
 }
 
 
-def _check_int(value, label, least=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{label} must be an integer")
-    if least is not None and value < least:
-        raise ValueError(f"{label} must be {'positive' if least else 'nonnegative'}")
+def _resolve_predicate(predicate, square, k_pairing) -> tuple:
+    """The (square, k_pairing) a scan pins: each explicit value, else the
+    one the predicate implies (None: free).  An unknown predicate, or one
+    that contradicts an explicit value, raises ValueError."""
+    if predicate is None:
+        return square, k_pairing
+    if predicate not in _PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    resolved = []
+    for value, implied in zip((square, k_pairing), _PREDICATES[predicate]):
+        if value is not None and implied is not None and value != implied:
+            raise ValueError("predicate conflicts with explicit constraints")
+        resolved.append(implied if value is None else value)
+    return tuple(resolved)
 
 
 class EnumQuery(_Record):
@@ -63,38 +73,24 @@ class EnumQuery(_Record):
     given.  ``predicate`` names a standard filter and implies the
     matching numeric constraints (``characteristic`` filters by parity
     instead).  ``coeff_bound`` caps every basis coefficient in absolute
-    value.
+    value.  ``resolved_square`` and ``resolved_k_pairing`` are the values
+    the scan pins, kept beside the fields.
     """
 
     _fields = ("model", "coeff_bound", "square", "k_pairing", "predicate")
 
     def __init__(self, model: LatticeModel, coeff_bound: int, square: int | None = None,
                  k_pairing: int | None = None, predicate: str | None = None):
+        if not isinstance(model, LatticeModel):
+            raise TypeError(f"query model must be a LatticeModel, not {model!r}")
         _check_int(coeff_bound, "coeff_bound", 1)
         for value, label in ((square, "square"), (k_pairing, "k_pairing")):
             if value is not None:
                 _check_int(value, label)
-        if predicate is not None:
-            if predicate not in _PREDICATES:
-                raise ValueError(f"unknown predicate {predicate!r}")
-            implied_s, implied_k = _PREDICATES[predicate]
-            for value, implied in ((square, implied_s), (k_pairing, implied_k)):
-                if value is not None and implied is not None and value != implied:
-                    raise ValueError("predicate conflicts with explicit constraints")
+        s, k = _resolve_predicate(predicate, square, k_pairing)
         self.__dict__.update(model=model, coeff_bound=coeff_bound, square=square,
-                             k_pairing=k_pairing, predicate=predicate)
-
-    @property
-    def resolved_square(self):
-        if self.square is not None:
-            return self.square
-        return _PREDICATES[self.predicate][0] if self.predicate else None
-
-    @property
-    def resolved_k_pairing(self):
-        if self.k_pairing is not None:
-            return self.k_pairing
-        return _PREDICATES[self.predicate][1] if self.predicate else None
+                             k_pairing=k_pairing, predicate=predicate,
+                             resolved_square=s, resolved_k_pairing=k)
 
 
 def _steps(n, bound, total, sq_total):
@@ -411,14 +407,11 @@ class CrosscheckReport(_Record):
 
     def to_json(self) -> dict:
         q = self.query
+        # the query's fields in order, the model (still first) as JSON
+        query = {name: getattr(q, name) for name in q._fields}
+        query["model"] = model_to_json(q.model)
         return {
-            "query": {
-                "model": model_to_json(q.model),
-                "coeff_bound": q.coeff_bound,
-                "square": q.square,
-                "k_pairing": q.k_pairing,
-                "predicate": q.predicate,
-            },
+            "query": query,
             "classes": [{**class_to_json(x), "text": print_class(x)} for x in self.classes],
             "summary": {
                 "checked": self.checked,
@@ -452,30 +445,28 @@ def crosscheck(
     empty list means the two sides agree everywhere.  ``depth`` bounds
     the orbit searches; rational n >= 9 requires it.  A depth that is not
     an int >= 0, or a sample that is not an int >= 1, raises TypeError or
-    ValueError; every check runs before the scan.
+    ValueError, and a seed that random.Random refuses raises its
+    TypeError; every check runs before the scan.
     """
     _check_depth(q.model, depth)
     if sample is not None:
         _check_int(sample, "sample", 1)
+        rng = random.Random(seed)
     classes = enumerate_classes(q, allow_large=allow_large)
     if sample is not None and len(classes) > sample:
-        rng = random.Random(seed)
         classes = sorted(rng.sample(classes, sample), key=lambda x: x.coeffs)
     k0 = q.model.k0_form()
-    checks = (
-        ("exceptional", is_exceptional, bfs_is_exceptional),
-        ("knull", is_K_null_spherical, bfs_is_knull_spherical),
-    )
+    checks = [
+        ("exceptional", lambda x: is_exceptional(x, k0), lambda x: bfs_is_exceptional(x, depth=depth)),
+        ("knull", lambda x: is_K_null_spherical(x, k0), lambda x: bfs_is_knull_spherical(x, depth=depth)),
+    ]
+    if q.predicate == "characteristic":
+        checks.append(("characteristic", is_characteristic, _is_characteristic_direct))
     disagreements = []
     for x in classes:
         for operation, library, oracle in checks:
-            lib = library(x, k0)
-            orc = oracle(x, depth=depth)
+            lib = library(x)
+            orc = oracle(x)
             if lib != orc:
                 disagreements.append(Disagreement(x, operation, lib, orc))
-        if q.predicate == "characteristic":
-            lib = is_characteristic(x)
-            orc = _is_characteristic_direct(x)
-            if lib != orc:
-                disagreements.append(Disagreement(x, "characteristic", lib, orc))
     return CrosscheckReport(q, tuple(classes), tuple(disagreements))

@@ -10,6 +10,7 @@ import pytest
 from latwist.cli import main, parse_model_spec
 from latwist.decompose import IsometryMatrix, matrix_to_json
 from latwist.lattice import LatticeModel, form_pairing, mat_identity, reflection_matrix
+from latwist.oracle import EnumQuery
 from latwist.reduction import ReflectionWord
 from latwist.classexpr import parse_class, parse_form, print_class
 
@@ -423,6 +424,16 @@ def test_exceptional_listing_rejects_conflicting_constraints(capsys, constraint)
     # the same conflict through the --bound scan gives the same error
     code, data = run_json(capsys, argv + ["--bound", "2"])
     assert code == 2 and data == {"error": {"type": "input", "message": message}}
+
+
+def test_exceptional_listing_and_query_share_the_predicate_rule(capsys):
+    # the listing resolves --kind against --square/--k-pairing by the
+    # rule EnumQuery applies, so both refuse a conflict with one message
+    with pytest.raises(ValueError) as refused:
+        EnumQuery(LatticeModel.rational(3), 2, k_pairing=0, predicate="exceptional")
+    argv = ["enumerate", "--model", "rational:3", "--kind", "exceptional", "--k-pairing", "0"]
+    code, data = run_json(capsys, argv)
+    assert code == 2 and data == {"error": {"type": "input", "message": str(refused.value)}}
 
 
 def test_exceptional_listing_accepts_matching_constraints(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latwist.cone import enumerate_exceptional
 from latwist.lattice import (
     FormClass,
     HomClass,
@@ -21,6 +22,7 @@ from latwist.lattice import (
     reflect,
     reflection_matrix,
 )
+from latwist.oracle import EnumQuery, bfs_is_exceptional, crosscheck
 
 from dense import mat_mul
 
@@ -67,6 +69,56 @@ def test_exceptional_basis_index_is_checked():
     for i in (0, 4):
         with pytest.raises(ValueError, match=f"index out of range: E{i} in a model with n=3"):
             m.E(i)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: m.unit(-1), ValueError, "index -1 out of range for rank 4"),
+    (lambda m: m.unit(4), ValueError, "index 4 out of range for rank 4"),
+    (lambda m: m.unit(9), ValueError, "index 9 out of range for rank 4"),
+    (lambda m: m.unit(True), TypeError, "index must be an integer"),
+    (lambda m: m.E(True), TypeError, "index must be an integer"),
+    (lambda m: m.unit(2.0), TypeError, "index must be an integer"),
+    (lambda m: m.E(1.0), TypeError, "index must be an integer"),
+], ids=["unit-negative", "unit-rank", "unit-past-rank", "unit-bool", "E-bool", "unit-float", "E-float"])
+def test_unit_index_is_checked(call, error, message):
+    # -1 would count from the end, True would read as 1, a float would
+    # fail inside list indexing and 9 as a bare IndexError
+    with pytest.raises(error, match=f"^{message}$"):
+        call(R(3))
+    assert R(3).unit(0).coeffs == (1, 0, 0, 0) and R(3).unit(3) == R(3).E(3)
+
+
+class _Int(int):
+    pass
+
+
+# every integer argument of the package, by its label in the message; each
+# call takes the value under test
+_INTEGER_ARGUMENTS = [
+    ("model n", lambda v: LatticeModel.rational(v)),
+    ("model n", lambda v: LatticeModel.ruled(1, v)),
+    ("model genus", lambda v: LatticeModel.ruled(v, 2)),
+    ("degree_bound", lambda v: enumerate_exceptional(R(3), degree_bound=v).classes),
+    ("coeff_bound", lambda v: EnumQuery(R(3), v)),
+    ("square", lambda v: EnumQuery(R(3), 1, square=v)),
+    ("k_pairing", lambda v: EnumQuery(R(3), 1, k_pairing=v)),
+    ("depth", lambda v: bfs_is_exceptional(R(3).E(1), depth=v)),
+    ("depth", lambda v: crosscheck(EnumQuery(R(3), 1, predicate="exceptional"), depth=v)),
+    ("sample", lambda v: crosscheck(EnumQuery(R(3), 1, predicate="exceptional"), sample=v, seed=0)),
+    ("index", lambda v: R(3).unit(v)),
+    ("index", lambda v: R(3).E(v)),
+]
+
+
+@pytest.mark.parametrize("label, call", _INTEGER_ARGUMENTS,
+                         ids=[f"{label}-{i}" for i, (label, _) in enumerate(_INTEGER_ARGUMENTS)])
+def test_integer_arguments_share_one_rule(label, call):
+    # lattice._check_int is the one rule: a bool, a float and a digit
+    # string are refused alike, and an int subclass passes as its value
+    for value in (True, 2.5, "2"):
+        with pytest.raises(TypeError, match=f"^{label} must be an integer$"):
+            call(value)
+    assert call(_Int(2)) == call(2)
 
 
 def test_pairing_examples():

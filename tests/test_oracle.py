@@ -42,6 +42,11 @@ def test_query_validation():
     # matching explicit constraints are allowed
     q = EnumQuery(R(2), 2, square=-1, k_pairing=-1, predicate="exceptional")
     assert q.resolved_square == -1 and q.resolved_k_pairing == -1
+    # the resolved pair is kept beside the fields, out of equality and repr
+    p = EnumQuery(R(2), 2, predicate="exceptional")
+    assert (p.resolved_square, p.resolved_k_pairing) == (-1, -1) and p != q
+    assert repr(p) == ("EnumQuery(model=LatticeModel.rational(2), coeff_bound=2, square=None, "
+                       "k_pairing=None, predicate='exceptional')")
 
 
 def test_safety_limits():
@@ -347,12 +352,17 @@ def _refuse_scans(*args, **kwargs):
     (lambda x, q: bfs_is_exceptional(x, depth=-3), ValueError, "depth must be nonnegative"),
     (lambda x, q: bfs_is_exceptional(x, depth=True), TypeError, "depth must be an integer"),
     (lambda x, q: bfs_is_knull_spherical(x, depth=2.5), TypeError, "depth must be an integer"),
+    (lambda x, q: crosscheck(q, sample=2, seed=[1]), TypeError, "supported seed types"),
+    (lambda x, q: crosscheck(EnumQuery("rational:4", 2)), TypeError,
+     "query model must be a LatticeModel, not 'rational:4'"),
 ], ids=["crosscheck-depth-negative", "crosscheck-depth-bool", "crosscheck-depth-float",
         "crosscheck-sample-zero", "crosscheck-sample-negative", "crosscheck-sample-bool",
-        "crosscheck-sample-float", "bfs-depth-negative", "bfs-depth-bool", "bfs-knull-depth-float"])
+        "crosscheck-sample-float", "bfs-depth-negative", "bfs-depth-bool", "bfs-knull-depth-float",
+        "crosscheck-seed-list", "query-model-spec-string"])
 def test_depth_and_sample_are_checked_before_the_scan(monkeypatch, call, error, message):
     # a negative depth would search nothing, a bool would search as 0 or
-    # 1, and a float or a bad sample would fail only after the scan
+    # 1, and a float, a bad sample or seed, or a query whose model is no
+    # model would fail only after or inside the scan
     monkeypatch.setattr(oracle, "enumerate_classes", _refuse_scans)
     x = parse_class("H-E1-E2", R(4))
     with pytest.raises(error, match=message):
@@ -714,6 +724,11 @@ def test_report_json():
     assert len(data["classes"]) == 6
     assert data["query"]["coeff_bound"] == 2
     assert data["query"]["predicate"] == "exceptional"
+    # the query's fields in their order, which the CLI's text output keeps
+    assert list(data["query"].items()) == [
+        ("model", {"type": "rational", "n": 3}), ("coeff_bound", 2), ("square", None),
+        ("k_pairing", None), ("predicate", "exceptional"),
+    ]
 
 
 def test_knull_agreement_small():

@@ -262,3 +262,27 @@ def test_only_the_package_init_assigns_all():
                 found += [str(path.relative_to(PACKAGE)) for t in targets
                           if isinstance(t, ast.Name) and t.id == "__all__"]
     assert found == ["__init__.py"]
+
+
+def test_only_the_record_base_defines_equality_and_hash():
+    # every record compares and hashes its fields through lattice._Record;
+    # a hand-written pair on one record would be a second copy of the rule
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")]
+    assert found == ["lattice.py:_Record.__eq__", "lattice.py:_Record.__hash__"]
+
+
+def test_the_integer_rule_is_defined_once():
+    # lattice._check_int is the one check of an integer argument; no
+    # other module keeps a copy of it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_check_int"]
+    assert len(found) == 1 and found[0].startswith("lattice.py:")
