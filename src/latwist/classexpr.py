@@ -49,37 +49,16 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# one term: the whole term, as the first group, for findall, then its
+# sign, coefficient numerator and denominator, letters and index
 _TERM = re.compile(
-    r"""\s*
+    r"""(\s*
     (?P<sign>[+-])?\s*
     (?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]+))?\s*\*?\s*)?
-    (?P<sym>[A-Za-z]+)(?P<idx>[0-9]*)
+    (?P<sym>[A-Za-z]+)(?P<idx>[0-9]*))
     """,
     re.VERBOSE,
 )
-
-
-def _scan(text: str):
-    """Split an expression into raw (sign, num, den, symbol, index, pos) terms."""
-    if not text or not text.strip():
-        raise ParseError("empty input")
-    if text.strip() == "0":
-        return []
-    terms = []
-    pos = 0
-    end = len(text.rstrip())
-    first = True
-    while pos < end:
-        m = _TERM.match(text, pos)
-        if m is None:
-            raise ParseError("cannot parse term", pos)
-        sign, num, den, sym, idx = m.groups()
-        if sign is None and not first:
-            raise ParseError("expected '+' or '-' between terms", m.start("sym"))
-        terms.append((-1 if sign == "-" else 1, num, den, sym.upper(), idx, m.start("sym")))
-        first = False
-        pos = m.end()
-    return terms
 
 
 def _symbol_error(model: LatticeModel, sym: str, idx: str, pos: int) -> ParseError:
@@ -100,35 +79,77 @@ def _symbol_error(model: LatticeModel, sym: str, idx: str, pos: int) -> ParseErr
     return ParseError(f"unknown symbol '{sym}'", pos)
 
 
-def _parse(text: str, model: LatticeModel, allow_rational: bool):
-    """Integer numerators over one denominator, the lcm of the term denominators."""
-    terms = _scan(text)
-    symbols = {t[3] for t in terms}
+def _fault(text: str, model: LatticeModel, allow_rational: bool) -> ParseError:
+    """The ParseError of the first fault in a text that _parse refused.
+
+    Terms are matched one at a time from the start, so a fault has its
+    position.  The order: empty input, then syntax, then mixed basis
+    symbols, then term by term the coefficient and then the symbol.
+    """
+    if not text.strip():
+        return ParseError("empty input")
+    terms = []
+    pos = 0
+    end = len(text.rstrip())
+    while pos < end:
+        m = _TERM.match(text, pos)
+        if m is None:
+            return ParseError("cannot parse term", pos)
+        if m["sign"] is None and terms:
+            return ParseError("expected '+' or '-' between terms", m.start("sym"))
+        terms.append(m)
+        pos = m.end()
+    symbols = {m["sym"].upper() for m in terms}
     if "H" in symbols and symbols & {"T", "F"}:
-        raise ParseError("mixed basis symbols")
-    num = [0] * model.rank
+        return ParseError("mixed basis symbols")
+    for m in terms:
+        num, den, pos = m["num"], m["den"], m.start("sym")
+        if den is not None:
+            if not allow_rational:
+                return ParseError("non-integer coefficient in a homology class", pos)
+            if int(den) == 0:
+                return ParseError(f"malformed rational '{num}/{den}'", pos)
+        sym, idx = m["sym"].upper(), m["idx"]
+        if sym + idx not in model._basis_index:
+            return _symbol_error(model, sym, idx, pos)
+    raise AssertionError(f"no fault in {text!r}")
+
+
+def _parse(text: str, model: LatticeModel, allow_rational: bool):
+    """Integer numerators over one denominator, the lcm of the term denominators.
+
+    One findall reads a well-formed expression: its terms tile the text
+    up to trailing space, every term after the first has a sign, and
+    every symbol is a basis name.  Any other text goes to _fault.
+    """
+    body = text.rstrip()
+    terms = _TERM.findall(body)
+    if not terms:
+        if body.lstrip() == "0":
+            return [0] * model.rank, 1
+        raise _fault(text, model, allow_rational)
     den = 1
-    # the model's basis names are exactly the valid symbols; a miss goes
-    # to _symbol_error, which names what is wrong with it
+    if "/" in body:
+        # each "/" is a denominator or a syntax error: a class takes
+        # none, and a zero denominator makes the lcm 0
+        den = math.lcm(*[int(q) for _, _, _, q, _, _ in terms if q]) if allow_rational else 0
+        if not den:
+            raise _fault(text, model, allow_rational)
+    num = [0] * model.rank
+    # the model's basis names are exactly the valid symbols
     index = model._basis_index
-    for sign, p, q, sym, idx, pos in terms:
-        if q is None:
-            p, q = (1 if p is None else int(p)), 1
-        elif not allow_rational:
-            raise ParseError("non-integer coefficient in a homology class", pos)
-        elif int(q) == 0:
-            raise ParseError(f"malformed rational '{p}/{q}'", pos)
-        else:
-            p, q = int(p), int(q)
-            if den % q:
-                # widen to the lcm; every numerator so far scales with it
-                scale = q // math.gcd(den, q)
-                num = [c * scale for c in num]
-                den *= scale
+    length = 0
+    for term, sign, p, q, sym, idx in terms:
         i = index.get(sym + idx)
         if i is None:
-            raise _symbol_error(model, sym, idx, pos)
-        num[i] += sign * p * (den // q)
+            i = index.get(sym.upper() + idx)
+        if i is None or not sign and length:
+            raise _fault(text, model, allow_rational)
+        length += len(term)
+        c = (int(p) if p else 1) * (den // int(q) if q else den)
+        num[i] += -c if sign == "-" else c
+    if length != len(body):
+        raise _fault(text, model, allow_rational)
     return num, den
 
 
@@ -146,14 +167,19 @@ def parse_form(text: str, model: LatticeModel) -> FormClass:
 
 def print_class(x) -> str:
     """Canonical text form of a HomClass or FormClass."""
+    names = x.model.basis_names
+    # a class of the model's table hands over its nonzero terms, the
+    # support _reflection reads too; any other class or form is scanned
+    terms = x.model._classes.terms.get(id(x))
     out = []
-    for name, c in zip(x.model.basis_names, x.coeffs):
+    for i, c in enumerate(x.coeffs) if terms is None else terms:
         if c:
             if c < 0:
                 out.append(" - ")
                 c = -c
             else:
                 out.append(" + ")
+            name = names[i]
             if c != 1:
                 # ints and Fractions both carry numerator and denominator
                 d = c.denominator

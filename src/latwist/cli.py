@@ -15,6 +15,10 @@ renderer that walks the payload in insertion order:
 - ``null`` is left out;
 - any other scalar prints as ``key: value``.
 
+Arguments are parsed in one argparse pass: a first argument that names
+a subcommand goes, with the rest, to that subcommand's parser, and
+everything else goes to the top parser.
+
 Exit codes: 0 for Yes/ok; 1 for No (a cone violation, a failed
 validation, a crosscheck disagreement) or an unfactorable matrix; 2 for
 input errors, which include a precondition that well-formed input
@@ -27,11 +31,12 @@ import functools
 import json
 import re
 import sys
+from gettext import gettext
 
 # classify and reduce need these three layers only; every other handler
 # imports its own, so a call loads only the modules it reaches
 from .classexpr import ParseError, parse_class, parse_form, print_class
-from .lattice import RATIONAL, RULED, LatticeModel, form_pairing, is_characteristic
+from .lattice import RATIONAL, RULED, LatticeModel, _gram_product, is_characteristic
 from .reduction import cremona_reduce, is_K_null_spherical, is_exceptional
 
 
@@ -93,7 +98,9 @@ def cmd_classify(args) -> tuple:
     payload = {
         "class": print_class(x),
         "square": x.square(),
-        "k_pairing": int(form_pairing(k0, x)),
+        # K_0 has denominator 1, so its pairing is the integer product
+        # with its numerators, the value the predicates' gate reads
+        "k_pairing": _gram_product(model, k0.num, x.coeffs),
         "characteristic": is_characteristic(x),
         "exceptional": is_exceptional(x, k0),
         "knull": is_K_null_spherical(x, k0),
@@ -270,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact homology-lattice decisions for blown-up rational and ruled surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by name, for main's one-pass parse
+    parser.commands = sub.choices
 
     p = sub.add_parser("classify", parents=[common],
                        help="square, pairings, and normal form of a class")
@@ -371,12 +380,28 @@ def _wants_json(argv) -> bool:
         return False
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one pass: the top parser hands
+    everything after a subcommand's name to that subcommand's parser and
+    refuses what it leaves over, so the same namespace and errors come
+    from the subcommand's parser alone."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        # argparse's own message, through the same translation
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         if not _wants_json(argv):
             argparse.ArgumentParser.error(exc.parser, str(exc))

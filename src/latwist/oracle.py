@@ -22,7 +22,6 @@ to the scan, so they are freed when it returns.
 import itertools
 import random
 from collections import namedtuple
-from functools import lru_cache
 
 from .classexpr import class_to_json, model_to_json, print_class
 from .lattice import (
@@ -287,13 +286,25 @@ def _children(model, node):
     return out
 
 
-@lru_cache(maxsize=128)
 def _seeds(model, predicate):
+    """The seed set of this model and predicate, built on first use and
+    kept in the model's vars(), one dict keyed by predicate, so a search
+    finds it without hashing the model."""
+    kept = vars(model).get("_seed_sets")
+    if kept is None:
+        kept = model.__dict__["_seed_sets"] = {}
+    seeds = kept.get(predicate)
+    if seeds is None:
+        seeds = kept[predicate] = _seed_set(model, predicate)
+    return seeds
+
+
+def _seed_set(model, predicate):
     """The canonical nodes the orbit search stops at.  ``exceptional``:
     E_i, and F-E_i (ruled) or H-E1-E2 (rational n = 2 only, which has
     no ternary twist).  ``knull``: E_i-E_j and +-(H-E_i-E_j-E_k), or
-    +-(F-E_i-E_j) in the ruled model.  Built once per model and
-    predicate and kept as a frozenset; equal models share it."""
+    +-(F-E_i-E_j) in the ruled model.  A frozenset, so equal models
+    have equal sets."""
     zero = (0,) * model.e_offset
     # the head of H or F, and how many E's a twist core subtracts from it
     line, width = ((1,), 3) if model.kind == RATIONAL else ((0, 1), 2)

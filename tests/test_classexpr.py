@@ -1,5 +1,6 @@
 """Parser and printer tests, including the JSON wire format."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latwist.classexpr import (
-    _TERM,
     ParseError,
     class_from_json,
     class_to_json,
@@ -292,6 +292,18 @@ def test_matrix_json_decoder_fuzz(obj):
 
 # -- the integer parser against the Fraction-accumulating one it replaced -----
 
+# the grammar's term, kept here so that the reference does not change with
+# the module's tokenizer
+_REFERENCE_TERM = re.compile(
+    r"""\s*
+    (?P<sign>[+-])?\s*
+    (?:(?P<num>[0-9]+)\s*(?:/\s*(?P<den>[0-9]+))?\s*\*?\s*)?
+    (?P<sym>[A-Za-z]+)(?P<idx>[0-9]*)
+    """,
+    re.VERBOSE,
+)
+
+
 def _reference_scan(text):
     if not text or not text.strip():
         raise ParseError("empty input")
@@ -301,7 +313,7 @@ def _reference_scan(text):
     pos = 0
     first = True
     while pos < len(text):
-        m = _TERM.match(text, pos)
+        m = _REFERENCE_TERM.match(text, pos)
         if not m or m.group("sym") is None:
             raise ParseError("cannot parse term", pos)
         if m.group("sign") is None and not first:
@@ -427,3 +439,83 @@ def test_parse_matches_fraction_reference(model, data):
     text = data.draw(_expressions(model))
     assert _outcome(parse_class, text, model) == _outcome(_reference_parse_class, text, model)
     assert _outcome(parse_form, text, model) == _outcome(_reference_parse_form, text, model)
+
+
+# fixed cases for the order in which the first fault is named: syntax,
+# then mixed symbols, then per term the coefficient and then the symbol
+@pytest.mark.parametrize("text, model, class_outcome, form_outcome", [
+    # mixed symbols come before the bad rational of a later term
+    ("H + T - 1/0*E1", R3, "mixed basis symbols", "mixed basis symbols"),
+    # a later term with no sign, before the unknown symbol after it
+    ("H - E1 2E2 + X", R3, "expected '+' or '-' between terms (at position 8)",
+     "expected '+' or '-' between terms (at position 8)"),
+    ("E0", R3, "index out of range: E0 (model has n=3) (at position 0)",
+     "index out of range: E0 (model has n=3) (at position 0)"),
+    ("E01", R3, "leading zeros in index 'E01' (at position 0)",
+     "leading zeros in index 'E01' (at position 0)"),
+    ("h - e3", R3, (1, 0, 0, -1), (1, 0, 0, -1)),
+    ("2t + f - e1", LatticeModel.ruled(1, 1), (2, 1, -1), (2, 1, -1)),
+    ("H - E1\t", R3, (1, -1, 0, 0), (1, -1, 0, 0)),
+    # the coefficient of a term before its symbol, and a class refuses a
+    # rational before its zero denominator is looked at
+    ("0/0*E1", R3, "non-integer coefficient in a homology class (at position 4)",
+     "malformed rational '0/0' (at position 4)"),
+    ("H + 0/0*E9", R3, "non-integer coefficient in a homology class (at position 8)",
+     "malformed rational '0/0' (at position 8)"),
+    ("H - X + 1/2 E1", R3, "unknown symbol 'X' (at position 4)", "unknown symbol 'X' (at position 4)"),
+])
+def test_parse_names_the_first_fault_in_order(text, model, class_outcome, form_outcome):
+    for parse, reference, expected in ((parse_class, _reference_parse_class, class_outcome),
+                                       (parse_form, _reference_parse_form, form_outcome)):
+        outcome = _outcome(parse, text, model)
+        assert outcome == _outcome(reference, text, model)
+        if isinstance(expected, str):
+            assert outcome[0] is ParseError and outcome[1] == expected
+        else:
+            assert outcome[2] == expected
+
+
+# -- printing from the class table's support ----------------------------------
+
+def _reference_print(x):
+    # every coefficient in basis order, as the printer read them before it
+    # took a table class's support
+    out = []
+    for name, c in zip(x.model.basis_names, x.coeffs):
+        if c:
+            sign = "-" if c < 0 else "+"
+            c = abs(c)
+            term = name if c == 1 else f"{c}{name}" if c.denominator == 1 else f"{c.numerator}/{c.denominator}*{name}"
+            out.append(f"{sign} {term}")
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def test_print_class_reads_the_table_support():
+    from latwist.cone import in_cone
+    from latwist.reduction import cremona_reduce
+
+    m12, mr = LatticeModel.rational(12), LatticeModel.ruled(2, 5)
+    # fill both tables: the twist cores and witnesses the library looks up,
+    # and keys of every sign and size
+    cremona_reduce(parse_class("12H - 4E1 - 5E2 - 2E3 - 3E4 - 6E5 - 2E6 - 3E7 - 4E8 - 5E9 - E10", m12))
+    in_cone(parse_form("T + 3F - E1 - E2 - 1/2 E3 - E4 - E5", mr))
+    in_cone(parse_form("3H - 2E1 - 2E2 - 1/2 E3", m12))
+    for model in (m12, mr):
+        for terms in (((0, 2), (5, -1)), ((model.rank - 1, -3),), ((0, -1), (1, 1), (3, 7)), ()):
+            model._classes[terms]
+    for model, least in ((m12, 20), (mr, 5)):
+        table = model._classes
+        assert len(table) >= least
+        for x in table.values():
+            assert id(x) in table.terms
+            assert print_class(x) == _reference_print(x)
+            # a class outside the table with the same coefficients, and
+            # the form with them, print alike
+            twin = HomClass(model, x.coeffs)
+            assert id(twin) not in table.terms
+            assert print_class(twin) == print_class(FormClass(model, x.coeffs)) == print_class(x)
+    tau = FormClass(m12, (Fraction(7, 3),) + (0,) * 11 + (Fraction(-1, 2),))
+    assert print_class(tau) == _reference_print(tau) == "7/3*H - 1/2*E12"

@@ -802,3 +802,108 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
             [sys.executable, "-m", "latwist.cli", *argv], capture_output=True, text=True,
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# -- one argparse pass per call -----------------------------------------------
+
+# every subcommand, the abbreviations and "=" forms of options, a repeated
+# --output, "--", -h at both levels, and the usage errors of each level
+_PARSE_CORPUS = [
+    ["classify", "--model", "rational:3", "H-E1"],
+    ["classify", "--mod", "rational:3", "--out", "json", "H"],
+    ["classify", "--model=rational:3", "--output=json", "H"],
+    ["classify", "--model", "rational:3", "--output", "text", "--output", "json", "H"],
+    ["classify", "--model", "rational:3", "--", "-E1"],
+    ["classify", "--model", "rational:3", "--", "--output", "json"],
+    ["classify", "-h"],
+    ["-h"],
+    ["--help"],
+    ["classify", "--model", "rational:3", "--bogus", "H"],
+    ["classify", "--model", "rational:3", "H", "E1"],
+    ["classify", "--model", "rational:3", "H", "E1", "--output", "json"],
+    ["--output", "json", "classify", "--model", "rational:3", "H"],
+    ["bogus", "--model", "rational:3", "H"],
+    [],
+    ["classify"],
+    ["classify", "--model", "rational:x", "H"],
+    ["classify", "--model", "rational:3", "H", "--output"],
+    ["lagrangian", "--model", "rational:3", "H-E1-E2", "--form", "3H-E1-E2-E3"],
+    ["lagrangian", "--model", "rational:3", "H-E1-E2"],
+    ["reduce", "--model", "rational:4", "2H-E1-E2-E3-E4", "--output", "json"],
+    ["decompose", "--model", "ruled:h=1,n=2", "--matrix", "m.json", "--alpha", "T+F"],
+    ["enumerate", "--model", "rational:3", "--kind", "knull", "--bound", "1"],
+    ["enumerate", "--model", "rational:3", "--kind=exceptional", "--k-pair", "-1", "--degree-b", "2"],
+    ["cone", "--model", "rational:2", "--form=3H-E1-E2"],
+    ["crosscheck", "--model", "rational:3", "--bound", "1", "--sample", "2", "--seed", "5"],
+    ["crosscheck", "--model", "rational:3", "--kind", "knull"],
+    ["crosscheck", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_one_pass_parse_matches_the_two_level_parse(capsys, monkeypatch, argv):
+    import latwist.cli as cli
+
+    # the namespaces the handlers get, and every usage error a parser raises
+    handled, raised = [], []
+    error = cli._Parser.error
+
+    def recording_error(self, message):
+        raised.append((self, message))
+        error(self, message)
+
+    def handler(args):
+        handled.append(args)
+        return 0, {}
+
+    monkeypatch.setattr(cli._Parser, "error", recording_error)
+    parser = cli.build_parser()
+    handlers = {name: p.get_default("handler") for name, p in parser.commands.items()}
+    try:
+        for p in parser.commands.values():
+            p.set_defaults(handler=handler)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        # the first error is the one main reports (_wants_json may raise
+        # more), and a -h prints help and exits 0 without a handler
+        got = (handled[:], raised[:1], out if code == 0 and not handled else None)
+        handled.clear()
+        raised.clear()
+        try:
+            expected = ([parser.parse_args(argv)], [], None)
+        except cli._UsageError:
+            expected = ([], raised[:1], None)
+        except SystemExit as exc:
+            assert exc.code == 0
+            expected = ([], [], capsys.readouterr().out)
+    finally:
+        for name, p in parser.commands.items():
+            p.set_defaults(handler=handlers[name])
+    assert got == expected
+    assert got[0] or got[1] or got[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--model", "rational:6", "2H-E1-E2-E3-E4-E5-E6"],
+    ["classify", "--mod=rational:10", "--out", "json", "--", GOLDEN_CLASS],
+    ["classify", "--model", "ruled:h=2,n=3", "T-E1", "--output", "text", "--output", "json"],
+])
+def test_a_classify_call_runs_one_argparse_pass(capsys, monkeypatch, argv):
+    import argparse
+
+    import latwist.cli as cli
+
+    passes = []
+    inner = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(argv) == 0
+    assert passes == [cli.build_parser().commands["classify"]]
+    assert capsys.readouterr().err == ""

@@ -522,6 +522,37 @@ def test_seed_sets_are_kept_per_model_and_predicate():
             assert oracle._seeds(direct, predicate) == seeds
 
 
+def test_a_gated_search_on_a_warm_model_hashes_no_record(monkeypatch):
+    from latwist.lattice import _Record
+
+    # each class passes its predicate's gate, so every search reads the seeds
+    cases = [
+        (bfs_is_exceptional, parse_class("2H-E1-E2-E3-E4-E5", R(8)), True),
+        (bfs_is_knull_spherical, parse_class("H-E1-E2-E3", R(8)), True),
+        # square -1 and K-pairing -1, but no seed within four twists
+        (bfs_is_exceptional, parse_class("3H-E1-E2-E3-E4-E5-E6-E7-E8-E9+E10", R(10)), False),
+        (bfs_is_exceptional, parse_class("F-E1", LatticeModel.ruled(2, 3)), True),
+    ]
+    for search, x, expected in cases:
+        assert search(x, depth=4) is expected
+    hashes = []
+    inner = _Record.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(_Record, "__hash__", counting_hash)
+    # the spy sees a record's hash
+    hash(R(8))
+    assert hashes == [R(8)]
+    hashes.clear()
+    results = [search(x, depth=4) for search, x, _ in cases]
+    monkeypatch.undo()
+    assert results == [expected for _, _, expected in cases]
+    assert hashes == []
+
+
 def test_oracle_gates_never_reach_form_pairing(monkeypatch):
     # K_0 has denominator 1, so the K-gate is the integer product with
     # its numerators and the square gate reads the class's kept square
