@@ -13,15 +13,23 @@ seeds but not kept: it is never expanded, so no child of it is stored.
 
 An enumeration completes each head (H, or T and F) by the E-tails of
 its suffix state: the tail length and the sum and square-sum still to
-reach.  Each scan first counts the tails of every state, once, and
-refuses a scan over the candidate cap before any class is built; then
-it lists each non-empty state once.  Both memos are plain dicts local
-to the scan, so they are freed when it returns.
+reach.  No move enters a state its rest cannot complete: a move keeps
+the square-sum within 0 and the capacity (n - 1) bound^2, at least the
+sum's absolute value (v^2 >= |v| for integers) and at least its square
+over n - 1 (Cauchy-Schwarz), or, without a square target, the sum
+within the capacity (n - 1) bound.  These are necessary conditions
+only, so counts stay exact.  A root whose square-sum and sum differ in
+parity has no move, since v^2 - v is even.  Each scan first counts the
+tails of every state, once, and refuses a scan over the candidate cap
+before any class is built; then it lists each non-empty state once.
+Both memos are plain dicts local to the scan, so they are freed when
+it returns.
 """
 
 import itertools
 import random
 from collections import namedtuple
+from math import isqrt
 
 from .classexpr import class_to_json, model_to_json, print_class
 from .lattice import (
@@ -94,24 +102,46 @@ class EnumQuery(_Record):
 
 def _steps(n, bound, total, sq_total):
     """The moves out of the suffix state (n, total, sq_total), n > 0: one
-    (value, rest_total, rest_sq) per first entry in increasing order,
-    none when no tail of length n can meet the targets."""
-    # Cauchy-Schwarz and capacity pruning on the remaining block
-    if sq_total is not None:
-        if sq_total < 0 or sq_total > n * bound * bound:
-            return ()
-        if total is not None and total * total > n * sq_total:
-            return ()
-    elif total is not None and abs(total) > n * bound:
+    (value, rest_total, rest_sq) per first entry in increasing order.
+
+    A move is kept only when its rest (n - 1, T', S') can still be
+    completed by entries in [-bound, bound]:
+
+    - |value| <= isqrt(sq_total), so S' >= 0;
+    - S' <= (n - 1) bound^2, as no square exceeds bound^2;
+    - S' >= |T'|, as v^2 >= |v| for every integer v;
+    - T'^2 <= (n - 1) S', by Cauchy-Schwarz;
+    - without a square target, |T'| <= (n - 1) bound.
+
+    At n = 1 they leave only the moves whose rest has both targets 0 or
+    free.  A state with both targets and sq_total - total odd has no
+    move, as the sum of v^2 - v over a tail is even; each move keeps
+    that parity, so only a root can fail the test.
+    """
+    rest = n - 1
+    if sq_total is None:
+        values = range(-bound, bound + 1)
+        if total is None:
+            return [(value, None, None) for value in values]
+        cap = rest * bound
+        return [(value, total - value, None) for value in values if abs(total - value) <= cap]
+    if sq_total < 0 or (total is not None and (sq_total - total) % 2):
         return ()
-    return [
-        (
-            value,
-            None if total is None else total - value,
-            None if sq_total is None else sq_total - value * value,
-        )
-        for value in range(-bound, bound + 1)
-    ]
+    top = min(bound, isqrt(sq_total))
+    cap = rest * bound * bound
+    if total is None:
+        return [
+            (value, None, sq_total - value * value)
+            for value in range(-top, top + 1)
+            if sq_total - value * value <= cap
+        ]
+    moves = []
+    for value in range(-top, top + 1):
+        t = total - value
+        s = sq_total - value * value
+        if abs(t) <= s <= cap and t * t <= rest * s:
+            moves.append((value, t, s))
+    return moves
 
 
 def _e_count(n, bound, total, sq_total, memo):
@@ -155,11 +185,17 @@ def _e_tails(n, bound, total, sq_total, counts, memo):
     return tails
 
 
-def _is_characteristic_direct(x: HomClass) -> bool:
-    model = x.model
-    for i in range(model.rank):
-        unit = model.unit(i)
-        if (pairing(x, unit) - pairing(unit, unit)) % 2 != 0:
+def _unit_squares(model) -> list:
+    """(u, u.u) for each basis class u of the model, built once per scan
+    for _is_characteristic_direct."""
+    return [(unit, pairing(unit, unit)) for unit in model.basis()]
+
+
+def _is_characteristic_direct(x: HomClass, units) -> bool:
+    """Whether x.u = u.u mod 2 for every (u, u.u) of _unit_squares: the
+    definition, read through the pairing."""
+    for unit, square in units:
+        if (pairing(x, unit) - square) % 2:
             return False
     return True
 
@@ -171,7 +207,11 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
     increasing order, each completed by its E-tails in lexicographic
     order, so the output is sorted by coefficient tuple and fully
     deterministic.  The tails of each suffix state are solved once per
-    scan, in a memo that lives for this call only.
+    scan, in a memo that lives for this call only, and no move enters a
+    state its rest cannot complete (the move rule of _steps: square-sum
+    within 0 and the capacity, at least the sum's absolute value and at
+    least its square over the length left, each a bound every tail
+    meets).
 
     Unless ``allow_large`` is set, a bound over SAFETY_LIMIT, or a scan
     that would list more than 2,000,000 candidates, raises ValueError
@@ -213,7 +253,8 @@ def enumerate_classes(q: EnumQuery, *, allow_large: bool = False) -> list:
         for tail in _e_tails(n, bound, total, sq_total, counts, memo)
     ]
     if q.predicate == "characteristic":
-        out = [x for x in out if _is_characteristic_direct(x)]
+        units = _unit_squares(model)
+        out = [x for x in out if _is_characteristic_direct(x, units)]
     return out
 
 
@@ -472,7 +513,8 @@ def crosscheck(
         ("knull", lambda x: is_K_null_spherical(x, k0), lambda x: bfs_is_knull_spherical(x, depth=depth)),
     ]
     if q.predicate == "characteristic":
-        checks.append(("characteristic", is_characteristic, _is_characteristic_direct))
+        units = _unit_squares(q.model)
+        checks.append(("characteristic", is_characteristic, lambda x: _is_characteristic_direct(x, units)))
     disagreements = []
     for x in classes:
         for operation, library, oracle in checks:

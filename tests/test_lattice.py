@@ -231,15 +231,16 @@ def test_is_characteristic_matches_basis_pairings():
     # test of x.u = u.u mod 2 on each basis vector u
     from itertools import product
 
-    from latwist.oracle import _is_characteristic_direct
+    from latwist.oracle import _is_characteristic_direct, _unit_squares
 
     models = [R(n) for n in range(4)]
     models += [LatticeModel.ruled(h, n) for h in range(1, 4) for n in range(3)]
     checked = 0
     for m in models:
+        units = _unit_squares(m)
         for coeffs in product(range(-3, 4), repeat=m.rank):
             x = HomClass(m, coeffs)
-            assert is_characteristic(x) == _is_characteristic_direct(x), (m, coeffs)
+            assert is_characteristic(x) == _is_characteristic_direct(x, units), (m, coeffs)
             checked += 1
     assert checked == 11179
 

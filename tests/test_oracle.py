@@ -75,7 +75,11 @@ def test_safety_limit_counts_constrained_scans(monkeypatch, constraint):
 
 
 def test_safety_limit_is_the_exact_count(monkeypatch):
-    queries = [EnumQuery(R(6), 3, predicate="knull"), EnumQuery(LatticeModel.ruled(1, 3), 2, square=-1)]
+    queries = [
+        EnumQuery(R(6), 3, predicate="knull"),
+        EnumQuery(LatticeModel.ruled(1, 3), 2, square=-1),
+        EnumQuery(R(10), 2, square=-1),
+    ]
     for q in queries:
         size = len(enumerate_classes(q, allow_large=True))
         assert size > 0
@@ -139,6 +143,119 @@ def test_enumerate_matches_product_filter(model):
             q = EnumQuery(model, bound, square=s, k_pairing=k, predicate=predicate)
             got = [x.coeffs for x in enumerate_classes(q)]
             assert got == _product_filter(rows, s, k, predicate), (bound, s, k, predicate)
+
+
+def _reference_scan(q):
+    """The scan as a DP with no pruning: every state (n, sum, square-sum)
+    takes every entry in [-bound, bound], and only a finished tail is
+    tested.  Each candidate is checked again through the public pairings."""
+    model, bound = q.model, q.coeff_bound
+    square, k_pairing = q.resolved_square, q.resolved_k_pairing
+    values = range(-bound, bound + 1)
+    memo = {}
+
+    def tails(n, total, sq_total):
+        key = (n, total, sq_total)
+        if key not in memo:
+            if n == 0:
+                memo[key] = [()] if total in (None, 0) and sq_total in (None, 0) else []
+            else:
+                memo[key] = [
+                    (v,) + tail
+                    for v in values
+                    for tail in tails(
+                        n - 1,
+                        None if total is None else total - v,
+                        None if sq_total is None else sq_total - v * v,
+                    )
+                ]
+        return memo[key]
+
+    k0 = model.k0_form()
+    zeros = (0,) * model.n
+    out = []
+    for head in itertools.product(values, repeat=model.e_offset):
+        x = HomClass(model, head + zeros)
+        # each E_i has square -1 and K_0-pairing -1, so a tail c lowers
+        # the square by sum(c_i^2) and the K_0-pairing by sum(c_i)
+        total = None if k_pairing is None else form_pairing(k0, x) - k_pairing
+        sq_total = None if square is None else pairing(x, x) - square
+        for tail in tails(model.n, total, sq_total):
+            y = HomClass(model, head + tail)
+            assert square is None or pairing(y, y) == square
+            assert k_pairing is None or form_pairing(k0, y) == k_pairing
+            if q.predicate != "characteristic" or is_characteristic(y):
+                out.append(y.coeffs)
+    return out
+
+
+@pytest.mark.parametrize("query", [
+    EnumQuery(R(8), 4, predicate="knull"),
+    EnumQuery(R(10), 4, predicate="exceptional"),
+    EnumQuery(R(7), 3, k_pairing=-1),
+    EnumQuery(LatticeModel.ruled(1, 6), 4, predicate="knull"),
+    EnumQuery(LatticeModel.ruled(2, 5), 4, square=-1),
+    EnumQuery(R(6), 3, square=-1, k_pairing=0),
+    EnumQuery(R(5), 3, predicate="characteristic"),
+], ids=["rational(8)-knull", "rational(10)-exceptional", "rational(7)-k", "ruled(1,6)-knull",
+        "ruled(2,5)-square", "rational(6)-parity", "rational(5)-characteristic"])
+def test_enumerate_matches_the_unpruned_reference(query):
+    # scans past the product-filter grid: the same list in the same order
+    # as a DP that prunes nothing; rational(6) with square -1 and K_0-pairing
+    # 0 is empty, as x.x = K_0.x mod 2 for every class
+    got = [x.coeffs for x in enumerate_classes(query)]
+    assert got == _reference_scan(query)
+    assert got or query.resolved_square == -1 and query.resolved_k_pairing == 0
+
+
+def _passes_the_move_rule(n, bound, total, sq_total):
+    """Whether a state entered by a move meets every bound of the rule."""
+    if sq_total is None:
+        return total is None or abs(total) <= n * bound
+    if not 0 <= sq_total <= n * bound * bound:
+        return False
+    return total is None or (
+        abs(total) <= sq_total and total * total <= n * sq_total and (sq_total - total) % 2 == 0
+    )
+
+
+def _entered_states(monkeypatch, q):
+    """The states the count pass of the scan enters, in order."""
+    entered = []
+    count = oracle._e_count
+
+    def spy(n, bound, total, sq_total, memo):
+        if (n, total, sq_total) not in memo:
+            entered.append((n, total, sq_total))
+        return count(n, bound, total, sq_total, memo)
+
+    monkeypatch.setattr(oracle, "_e_count", spy)
+    out = enumerate_classes(q)
+    monkeypatch.undo()
+    return out, entered
+
+
+def test_no_move_enters_a_state_its_rest_cannot_complete(monkeypatch):
+    queries = [
+        EnumQuery(R(10), 3, predicate="exceptional"),
+        EnumQuery(LatticeModel.ruled(2, 5), 3, square=-1),
+        EnumQuery(R(6), 2, k_pairing=-1),
+    ]
+    sizes = []
+    for q in queries:
+        out, entered = _entered_states(monkeypatch, q)
+        assert out
+        sizes.append(len(entered))
+        # the roots are the heads' states; every other state was entered by a move
+        moved = [state for state in entered if state[0] < q.model.n]
+        assert moved and len(entered) - len(moved) <= (2 * q.coeff_bound + 1) ** q.model.e_offset
+        for state in moved:
+            assert _passes_the_move_rule(state[0], q.coeff_bound, *state[1:]), (q, state)
+    # without the move rule the count pass entered 612 states on the first scan
+    assert sizes[0] <= 150
+    # a scan whose targets differ in parity enters its roots only
+    out, entered = _entered_states(monkeypatch, EnumQuery(R(6), 3, square=-1, k_pairing=0))
+    assert out == [] and entered and {state[0] for state in entered} == {6}
 
 
 def test_each_state_is_solved_once_per_scan(monkeypatch):
